@@ -45,6 +45,7 @@ from .pairs import (
     NotASpectrumEvidence,
     UniformDiscreteSet,
     WindowTooSmall,
+    _rat,
     density,
     lifted_spectrum,
     lifted_tiling_complement,
@@ -68,11 +69,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _rat(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _emit(args, obj: dict, human: str) -> None:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .cyclotomic import CyclotomicSum
-from .padic import Ball, PAdicScalar, PrimeContext, character
+from .cyclotomic import CyclotomicSum, residue_counts
+from .padic import Ball, PAdicScalar, PrimeContext, _as_fraction
 
 __all__ = [
     "EmptySet",
@@ -36,12 +36,6 @@ __all__ = [
 
 class EmptySet(ValueError):
     """Raised when an operation needs a nonempty union of balls."""
-
-
-def _as_fraction(x: PAdicScalar | Fraction | int) -> Fraction:
-    if isinstance(x, PAdicScalar):
-        return x.value
-    return Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,17 +210,21 @@ def indicator_fourier(
     """1̂_Ω(ξ) = p**-(v+M) * sum over digits c of χ(-ξ p**v c); zero beyond p**(v+M).
 
     The support cutoff |ξ|_p <= p**(v+M) is exact: past it the value is the
-    empty sum.
+    empty sum.  With {ξ p**v} = r / p**s, each digit's root sits at exponent
+    -r*c mod p**s; the sum is declared at the least common order of its roots.
     """
     ctx = omega.context
+    p = ctx.p
     x = _as_fraction(xi)
     e = -(omega.v + omega.M)
     if x != 0 and ctx.valuation(x) < e:
-        return ScaledCyclotomic(e, CyclotomicSum.make(ctx, 0, {}))
-    scale = ctx.pow(omega.v)
-    xs = ctx.scalar(x)
-    roots = [character(xs, ctx.scalar(-scale * c)) for c in omega.digits]
-    return ScaledCyclotomic(e, CyclotomicSum.from_roots(ctx, roots))
+        return ScaledCyclotomic(e, CyclotomicSum(ctx, 0, {}))
+    n, r = ctx.frac_exponent(x * ctx.pow(omega.v))
+    exps = [-r * c for c in omega.digits]
+    while n and all(j % p == 0 for j in exps):
+        n -= 1
+        exps = [j // p for j in exps]
+    return ScaledCyclotomic(e, CyclotomicSum(ctx, n, residue_counts(p, n, exps)))
 
 
 def autocorrelation(

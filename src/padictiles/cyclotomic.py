@@ -11,15 +11,18 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from typing import Iterable, Mapping
 
-from .padic import PAdicScalar, PrimeContext, RootOfUnity, character
+from .padic import PAdicScalar, PrimeContext, RootOfUnity, _as_fraction
 
 __all__ = [
     "CyclotomicSum",
     "NotVanishing",
     "NotIndicator",
     "decompose_vanishing",
+    "residue_counts",
+    "vanishes",
     "vanishing_level_set",
 ]
 
@@ -30,6 +33,36 @@ class NotVanishing(ValueError):
 
 class NotIndicator(ValueError):
     """Raised when a decomposition is requested for a sum with coefficients outside {0, 1}."""
+
+
+def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
+    """Exact zero test of sum_j counts[j] * w**j, w = exp(2*pi*i / p**n), exponents in [0, p**n).
+
+    Vanishing means constant coefficients on every coset of the index-p
+    subgroup.  Valid at the declared order (minimality not required): the
+    relation module of roots of exact order p**n is the integer span of the
+    full coset vectors {r + t*p**(n-1) : 0 <= t < p}.
+    """
+    if n == 0:
+        return not any(counts.values())
+    q = p ** (n - 1)
+    checked: set[int] = set()
+    for j in counts:
+        r = j % q
+        if r in checked:
+            continue
+        checked.add(r)
+        a = counts.get(r, 0)
+        for t in range(1, p):
+            if counts.get(r + t * q, 0) != a:
+                return False
+    return True
+
+
+def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
+    """Exponent -> count map of the residues reduced mod p**m, in first-seen order."""
+    q = p**m
+    return dict(Counter(r % q for r in residues))
 
 
 class CyclotomicSum:
@@ -101,30 +134,8 @@ class CyclotomicSum:
         return CyclotomicSum(self.context, n, dict(coeffs))
 
     def is_zero(self) -> bool:
-        """Exact zero test: constant coefficients on every coset of the index-p subgroup.
-
-        Valid at the declared order (minimality not required): the relation
-        module of roots of exact order p**n is the integer span of the full
-        coset vectors {r + t*p**(n-1) : 0 <= t < p}.
-        """
-        if not self.coeffs:
-            return True
-        if self.n == 0:
-            return False
-        p = self.context.p
-        q = p ** (self.n - 1)
-        coeffs = self.coeffs
-        checked: set[int] = set()
-        for j in coeffs:
-            r = j % q
-            if r in checked:
-                continue
-            checked.add(r)
-            a = coeffs.get(r, 0)
-            for t in range(1, p):
-                if coeffs.get(r + t * q, 0) != a:
-                    return False
-        return True
+        """Exact zero test: the coset criterion of vanishes() at the declared order."""
+        return vanishes(self.context.p, self.n, self.coeffs)
 
     def _lift(self, n: int) -> dict[int, int]:
         f = self.context.p ** (n - self.n)
@@ -257,14 +268,20 @@ def vanishing_level_set(
 ) -> frozenset[int]:
     """The levels i (from the given candidates) where sum_c of chi(p**i * c) vanishes.
 
-    chi is the standard character; the sums are exact cyclotomic sums and the
-    zero test is exact.
+    chi is the standard character.  With V the least valuation of a nonzero
+    element and u_c = c * p**-V in Z_p, chi(p**i * c) is the root at exponent
+    u_c mod p**m of order p**m, m = max(0, -(i + V)); so one residue per
+    element serves every level, and the zero test is exact.
     """
-    elems = [e if isinstance(e, PAdicScalar) else context.scalar(e) for e in elements]
+    p = context.p
+    elems = [_as_fraction(e) for e in elements]
+    levels = sorted(set(levels))
+    V = min((context.valuation(c) for c in elems if c != 0), default=0)
+    depth = max([0] + [-(i + V) for i in levels])
+    units = [context.residue(c * context.pow(-V), depth) for c in elems]
     out = set()
     for i in levels:
-        xi = context.scalar(context.pow(i))
-        s = CyclotomicSum.from_roots(context, (character(xi, c) for c in elems))
-        if s.is_zero():
+        m = max(0, -(i + V))
+        if vanishes(p, m, residue_counts(p, m, units)):
             out.add(i)
     return frozenset(out)

@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import combinations
 
 from .copen import frame_branching_set
-from .cyclotomic import CyclotomicSum
+from .cyclotomic import residue_counts, vanishes
 from .padic import PrimeContext, _int_valuation
 
 __all__ = [
@@ -109,8 +109,7 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     q = context.p**M
     for a, b in combinations(lam, 2):
         d = (a - b) % q
-        s = CyclotomicSum.make(context, M, [((d * c) % q, 1) for c in C])
-        if not s.is_zero():
+        if not vanishes(context.p, M, residue_counts(context.p, M, (d * c for c in C))):
             return False
     return True
 
@@ -130,17 +129,13 @@ def _zero_levels(context: PrimeContext, M: int, C) -> frozenset[int]:
     """Levels j with sum over C of the p^M-th root at exponent p^j c equal to zero.
 
     A difference d = p^j u (u a unit) has vanishing character sum iff level j
-    does: scaling exponents by u is a ring automorphism fixing 0.
+    does: scaling exponents by u is a ring automorphism fixing 0.  The sum at
+    level j is the same sum of roots of order p^(M-j) at exponents c.
     """
     p = context.p
-    q = p**M
-    out = set()
-    for j in range(M):
-        f = p**j
-        s = CyclotomicSum.make(context, M, [((c * f) % q, 1) for c in C])
-        if s.is_zero():
-            out.add(j)
-    return frozenset(out)
+    return frozenset(
+        j for j in range(M) if vanishes(p, M - j, residue_counts(p, M - j, C))
+    )
 
 
 def _rotate(mask: int, t: int, size: int, full: int) -> int:

@@ -90,28 +90,25 @@ class PrimeContext:
             raise ValueError(f"residue undefined: v_{self.p}({x}) < 0")
         return (x.numerator * pow(x.denominator, -1, q)) % q if q > 1 else 0
 
-    def frac_part(self, x: Fraction | int) -> Fraction:
-        """The p-adic fractional part of x: a rational in [0, 1).
+    def frac_exponent(self, y: Fraction | int) -> tuple[int, int]:
+        """The exponent pair (n, k) with {y} = k / p**n, canonical as in RootOfUnity.
 
-        Digit extraction on the negative-valuation tail: strip one power of p
-        at a time, emitting the digit of the unit part.  {x} has denominator
-        exactly p**(-v_p(x)) when v_p(x) < 0, and is 0 otherwise.
+        n = max(0, -v_p(y)).  When n > 0 the numerator of y is a unit and
+        y * p**n = numerator / unit-part-of-denominator, so k is one modular
+        inverse: k = y * p**n mod p**n, and p does not divide it.
         """
-        x = Fraction(x)
-        v = self.valuation(x)
-        if v >= 0:
-            return Fraction(0)
-        out = Fraction(0)
-        while x != 0:
-            v = self.valuation(x)
-            if v >= 0:
-                break
-            # digit of p**v: residue mod p of the unit part x / p**v
-            u = x * self.pow(-v)
-            a = u.numerator * pow(u.denominator, -1, self.p) % self.p
-            out += a * self.pow(v)
-            x -= a * self.pow(v)
-        return out
+        y = Fraction(y)
+        den = y.denominator
+        if den % self.p:
+            return 0, 0
+        n = _int_valuation(self.p, den)
+        q = self.p**n
+        return n, y.numerator * pow(den // q, -1, q) % q
+
+    def frac_part(self, x: Fraction | int) -> Fraction:
+        """The p-adic fractional part of x: a rational in [0, 1) with denominator p**n."""
+        n, k = self.frac_exponent(x)
+        return Fraction(k, self.p**n)
 
     def scalar(self, value: Fraction | int | str) -> "PAdicScalar":
         if isinstance(value, str):
@@ -160,6 +157,12 @@ class PAdicScalar:
 
     def frac_part(self) -> Fraction:
         return self.context.frac_part(self.value)
+
+
+def _as_fraction(x: PAdicScalar | Fraction | int | str) -> Fraction:
+    if isinstance(x, PAdicScalar):
+        return x.value
+    return Fraction(x)
 
 
 def valuation(x: PAdicScalar) -> int | float:
@@ -224,13 +227,8 @@ class RootOfUnity:
 def character(xi: PAdicScalar, x: PAdicScalar) -> RootOfUnity:
     """The standard unitary character of Q_p at xi*x: exp(2*pi*i*{xi*x})."""
     xi._check(x)
-    ctx = xi.context
-    f = ctx.frac_part(xi.value * x.value)
-    if f == 0:
-        return RootOfUnity(ctx, 0, 0)
-    # denominator of {y} is exactly p**m with m = -v_p(y) > 0
-    m = _int_valuation(ctx.p, f.denominator)
-    return RootOfUnity.make(ctx, m, f.numerator * ctx.p**m // f.denominator)
+    n, k = xi.context.frac_exponent(xi.value * x.value)
+    return RootOfUnity(xi.context, n, k)
 
 
 class BallRelation(Enum):

@@ -10,6 +10,7 @@ construction of a tiling complement from a spectrum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -23,14 +24,14 @@ from .copen import (
     indicator_fourier,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum
+from .cyclotomic import CyclotomicSum, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PAdicScalar, PrimeContext, character
+from .padic import Ball, PrimeContext, _as_fraction
 
 __all__ = [
     "WindowTooSmall",
@@ -75,14 +76,6 @@ class NotASpectrumEvidence(RuntimeError):
 class SphereStatus(Enum):
     IN_ZERO_SET = "InZeroSet"
     NOT_IN_ZERO_SET = "NotInZeroSet"
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, PAdicScalar):
-        return x.value
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
 
 
 def _rat(x: Fraction) -> str:
@@ -222,51 +215,52 @@ def n_f_of(omega: CompactOpenSet) -> int:
         n += 1
 
 
-def _sphere_status(e: UniformDiscreteSet, n: int) -> SphereStatus:
-    ctx = e.context
-    if n > e.window_exp:
-        raise WindowTooSmall(
-            f"sphere level {n} needs the truncation at p**{n}, window is p**{e.window_exp}"
-        )
-    # Truncations at or below the sphere level contribute only full-character
-    # terms (every summand is 1), so the informative range starts at level n;
-    # clamp to the first nonempty truncation.
-    if 0 in e.elements:
-        first_nonempty = -e.window_exp
-    else:
-        first_nonempty = -max(ctx.valuation(x) for x in e.elements if x != 0)
-    k_first = max(n, first_nonempty)
-    xi = ctx.scalar(ctx.pow(n))
-    seen_zero = False
-    last_zero = False
-    for k in range(k_first, e.window_exp + 1):
-        roots = [
-            character(xi, ctx.scalar(x))
-            for x in e.elements
-            if ctx.valuation(x) >= -k
-        ]
-        s = CyclotomicSum.from_roots(ctx, roots)
-        last_zero = s.is_zero()
-        if last_zero:
-            seen_zero = True
-        elif seen_zero:
-            raise NotASpectrumEvidence(
-                n,
-                k,
-                f"sphere level {n}: truncated sum vanished then came back nonzero at p**{k}",
-            )
-    return SphereStatus.IN_ZERO_SET if last_zero else SphereStatus.NOT_IN_ZERO_SET
-
-
 def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, SphereStatus]:
     """Classify each sphere S(0, p**-n) against the zero set of the measure's transform.
 
     One representative ξ = p**n per sphere suffices (unit scaling permutes
     exponents of each truncated sum without changing vanishing).  A sum is
     tested at every truncation from the first informative one (the later of
-    B(0, p**-n) and the first nonempty ball) out to the window.
+    B(0, p**-n) and the first nonempty ball) out to the window W.
+
+    Each element x enters once, as the residue r = x * p**W mod p**(W - n0)
+    (n0 = min(0, lowest level)) filed under its shell, the first truncation
+    that contains it.  At level n its root is exponent r mod p**(W-n) of
+    order p**(W-n), and each truncation adds one shell to the count map.
     """
-    return {n: _sphere_status(e, n) for n in sorted(set(levels))}
+    ctx, p, w = e.context, e.context.p, e.window_exp
+    levels = sorted(set(levels))
+    depth = max(0, w - min([0] + levels))
+    by_shell: dict[int, list[int]] = {}
+    for x in e.elements:
+        shell = -w if x == 0 else -ctx.valuation(x)
+        by_shell.setdefault(shell, []).append(ctx.residue(x * ctx.pow(w), depth))
+    first_nonempty = -w if 0 in e.elements else min(by_shell)
+    shells = sorted(by_shell.items())
+    out = {}
+    for n in levels:
+        if n > w:
+            raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
+        # Truncations at or below the sphere level contribute only full-character
+        # terms (every summand is 1), so the informative range starts at level n;
+        # clamp to the first nonempty truncation.
+        q = p ** (w - n)
+        counts: Counter[int] = Counter()
+        added = 0
+        seen_zero = last_zero = False
+        for k in range(max(n, first_nonempty), w + 1):
+            while added < len(shells) and shells[added][0] <= k:
+                counts.update(r % q for r in shells[added][1])
+                added += 1
+            last_zero = vanishes(p, w - n, counts)
+            if last_zero:
+                seen_zero = True
+            elif seen_zero:
+                raise NotASpectrumEvidence(
+                    n, k, f"sphere level {n}: truncated sum vanished then came back nonzero at p**{k}"
+                )
+        out[n] = SphereStatus.IN_ZERO_SET if last_zero else SphereStatus.NOT_IN_ZERO_SET
+    return out
 
 
 def zero_bound_check(e: UniformDiscreteSet) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -326,6 +327,15 @@ def test_gallery(tmp_path, capsys):
     assert all(row["spectral_report"]["status"] == "Verified" for row in pipes)
     assert "| Verified | Verified |" in (out / "summary.md").read_text()
     before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # byte-for-byte output of the seed code
+    assert {
+        name: hashlib.sha256(before[name]).hexdigest()
+        for name in ("pipelines.jsonl", "summary.md", "census_p2_M4.jsonl")
+    } == {
+        "pipelines.jsonl": "e38c1c16402d47428479b5b60e546aa55608f3a452925da2fef972fda8eefab9",
+        "summary.md": "494c7fba826f4351406feb61c99be615b4813519ba3dd41948eaf9373d322dcd",
+        "census_p2_M4.jsonl": "15204d667b57faf469b84dea8e3dde09c2f1acb74c94417e7e4e8d176fa63fca",
+    }
     assert main(["gallery", "--out", str(out)]) == 0
     capsys.readouterr()
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
