@@ -21,6 +21,7 @@ from pathlib import Path
 from .copen import (
     CompactOpenSet,
     EmptySet,
+    _int_field,
     autocorrelation,
     frame_branching_set,
     indicator_fourier,
@@ -186,10 +187,13 @@ def _require_p(args) -> None:
 def cmd_normalize(args) -> int:
     if args.stdin:
         doc = json.load(sys.stdin)
-        ctx = PrimeContext(int(doc["p"]))
+        balls = doc.get("balls") if isinstance(doc, dict) else None
+        if not isinstance(balls, list) or not all(isinstance(b, dict) for b in balls):
+            raise ValueError("--stdin: expected a JSON object {p, balls: [{v, M, c}, ...]}")
+        ctx = PrimeContext(_int_field(doc.get("p"), "p"))
         balls = [
-            Ball.make(ctx, int(b["v"]), int(b["M"]), int(b["c"]))
-            for b in doc["balls"]
+            Ball.make(ctx, *(_int_field(b.get(k), f"balls[{i}].{k}") for k in ("v", "M", "c")))
+            for i, b in enumerate(balls)
         ]
     else:
         if args.p is None or args.balls is None:

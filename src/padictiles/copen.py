@@ -121,14 +121,28 @@ class CompactOpenSet:
 
     @classmethod
     def from_json_dict(cls, d: dict, warn=None) -> "CompactOpenSet":
-        """Parse and canonicalize; warn(message) is called if the input was not canonical."""
-        ctx = PrimeContext(int(d["p"]))
-        out = cls.make(ctx, int(d["v"]), int(d["M"]), [int(x) for x in d["digits"]])
-        raw = (int(d["v"]), int(d["M"]), tuple(sorted(int(x) for x in d["digits"])))
-        if warn is not None and raw != (out.v, out.M, out.digits):
-            warn(f"input frame (v={raw[0]}, M={raw[1]}) was not canonical; "
+        """Parse and canonicalize; warn(message) is called if the input was not canonical.
+
+        A document of the wrong shape raises ValueError naming the bad field.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object {{p, v, M, digits}}, got {type(d).__name__}")
+        p, v, M = (_int_field(d.get(key), key) for key in ("p", "v", "M"))
+        if not isinstance(d.get("digits"), list):
+            raise ValueError(f"field digits: expected a list of integers, got {d.get('digits')!r}")
+        digits = [_int_field(x, f"digits[{i}]") for i, x in enumerate(d["digits"])]
+        out = cls.make(PrimeContext(p), v, M, digits)
+        if warn is not None and (v, M, tuple(sorted(digits))) != (out.v, out.M, out.digits):
+            warn(f"input frame (v={v}, M={M}) was not canonical; "
                  f"reduced to (v={out.v}, M={out.M})")
         return out
+
+
+def _int_field(value, field: str) -> int:
+    """A JSON integer field; ValueError naming the field for anything else (floats too)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"field {field}: expected an integer, got {value!r}")
+    return value
 
 
 def normalize_set(context: PrimeContext, balls: Iterable[Ball]) -> CompactOpenSet:

@@ -4,6 +4,13 @@ The three per-set decision procedures (exact-cover tile search, orthogonality
 spectrum search, digit-tree homogeneity test) are deliberately independent of
 one another; the census asserts their agreement on every set it visits and
 treats a disagreement as a fatal finding, not a warning.
+
+The tile search rests on a lemma (Coven–Meyerowitz condition T1, with the
+tile ⟺ homogeneous theorem in Z/p^M): C of size p^a tiles iff its mask
+vanishes at exactly a levels, and then every complement is homogeneous with
+the complement of C's branching set as its own.  Negative tile answers rest
+on the lemma; positive ones are re-verified by a coverage count, and the
+digit-tree homogeneity test does not use the lemma.
 """
 
 from __future__ import annotations
@@ -103,23 +110,21 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
 
 
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
-    """Exact pairwise orthogonality: sum over C of the root at d*c vanishes per pair."""
+    """Exact orthogonality: sum over C of the root at d*c vanishes per difference d of lam."""
     if len(set(lam)) != len(lam) or len(lam) != len(C):
         return False
-    q = context.p**M
-    for a, b in combinations(lam, 2):
-        d = (a - b) % q
-        if not vanishes(context.p, M, residue_counts(context.p, M, (d * c for c in C))):
-            return False
-    return True
+    p, q = context.p, context.p**M
+    return all(
+        vanishes(p, M, residue_counts(p, M, (d * c for c in C)))
+        for d in {(a - b) % q for a, b in combinations(lam, 2)}
+    )
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     """Largest |pairwise character sum| numerically; guard check, never a decider."""
     q = p**M
     worst = 0.0
-    for a, b in combinations(lam, 2):
-        d = (a - b) % q
+    for d in {(a - b) % q for a, b in combinations(lam, 2)}:
         s = sum(cmath.exp(2j * cmath.pi * ((d * c) % q) / q) for c in C)
         worst = max(worst, abs(s))
     return worst
@@ -144,11 +149,18 @@ def _rotate(mask: int, t: int, size: int, full: int) -> int:
 
 
 def is_tile_zmod(C: DigitSet) -> Witness | None:
-    """Search for T with C ⊕ T = Z/p^M; None when no exact cover exists.
+    """Find T with C ⊕ T = Z/p^M; None when no complement exists.
 
-    Depth-first: always place a translate covering the smallest uncovered
-    element, candidates in increasing order, backtrack on overlap.  A found
-    witness is re-verified by an independent coverage count before return.
+    Covers the smallest uncovered x with the first allowed candidate of
+    sorted((x - c) % q), as a backtracking exact-cover search would, but
+    never backtracks.  By the lemma (module docstring) C is rejected unless
+    |C| = p^a with exactly a vanishing levels: A ⊕ B = Z/p^M iff
+    |A|·|B| = p^M and each Φ_{p^s} (1 <= s <= M) divides A(X) or B(X), and a
+    mask vanishing at j levels has at least p^j elements.  Every complement
+    is then homogeneous and does not branch on C's branching set I_C, so at
+    each i in I_C the translates in one class mod p^i share digit i; a choice
+    meeting that rule lies in some complement, so no allowed step is a dead
+    end.  The witness is re-verified by a coverage count.
     """
     ctx, M = C.context, C.M
     p = ctx.p
@@ -156,29 +168,27 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     k = len(C.C)
     if q % k:
         return None
-    cmask = 0
-    for c in C.C:
-        cmask |= 1 << c
-    full = (1 << q) - 1
-    rot = [_rotate(cmask, t, q, full) for t in range(q)]
-    covers = [sorted((x - c) % q for c in C.C) for x in range(q)]
-    chosen: list[int] = []
-
-    def dfs(covered: int) -> bool:
-        if covered == full:
-            return True
-        x = ((covered + 1) & ~covered).bit_length() - 1
-        for t in covers[x]:
-            m = rot[t]
-            if not covered & m:
-                chosen.append(t)
-                if dfs(covered | m):
-                    return True
-                chosen.pop()
-        return False
-
-    if not dfs(0):
+    levels = _zero_levels(ctx, M, C.C)
+    if p ** len(levels) != k:
         return None
+    # weight p^i -> (class mod p^i -> the digit i its translates share)
+    digit_of = {p ** (M - 1 - j): {} for j in levels}
+    full = (1 << q) - 1
+    covered = 0
+    chosen: list[int] = []
+    while covered != full:
+        x = ((covered + 1) & ~covered).bit_length() - 1
+        for t in sorted((x - c) % q for c in C.C):
+            if all(d.get(t % w, t // w % p) == t // w % p for w, d in digit_of.items()):
+                m = sum(1 << ((c + t) % q) for c in C.C)
+                if not covered & m:
+                    break
+        else:
+            raise ConstructionFailed(f"tile search found no allowed translate: C={C.C}, T so far={chosen}")
+        for w, d in digit_of.items():
+            d[t % w] = t // w % p
+        covered |= m
+        chosen.append(t)
     T = tuple(sorted(chosen))
     if not verify_tiling_witness(p, M, C.C, T):
         raise ConstructionFailed(f"tile search witness failed coverage recount: C={C.C}, T={T}")
@@ -190,49 +200,38 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
 
     All pairwise differences of Λ must lie in the zero-difference set
     D = {d : sum over C of the root at d*c is 0}, which is computed once from
-    the M level sums (one exact zero test per level).  Backtracking is
-    anchored at 0 (spectra translate) with candidates in increasing order, so
-    the returned witness is deterministic.
+    the M level sums (one exact zero test per level).  Depth-first search on
+    an explicit stack, anchored at 0 (spectra translate) with candidates in
+    increasing order, so the returned witness is deterministic.
     """
     ctx, M = C.context, C.M
     p = ctx.p
     q = p**M
     k = len(C.C)
-    found: tuple[int, ...] | None = None
-    if k == 1:
-        found = (0,)
-    else:
-        zl = _zero_levels(ctx, M, C.C)
-        dmask = 0
-        for d in range(1, q):
-            if _int_valuation(p, d) in zl:
-                dmask |= 1 << d
-        if not dmask:
-            return None
-        full = (1 << q) - 1
-        adj = [_rotate(dmask, a, q, full) for a in range(q)]
-        chosen = [0]
-
-        def dfs(cand: int) -> bool:
-            if len(chosen) == k:
-                return True
-            if len(chosen) + cand.bit_count() < k:
-                return False
-            m = cand
-            while m:
-                low = m & -m
-                m ^= low
-                lam = low.bit_length() - 1
-                chosen.append(lam)
-                if dfs(m & adj[lam]):
-                    return True
-                chosen.pop()
-            return False
-
-        if dfs(adj[0]):
-            found = tuple(chosen)
-    if found is None:
+    zl = _zero_levels(ctx, M, C.C)
+    dmask = 0
+    for d in range(1, q):
+        if _int_valuation(p, d) in zl:
+            dmask |= 1 << d
+    if 1 + dmask.bit_count() < k:
         return None
+    full = (1 << q) - 1
+    adj = [_rotate(dmask, a, q, full) for a in range(q)]
+    # stack[i]: the candidates not yet tried after chosen[:i + 1]
+    chosen, stack = [0], [adj[0]]
+    while len(chosen) < k:
+        m = stack[-1]
+        if len(chosen) + m.bit_count() < k:
+            if len(stack) == 1:
+                return None
+            stack.pop()
+            chosen.pop()
+            continue
+        low = m & -m
+        stack[-1] = m ^ low
+        chosen.append(low.bit_length() - 1)
+        stack.append(stack[-1] & adj[chosen[-1]])
+    found = tuple(chosen)
     if not verify_spectrum_witness(ctx, M, C.C, found):
         raise ConstructionFailed(f"spectrum search witness failed exact recheck: C={C.C}, Λ={found}")
     if spectrum_orthogonality_defect(p, M, C.C, found) >= 1e-9:

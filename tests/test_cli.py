@@ -53,6 +53,26 @@ def test_measure_stdin(capsys, monkeypatch):
     assert "warning" in err
 
 
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("measure", [1, 2], "JSON object"),
+        ("measure", {"p": 2, "v": 0, "M": 2, "digits": 5}, "digits"),
+        ("measure", {"p": 2, "v": 0, "digits": [0]}, "field M"),
+        ("measure", {"p": 2, "v": 0, "M": 2, "digits": [0, [3]]}, "digits[1]"),
+        ("measure", {"p": 2, "v": 0, "M": 2, "digits": [0.9, 3]}, "digits[0]"),
+        ("measure", {"p": 2, "v": True, "M": 2, "digits": [0, 3]}, "field v"),
+        ("normalize", {"p": 2, "balls": 5}, "balls"),
+        ("normalize", {"p": 2, "balls": [{"v": 0, "M": 1}]}, "balls[0].c"),
+    ],
+)
+def test_stdin_document_of_wrong_shape(capsys, monkeypatch, command, doc, field):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, command, "--stdin", "--json")
+    assert code == 1 and out == ""
+    assert field in err and "Traceback" not in err
+
+
 def test_measure_bad_digit_list(capsys):
     code, _, err = run(capsys, "measure", "--p", "2", "--set", "0,x", "--M", "2")
     assert code == 1

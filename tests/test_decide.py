@@ -133,6 +133,76 @@ def test_deciders_match_brute_force_sampled_p3_m2():
         assert (is_spectral_zmod(ds) is not None) == (_brute_spectrum(3, 2, c) is not None)
 
 
+def _reference_tile(p, m, c):
+    """The unpruned exact-cover search: cover the smallest uncovered x with
+    candidates sorted((x - c) % q), backtracking on overlap."""
+    q = p**m
+    if q % len(c):
+        return None
+    masks = [sum(1 << ((x + t) % q) for x in c) for t in range(q)]
+    full = (1 << q) - 1
+    chosen = []
+
+    def dfs(covered):
+        if covered == full:
+            return True
+        x = ((covered + 1) & ~covered).bit_length() - 1
+        for t in sorted((x - y) % q for y in c):
+            if not covered & masks[t]:
+                chosen.append(t)
+                if dfs(covered | masks[t]):
+                    return True
+                chosen.pop()
+        return False
+
+    return tuple(sorted(chosen)) if dfs(0) else None
+
+
+def _homogeneous_and_perturbed(rng, p, m):
+    """Per proper branching set: a random homogeneous set and a copy with one
+    base-p digit of one element changed (same size)."""
+    for mask in range((1 << m) - 1):
+        digits = [0]
+        for i in range(m):
+            w = p**i
+            if mask >> i & 1:
+                digits = [d + a * w for d in digits for a in range(p)]
+            else:
+                digits = [d + rng.randrange(p) * w for d in digits]
+        yield tuple(sorted(digits))
+        members = set(digits)
+        while True:
+            c = rng.choice(digits)
+            w = p ** rng.randrange(m)
+            moved = c + (rng.choice([a for a in range(p) if a != c // w % p]) - c // w % p) * w
+            if moved not in members:
+                yield tuple(sorted(members - {c} | {moved}))
+                break
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_tile_witness_equals_unpruned_search(p, m):
+    rng = random.Random(1009 * p + m)
+    ctx = PrimeContext(p)
+    seen = {True: 0, False: 0}
+    for c in (c for _ in range(3) for c in _homogeneous_and_perturbed(rng, p, m)):
+        w = is_tile_zmod(DigitSet.make(ctx, m, c))
+        ref = _reference_tile(p, m, c)
+        assert (None if w is None else w.elements) == ref, c
+        seen[ref is not None] += 1
+    assert seen[True] and seen[False]
+
+
+def test_deciders_at_the_edges_of_z_2_10():
+    ctx = PrimeContext(2)
+    w = is_tile_zmod(DigitSet.make(ctx, 10, (0,)))
+    assert w is not None and w.elements == tuple(range(1024))
+    assert verify_tiling_witness(2, 10, (0,), w.elements)
+    w = is_spectral_zmod(DigitSet.make(ctx, 10, range(1024)))
+    assert w is not None and w.elements == tuple(range(1024))
+    assert verify_spectrum_witness(ctx, 10, range(1024), w.elements)
+
+
 def test_constructors_from_homogeneity_frozen():
     ctx = PrimeContext(2)
     ds = DigitSet.make(ctx, 2, (0, 3))
