@@ -35,7 +35,8 @@ from .decide import (
     DigitSet,
     EquivalenceViolation,
     ScopeTooLarge,
-    classify_all,
+    _census_rows,
+    _tally,
     complement_from_homogeneity,
     is_spectral_zmod,
     is_tile_zmod,
@@ -464,10 +465,8 @@ def _census_summary_human(census: Census) -> str:
     return "\n".join(lines)
 
 
-def _write_census_rows(census: Census, stream) -> None:
-    for row in census.rows:
-        stream.write(json.dumps(row.to_json_dict(), sort_keys=True))
-        stream.write("\n")
+def _row_writer(stream):
+    return lambda row: stream.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -475,18 +474,16 @@ def cmd_classify(args) -> int:
         raise ValueError("pick one of --exhaustive / --sample K")
     if not args.exhaustive and args.sample is None:
         raise ValueError("pick a mode: --exhaustive or --sample K")
-    if args.exhaustive:
-        census = classify_all(args.p, args.M, "exhaustive", jobs=args.jobs)
-    else:
-        census = classify_all(
-            args.p, args.M, "sample", sample_size=args.sample, seed=args.seed, jobs=args.jobs
-        )
+    mode = "exhaustive" if args.exhaustive else "sample"
+    rows = _census_rows(args.p, args.M, mode, args.sample, args.seed, args.jobs)
     if args.out == "-":
-        _write_census_rows(census, sys.stdout)
+        _tally(args.p, args.M, mode, rows, _row_writer(sys.stdout))
         return EXIT_OK
-    if args.out is not None:
+    if args.out is None:
+        census = _tally(args.p, args.M, mode, rows, lambda row: None)
+    else:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _write_census_rows(census, fh)
+            census = _tally(args.p, args.M, mode, rows, _row_writer(fh))
     _emit(args, _census_summary_obj(census), _census_summary_human(census))
     return EXIT_OK
 
@@ -501,10 +498,10 @@ def cmd_gallery(args) -> int:
     written = []
     summaries = []
     for p, m in _GALLERY_CENSUSES:
-        census = classify_all(p, m, "exhaustive", jobs=args.jobs)
+        rows = _census_rows(p, m, "exhaustive", jobs=args.jobs)
         path = outdir / f"census_p{p}_M{m}.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            _write_census_rows(census, fh)
+            census = _tally(p, m, "exhaustive", rows, _row_writer(fh))
         written.append(path)
         summaries.append(_census_summary_obj(census))
     pipe_rows = []

@@ -278,21 +278,20 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
 
     Level i is branching when every residue mod p**i present extends to
     exactly p residues mod p**(i+1); unary when every one extends to exactly
-    one.  Anything else disqualifies the set.
+    one.  Anything else disqualifies the set.  Each residue has 1 to p
+    children, so comparing the counts of residues mod p**i and p**(i+1) decides.
     """
     digits = list(digits)
     levels = set()
+    below = 1
     for i in range(M):
-        q = p**i
-        qq = q * p
-        children: dict[int, set[int]] = {}
-        for d in digits:
-            children.setdefault(d % q, set()).add(d % qq)
-        counts = {len(ch) for ch in children.values()}
-        if counts == {p}:
+        qq = p ** (i + 1)
+        n = len({d % qq for d in digits})
+        if n == p * below:
             levels.add(i)
-        elif counts != {1}:
+        elif n != below:
             return None
+        below = n
     return frozenset(levels)
 
 

@@ -1,16 +1,17 @@
 """Exact deciders and constructors on Z/p^M: tiling, spectra, homogeneity, census.
 
-The three per-set decision procedures (exact-cover tile search, orthogonality
-spectrum search, digit-tree homogeneity test) are deliberately independent of
-one another; the census asserts their agreement on every set it visits and
-treats a disagreement as a fatal finding, not a warning.
-
-The tile search rests on a lemma (Coven–Meyerowitz condition T1, with the
-tile ⟺ homogeneous theorem in Z/p^M): C of size p^a tiles iff its mask
-vanishes at exactly a levels, and then every complement is homogeneous with
-the complement of C's branching set as its own.  Negative tile answers rest
-on the lemma; positive ones are re-verified by a coverage count, and the
-digit-tree homogeneity test does not use the lemma.
+The tile and spectrum deciders share one test on the level sums, which rests
+on a lemma (Coven–Meyerowitz condition T1, with the tile ⟺ spectral ⟺
+homogeneous theorem in Z/p^M): C of size p^a tiles, and is spectral, iff its
+mask vanishes at exactly a levels.  Tile half: A ⊕ B = Z/p^M iff
+|A|·|B| = p^M and each Φ_{p^s} divides A(X) or B(X), and a mask vanishing
+at j levels has at least p^j elements.  Spectral half: the differences of a
+spectrum Λ have valuations in the zero-level set Z, so the digits at the
+levels in Z are injective on Λ and |Λ| <= p^|Z|; and p^|Z| divides |C|,
+because Φ_{p^(M-j)} divides C(X) for each j in Z and Φ_{p^s}(1) = p.
+Negative answers rest on the lemma; positive ones are re-verified exactly.
+The digit-tree homogeneity test is independent of both deciders, and the
+census treats any disagreement among the three as a fatal finding.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ import cmath
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .copen import frame_branching_set
 from .cyclotomic import residue_counts, vanishes
-from .padic import PrimeContext, _int_valuation
+from .padic import PrimeContext
 
 __all__ = [
     "DigitSet",
@@ -130,22 +133,21 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     return worst
 
 
-def _zero_levels(context: PrimeContext, M: int, C) -> frozenset[int]:
-    """Levels j with sum over C of the p^M-th root at exponent p^j c equal to zero.
+@lru_cache(maxsize=1)
+def _t1_levels(C: DigitSet) -> frozenset[int] | None:
+    """The zero levels Z of C when |C| = p^|Z| (condition T1), else None.
 
-    A difference d = p^j u (u a unit) has vanishing character sum iff level j
-    does: scaling exponents by u is a ring automorphism fixing 0.  The sum at
-    level j is the same sum of roots of order p^(M-j) at exponents c.
+    Level j is in Z when the sum over C of the roots of order p^(M-j) at
+    exponents c vanishes, and then so does the sum at d*c for d = p^j u:
+    scaling exponents by a unit u is a ring automorphism fixing 0.  Sizes
+    not dividing p^M are rejected before any level sum.  Both deciders ask
+    this of one set in turn, so the last answer is kept.
     """
-    p = context.p
-    return frozenset(
-        j for j in range(M) if vanishes(p, M - j, residue_counts(p, M - j, C))
-    )
-
-
-def _rotate(mask: int, t: int, size: int, full: int) -> int:
-    t %= size
-    return ((mask << t) | (mask >> (size - t))) & full
+    p, M, k = C.context.p, C.M, len(C.C)
+    if p**M % k:
+        return None
+    levels = [j for j in range(M) if vanishes(p, M - j, residue_counts(p, M - j, C.C))]
+    return frozenset(levels) if p ** len(levels) == k else None
 
 
 def is_tile_zmod(C: DigitSet) -> Witness | None:
@@ -153,23 +155,17 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
 
     Covers the smallest uncovered x with the first allowed candidate of
     sorted((x - c) % q), as a backtracking exact-cover search would, but
-    never backtracks.  By the lemma (module docstring) C is rejected unless
-    |C| = p^a with exactly a vanishing levels: A ⊕ B = Z/p^M iff
-    |A|·|B| = p^M and each Φ_{p^s} (1 <= s <= M) divides A(X) or B(X), and a
-    mask vanishing at j levels has at least p^j elements.  Every complement
-    is then homogeneous and does not branch on C's branching set I_C, so at
-    each i in I_C the translates in one class mod p^i share digit i; a choice
-    meeting that rule lies in some complement, so no allowed step is a dead
-    end.  The witness is re-verified by a coverage count.
+    never backtracks.  C is rejected unless it meets T1 (module docstring).
+    Every complement is then homogeneous and does not branch on C's
+    branching set I_C, so at each i in I_C the translates in one class mod
+    p^i share digit i; a choice meeting that rule lies in some complement,
+    so no allowed step is a dead end.  The witness is re-verified by a
+    coverage count.
     """
-    ctx, M = C.context, C.M
-    p = ctx.p
+    p, M = C.context.p, C.M
     q = p**M
-    k = len(C.C)
-    if q % k:
-        return None
-    levels = _zero_levels(ctx, M, C.C)
-    if p ** len(levels) != k:
+    levels = _t1_levels(C)
+    if levels is None:
         return None
     # weight p^i -> (class mod p^i -> the digit i its translates share)
     digit_of = {p ** (M - 1 - j): {} for j in levels}
@@ -196,47 +192,20 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
 
 
 def is_spectral_zmod(C: DigitSet) -> Witness | None:
-    """Search for a spectrum Λ ⊆ Z/p^M of C; None when none exists.
+    """A spectrum Λ ⊆ Z/p^M of C; None when none exists.
 
-    All pairwise differences of Λ must lie in the zero-difference set
-    D = {d : sum over C of the root at d*c is 0}, which is computed once from
-    the M level sums (one exact zero test per level).  Depth-first search on
-    an explicit stack, anchored at 0 (spectra translate) with candidates in
-    increasing order, so the returned witness is deterministic.
+    C is rejected unless |C| = p^|Z| for its zero-level set Z (T1): a
+    spectrum's digits at the levels in Z are injective on it, so |Λ| <=
+    p^|Z|, and p^|Z| divides |C| because Φ_{p^s}(1) = p (module docstring).
+    Otherwise Λ is every number whose base-p digits outside Z are 0; two
+    first differ at some j in Z, so their difference has valuation j.  That
+    is the homogeneity spectrum at branching levels {M-1-j : j in Z}, which
+    is rechecked exactly and by the numeric guard.
     """
-    ctx, M = C.context, C.M
-    p = ctx.p
-    q = p**M
-    k = len(C.C)
-    zl = _zero_levels(ctx, M, C.C)
-    dmask = 0
-    for d in range(1, q):
-        if _int_valuation(p, d) in zl:
-            dmask |= 1 << d
-    if 1 + dmask.bit_count() < k:
+    levels = _t1_levels(C)
+    if levels is None:
         return None
-    full = (1 << q) - 1
-    adj = [_rotate(dmask, a, q, full) for a in range(q)]
-    # stack[i]: the candidates not yet tried after chosen[:i + 1]
-    chosen, stack = [0], [adj[0]]
-    while len(chosen) < k:
-        m = stack[-1]
-        if len(chosen) + m.bit_count() < k:
-            if len(stack) == 1:
-                return None
-            stack.pop()
-            chosen.pop()
-            continue
-        low = m & -m
-        stack[-1] = m ^ low
-        chosen.append(low.bit_length() - 1)
-        stack.append(stack[-1] & adj[chosen[-1]])
-    found = tuple(chosen)
-    if not verify_spectrum_witness(ctx, M, C.C, found):
-        raise ConstructionFailed(f"spectrum search witness failed exact recheck: C={C.C}, Λ={found}")
-    if spectrum_orthogonality_defect(p, M, C.C, found) >= 1e-9:
-        raise ConstructionFailed(f"spectrum witness failed numeric guard: C={C.C}, Λ={found}")
-    return Witness(WitnessKind.SPECTRUM, p, M, found)
+    return spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
 
 
 def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
@@ -244,8 +213,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 
     Candidate: all sums of a_i * p^(M-1-i) over branching levels i with
     digits a_i in [0, p).  Verified exactly before return; a failure raises
-    rather than patching (fall back to is_spectral_zmod explicitly if ever
-    needed).
+    rather than patching.
     """
     ctx, M = C.context, C.M
     p = ctx.p
@@ -358,7 +326,7 @@ def _row_from_mask(p: int, M: int, mask: int) -> CensusRow:
     )
 
 
-def _rows_for_masks(p: int, M: int, masks: list[int]) -> list[CensusRow]:
+def _rows_for_masks(p: int, M: int, masks) -> list[CensusRow]:
     return [_row_from_mask(p, M, m) for m in masks]
 
 
@@ -369,22 +337,9 @@ def _all_branching_sets(M: int):
     return sorted(set(out))
 
 
-def classify_all(
-    p: int,
-    M: int,
-    mode: str = "exhaustive",
-    sample_size: int | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> Census:
-    """Classify nonempty subsets of Z/p^M and assert the three flags agree.
-
-    Exhaustive scope is capped at p=2, M <= 4 and p=3, M <= 2 (the flagship
-    sweep); sample mode draws sample_size distinct subsets from the given
-    seed.  The exhaustive run also cross-checks the per-branching-set counts
-    against the closed-form census size.  Rows come back in mask order
-    regardless of jobs.
-    """
+def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) -> Iterator[CensusRow]:
+    """Validate a census request and return its rows, computed as they are
+    read, in mask order regardless of jobs."""
     PrimeContext(p)  # validates primality
     q = p**M
     if mode == "exhaustive":
@@ -404,24 +359,32 @@ def classify_all(
         masks = sorted(picked)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    return _rows(p, M, masks, jobs)
 
-    masks = list(masks)
+
+def _rows(p: int, M: int, masks, jobs: int) -> Iterator[CensusRow]:
     if jobs > 1 and len(masks) > 1:
         chunk = max(1, len(masks) // (jobs * 8))
         parts = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
-        rows: list[CensusRow] = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part in pool.map(_rows_for_masks, [p] * len(parts), [M] * len(parts), parts):
-                rows.extend(part)
+                yield from part
     else:
-        rows = _rows_for_masks(p, M, masks)
+        for m in masks:
+            yield _row_from_mask(p, M, m)
 
+
+def _tally(p: int, M: int, mode: str, rows: Iterable[CensusRow], emit) -> Census:
+    """Pass each row to emit(row) and keep only the counts (Census.rows is
+    empty).  An exhaustive census is checked against the closed-form count
+    of each branching set."""
     counts_by_card: dict[int, int] = {}
     counts_by_branching: dict[tuple[int, ...], int] = {}
-    positive = 0
+    total = 0
     for row in rows:
+        emit(row)
+        total += 1
         if row.is_tile:
-            positive += 1
             counts_by_card[len(row.C)] = counts_by_card.get(len(row.C), 0) + 1
             counts_by_branching[row.branching] = counts_by_branching.get(row.branching, 0) + 1
     if mode == "exhaustive":
@@ -432,4 +395,25 @@ def classify_all(
                 raise EquivalenceViolation(
                     f"branching-set census mismatch at I={levels}: closed form {want}, enumerated {got}"
                 )
-    return Census(p, M, mode, len(rows), positive, counts_by_card, counts_by_branching, rows)
+    return Census(p, M, mode, total, sum(counts_by_card.values()), counts_by_card, counts_by_branching, [])
+
+
+def classify_all(
+    p: int,
+    M: int,
+    mode: str = "exhaustive",
+    sample_size: int | None = None,
+    seed: int = 0,
+    jobs: int = 1,
+) -> Census:
+    """Classify nonempty subsets of Z/p^M and assert the three flags agree.
+
+    Exhaustive scope is capped at p=2, M <= 4 and p=3, M <= 2 (the flagship
+    sweep); sample mode draws sample_size distinct subsets from the given
+    seed.  The exhaustive run also cross-checks the per-branching-set counts
+    against the closed-form census size.  Rows come back in mask order
+    regardless of jobs.
+    """
+    rows: list[CensusRow] = []
+    census = _tally(p, M, mode, _census_rows(p, M, mode, sample_size, seed, jobs), rows.append)
+    return replace(census, rows=rows)

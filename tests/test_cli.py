@@ -3,10 +3,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from padictiles.cli import main
+from padictiles.decide import classify_all
 
 
 def run(capsys, *argv):
@@ -308,6 +310,33 @@ def test_classify_out_file_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("argv,kwargs", [
+    (["--M", "3", "--exhaustive"], dict(M=3, mode="exhaustive")),
+    (["--M", "4", "--sample", "300", "--seed", "5"], dict(M=4, mode="sample", sample_size=300, seed=5)),
+    (["--M", "3", "--exhaustive", "--jobs", "2"], dict(M=3, mode="exhaustive", jobs=2)),
+])
+def test_classify_out_file_streams_the_census_rows(tmp_path, capsys, argv, kwargs):
+    out = tmp_path / "rows.jsonl"
+    assert main(["classify", "--p", "2", *argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = [json.dumps(r.to_json_dict(), sort_keys=True) for r in classify_all(2, **kwargs).rows]
+    assert out.read_text().splitlines() == want
+
+
+def test_classify_out_file_keeps_no_rows(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code = main(["classify", "--p", "2", "--M", "4", "--exhaustive",
+                     "--out", str(tmp_path / "rows.jsonl")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # holding all 65,535 rows peaked at about 15 MB
+    assert peak < 5_000_000
 
 
 def test_classify_sample_and_errors(capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -191,6 +192,71 @@ def test_tile_witness_equals_unpruned_search(p, m):
         assert (None if w is None else w.elements) == ref, c
         seen[ref is not None] += 1
     assert seen[True] and seen[False]
+
+
+def _reference_spectrum(p, m, c):
+    """The depth-first spectrum search: anchored at 0, candidates in increasing
+    order, every pairwise difference in the zero-difference set D."""
+    q = p**m
+    k = len(c)
+    zeros = {
+        j for j in range(m)
+        if abs(sum(cmath.exp(2j * math.pi * x * p**j / q) for x in c)) < 1e-9
+    }
+    dmask = 0
+    for d in range(1, q):
+        v = 0
+        while d % p**(v + 1) == 0:
+            v += 1
+        if v in zeros:
+            dmask |= 1 << d
+    full = (1 << q) - 1
+    adj = [((dmask << a) | (dmask >> (q - a))) & full for a in range(q)]
+    chosen, stack = [0], [adj[0]]
+    while len(chosen) < k:
+        mask = stack[-1]
+        if len(chosen) + mask.bit_count() < k:
+            if len(stack) == 1:
+                return None
+            stack.pop()
+            chosen.pop()
+            continue
+        low = mask & -mask
+        stack[-1] = mask ^ low
+        chosen.append(low.bit_length() - 1)
+        stack.append(stack[-1] & adj[chosen[-1]])
+    return tuple(chosen)
+
+
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 3), (5, 2), (7, 2)])
+def test_spectrum_witness_equals_search(p, m):
+    rng = random.Random(1013 * p + m)
+    ctx = PrimeContext(p)
+    seen = {True: 0, False: 0}
+    for c in (c for _ in range(3) for c in _homogeneous_and_perturbed(rng, p, m)):
+        w = is_spectral_zmod(DigitSet.make(ctx, m, c))
+        ref = _reference_spectrum(p, m, c)
+        assert (None if w is None else w.elements) == ref, c
+        seen[ref is not None] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("p,m", [(2, 10), (3, 6)])
+def test_spectral_decisions_past_the_search_scope(p, m):
+    rng = random.Random(211 * p + m)
+    ctx = PrimeContext(p)
+    sets = list(_homogeneous_and_perturbed(rng, p, m))
+    rejected = 0
+    for c in rng.sample(sets, 40):
+        start = time.perf_counter()
+        w = is_spectral_zmod(DigitSet.make(ctx, m, c))
+        took = time.perf_counter() - start
+        assert (w is not None) == (frame_branching_set(p, m, c) is not None), c
+        if w is None:
+            rejected += 1
+            # the depth-first search took seconds on some of these sets
+            assert took < 0.1, (c, took)
+    assert rejected
 
 
 def test_deciders_at_the_edges_of_z_2_10():

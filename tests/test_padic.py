@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from padictiles.padic import (
     INF,
     PrimeContext,
     RootOfUnity,
+    _is_prime,
     ball_member,
     ball_relation,
     character,
@@ -25,6 +27,32 @@ def test_prime_context_rejects_composites():
             PrimeContext(bad)
     PrimeContext(2)
     PrimeContext(97)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+def test_prime_context_on_large_and_pseudoprime_inputs():
+    start = time.perf_counter()
+    PrimeContext(2**61 - 1)  # trial division would take about 1.5e9 steps
+    assert time.perf_counter() - start < 1
+    for bad in (561, 41041, 2**61 + 1):  # two Carmichael numbers, 3 * 768614336404564651
+        with pytest.raises(ValueError):
+            PrimeContext(bad)
+    # no factor below 43, so Miller-Rabin itself must reject them: a Carmichael
+    # number 211 * 421 * 631, a strong pseudoprime to the bases 2..23, and one
+    # to the first 12 prime bases that only the 13th (41) exposes
+    for bad in (56052361, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(bad)
+    with pytest.raises(ValueError, match="not decided exactly"):
+        PrimeContext(2**89 - 1)
 
 
 def test_valuation_frozen_values():
