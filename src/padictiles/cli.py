@@ -381,12 +381,13 @@ def cmd_spectrum_to_tiling(args) -> int:
 def cmd_scan_zeros(args) -> int:
     ctx = PrimeContext(args.p)
     eset = _eset_from_args(args, ctx)
-    obj: dict = {"n_E": eset.n_E(), "window_exp": eset.window_exp}
+    ne = eset.n_E()
+    obj: dict = {"n_E": ne, "window_exp": eset.window_exp}
     lines = []
-    if eset.n_E() is None:
+    if ne is None:
         lines.append("n_E undefined (singleton); zero-set bound is vacuous")
     else:
-        lines.append(f"n_E = {eset.n_E()}")
+        lines.append(f"n_E = {ne}")
     code = EXIT_OK
     if args.levels is not None:
         levels = _parse_levels(args.levels, "--levels")

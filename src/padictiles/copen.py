@@ -23,12 +23,10 @@ __all__ = [
     "EmptySet",
     "CompactOpenSet",
     "ScaledCyclotomic",
-    "DigitTree",
     "normalize_set",
     "indicator_fourier",
     "autocorrelation",
     "local_constancy_parameter",
-    "digit_tree",
     "frame_branching_set",
     "is_p_homogeneous",
 ]
@@ -293,44 +291,6 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
             return None
         below = n
     return frozenset(levels)
-
-
-@dataclass(frozen=True, slots=True)
-class DigitTree:
-    """Residue tree of a canonical digit set: level i holds residues mod p**(i+1)."""
-
-    context: PrimeContext
-    depth: int
-    levels: tuple[tuple[int, ...], ...]
-    child_counts: tuple[tuple[tuple[int, int], ...], ...]
-
-    def leaf_count(self) -> int:
-        return len(self.levels[-1]) if self.depth else 1
-
-    def branching_set(self) -> frozenset[int] | None:
-        levels = set()
-        for i, row in enumerate(self.child_counts):
-            counts = {n for _, n in row}
-            if counts == {self.context.p}:
-                levels.add(i)
-            elif counts != {1}:
-                return None
-        return frozenset(levels)
-
-
-def digit_tree(omega: CompactOpenSet) -> DigitTree:
-    p = omega.context.p
-    levels = []
-    counts = []
-    for i in range(omega.M):
-        q = p**i
-        qq = q * p
-        children: dict[int, set[int]] = {}
-        for d in omega.digits:
-            children.setdefault(d % q, set()).add(d % qq)
-        levels.append(tuple(sorted(set(d % qq for d in omega.digits))))
-        counts.append(tuple((r, len(children[r])) for r in sorted(children)))
-    return DigitTree(omega.context, omega.M, tuple(levels), tuple(counts))
 
 
 def is_p_homogeneous(omega: CompactOpenSet) -> tuple[bool, frozenset[int] | None]:

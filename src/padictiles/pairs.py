@@ -14,13 +14,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .copen import (
     CompactOpenSet,
     ScaledCyclotomic,
     frame_branching_set,
-    autocorrelation,
     indicator_fourier,
     local_constancy_parameter,
 )
@@ -31,7 +31,7 @@ from .decide import (
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _as_fraction
+from .padic import Ball, PrimeContext, _as_fraction, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -83,6 +83,20 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _residues(ctx: PrimeContext, xs: Iterable[Fraction], w: int, m: int) -> list[int]:
+    """x * p**w mod p**m for each x with v_p(x) >= -w.  A p-power denominator
+    cancels against p**w, so it is a shift; any other one (1/3 in Q_2) also
+    takes the inverse of its unit part mod p**m."""
+    p, q = ctx.p, ctx.p**m
+    up, down = p ** max(w, 0), p ** max(-w, 0)
+    out = []
+    for x in xs:
+        a, b = x.numerator * up, x.denominator * down
+        g = gcd(a, b)
+        out.append(a // g * pow(b // g, -1, q) % q)
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class UniformDiscreteSet:
     """A declared truncation: elements are exactly E ∩ B(0, p**window_exp)."""
@@ -104,20 +118,23 @@ class UniformDiscreteSet:
         return cls(context, window_exp, tuple(elems))
 
     def n_E(self) -> int | None:
-        """Largest valuation of a pairwise difference; None for a singleton."""
-        best: int | None = None
-        elems = self.elements
-        for i in range(len(elems)):
-            for j in range(i + 1, len(elems)):
-                v = self.context.valuation(elems[i] - elems[j])
-                best = v if best is None else max(best, v)
-        return best
+        """Largest valuation of a pairwise difference; None for a singleton.
+        It is m - 1 - W for the least m where all residues x * p**W mod p**m differ."""
+        k = len(set(self.elements))  # a directly built set may repeat one
+        if k == 1:
+            return None
+        m = 1
+        while len(set(_residues(self.context, self.elements, self.window_exp, m))) < k:
+            m += 1
+        return m - 1 - self.window_exp
 
     def count_in_ball(self, center, radius_exp: int) -> int:
-        c = _as_fraction(center)
-        return sum(
-            1 for x in self.elements if self.context.valuation(x - c) >= -radius_exp
-        )
+        """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
+        mod p**(w - radius_exp), for a scale w making both p-adic integers."""
+        ctx, c = self.context, _as_fraction(center)
+        w = self.window_exp if c == 0 else max(self.window_exp, -ctx.valuation(c))
+        m = max(w - radius_exp, 0)
+        return _residues(ctx, self.elements, w, m).count(_residues(ctx, [c], w, m)[0])
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,6 +147,14 @@ class UniformDiscreteSet:
     def from_json_dict(cls, d: dict) -> "UniformDiscreteSet":
         ctx = PrimeContext(int(d["p"]))
         return cls.make(ctx, int(d["window_exp"]), [Fraction(s) for s in d["elements"]])
+
+
+def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
+    """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators
+    x * p**k + j over p**window: distinct and in the window, so make's checks are skipped."""
+    pk, pw = ctx.p**k, ctx.p**window
+    nums = sorted(x * pk + j for x in ints for j in range(pk))
+    return UniformDiscreteSet(ctx, window, tuple(Fraction(n, pw) for n in nums))
 
 
 def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
@@ -199,20 +224,18 @@ class PairReport:
 def n_f_of(omega: CompactOpenSet) -> int:
     """Least n such that the autocorrelation is positive on all of B(0, p**-n).
 
-    Checked on one representative per cell of radius p**-(v+M), where the
-    autocorrelation is constant.  The scan starts below any possible answer
-    (the smaller of -(v+M)-1 and the diameter exponent) and walks up; it
-    terminates by n = v+M, where only the cell of 0 remains.
+    It is positive at ξ iff ξ is in Ω - Ω = p**v * ((D - D) + p**M Z_p), so
+    levels n < v fail, n >= v+M pass, and in between n passes iff every
+    multiple of p**(n-v) mod p**M is a digit difference.  The scan starts
+    below any possible answer (min of -(v+M)-1 and ℓ) and walks up.
     """
-    ctx = omega.context
-    p = ctx.p
-    vm = omega.v + omega.M
+    p, v, vm = omega.context.p, omega.v, omega.v + omega.M
+    q = p**omega.M
+    diffs = {(a - b) % q for a in omega.digits for b in omega.digits}
     n = min(-vm - 1, local_constancy_parameter(omega))
-    while True:
-        reps = p ** max(vm - n, 0)
-        if all(autocorrelation(omega, t * ctx.pow(n)) > 0 for t in range(reps)):
-            return n
+    while n < v or (n < vm and not all(t in diffs for t in range(0, q, p ** (n - v)))):
         n += 1
+    return n
 
 
 def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, SphereStatus]:
@@ -223,18 +246,17 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     tested at every truncation from the first informative one (the later of
     B(0, p**-n) and the first nonempty ball) out to the window W.
 
-    Each element x enters once, as the residue r = x * p**W mod p**(W - n0)
-    (n0 = min(0, lowest level)) filed under its shell, the first truncation
-    that contains it.  At level n its root is exponent r mod p**(W-n) of
-    order p**(W-n), and each truncation adds one shell to the count map.
+    Each element x enters once, as r = x * p**W mod p**(W - n0) (n0 = min(0,
+    lowest level)) filed under its shell W - v_p(r), or min(W, n0) if r = 0.  At
+    level n its root is exponent r mod p**(W-n) of order p**(W-n), and each
+    truncation adds one shell to the count map.
     """
-    ctx, p, w = e.context, e.context.p, e.window_exp
+    p, w = e.context.p, e.window_exp
     levels = sorted(set(levels))
     depth = max(0, w - min([0] + levels))
     by_shell: dict[int, list[int]] = {}
-    for x in e.elements:
-        shell = -w if x == 0 else -ctx.valuation(x)
-        by_shell.setdefault(shell, []).append(ctx.residue(x * ctx.pow(w), depth))
+    for r in _residues(e.context, e.elements, w, depth):
+        by_shell.setdefault(w - _int_valuation(p, r) if r else w - depth, []).append(r)
     first_nonempty = -w if 0 in e.elements else min(by_shell)
     shells = sorted(by_shell.items())
     out = {}
@@ -317,29 +339,29 @@ def verify_tiling_pair(
     of such cells, so coverage is a finite digit count.  Translates that
     cannot touch the window (|t| above both the window and the diameter of Ω)
     are irrelevant; the declared window of T must reach everything relevant.
+
+    Each t enters as r = t * p**W mod p**(W + s) (W the window of T): it is
+    relevant iff p**(W - need) divides r, and then v_p(t) >= -need >= v2
+    (as ℓ >= v), so its shift t * p**-v2 mod p**(s - v2) is r * p**(s - v2) // p**(W + s).
     """
-    ctx = omega.context
-    p = ctx.p
-    ell = local_constancy_parameter(omega)
-    need = max(window_exp, -ell)
-    if t_set.window_exp < need:
-        raise WindowTooSmall(
-            f"tiling translates declared to p**{t_set.window_exp}, need p**{need}"
-        )
-    rel = [t for t in t_set.elements if t == 0 or ctx.valuation(t) >= -need]
+    ctx, p = omega.context, omega.context.p
+    need = max(window_exp, -local_constancy_parameter(omega))
+    w = t_set.window_exp
+    if w < need:
+        raise WindowTooSmall(f"tiling translates declared to p**{w}, need p**{need}")
     s_res = max(omega.v + omega.M, -window_exp)
-    v2 = min(
-        [omega.v, -window_exp]
-        + [ctx.valuation(t) for t in rel if t != 0]
-    )
+    v2 = min(omega.v, -window_exp)
     m2 = s_res - v2
     q = p**m2
     base = omega.digits_in_frame(v2, m2)
     step = p ** max(0, -window_exp - v2)
     targets = range(0, q, step)
     counts = dict.fromkeys(targets, 0)
-    for t in rel:
-        shift = ctx.residue(t * ctx.pow(-v2), m2)
+    cut, top = p ** (w - need), p ** (w + s_res)
+    for r in _residues(ctx, t_set.elements, w, w + s_res):
+        if r % cut:
+            continue
+        shift = r * q // top
         for d in base:
             cell = (d + shift) % q
             if cell in counts:
@@ -368,28 +390,40 @@ def verify_spectral_pair(
     exponent of Ω), so one representative per such cell of the window
     decides.  Each term is an exact scaled cyclotomic product; the identity
     holds iff the assembled integer sum equals Card(digits)².
+
+    With s = ξ * p**W (W the window of Λ) and r = λ * p**W mod p**(W - v),
+    s - r fixes 1̂_Ω(ξ - λ), and |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M):
+    each ξ visits the λ of its class in the order of Λ, and each distinct
+    s - r mod p**(W - v) is transformed once per call.
     """
-    ctx = omega.context
-    p = ctx.p
+    ctx, p = omega.context, omega.context.p
     vm = omega.v + omega.M
     ell = local_constancy_parameter(omega)
     need = max(window_exp, vm)
-    if lam.window_exp < need:
-        raise WindowTooSmall(
-            f"spectrum declared to p**{lam.window_exp}, need p**{need}"
-        )
-    reps = [t * ctx.pow(-window_exp) for t in range(p ** max(window_exp - ell, 0))]
+    w = lam.window_exp
+    if w < need:
+        raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
+    q, cut = p ** (w - omega.v), p ** (w - vm)
+    by_class: dict[int, list[int]] = {}
+    for r in _residues(ctx, lam.elements, w, w - omega.v):
+        by_class.setdefault(r % cut, []).append(r)
+    scale, step = ctx.pow(-w), p ** (w - window_exp)
+    reps = range(p ** max(window_exp - ell, 0))
     target = len(omega.digits) ** 2
     mu2 = omega.measure() ** 2
+    squares: dict[int, CyclotomicSum] = {}
     failure = None
-    for xi in reps:
+    for t in reps:
+        s = t * step
         total = CyclotomicSum.make(ctx, 0, {})
-        for x in lam.elements:
-            if ctx.valuation(xi - x) >= -vm:
-                f = indicator_fourier(omega, xi - x)
-                total = total + f.sum * f.sum.conjugate()
+        for r in by_class.get(s % cut, ()):
+            d = (s - r) % q
+            if d not in squares:
+                f = indicator_fourier(omega, d * scale)
+                squares[d] = f.sum * f.sum.conjugate()
+            total = total + squares[d]
         if not total.equals_int(target):
-            failure = Failure(xi=xi, lhs=ScaledCyclotomic(-2 * vm, total), rhs=mu2)
+            failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total), rhs=mu2)
             break
     return PairReport(
         kind="spectral",
@@ -430,8 +464,7 @@ def spectrum_to_tiling_complement(
             f"I={inside}, J={disjoint}, n_f={nf}"
         )
     k = max(verify_window_exp, 0)
-    tail = l_truncation(ctx, k)
-    t_set = UniformDiscreteSet.make(ctx, k, [x + l for x in u for l in tail])
+    t_set = _lattice_truncation(ctx, u, k, k)
     report = verify_tiling_pair(omega, t_set, verify_window_exp)
     derived = dict(report.derived)
     derived.update(
@@ -474,24 +507,17 @@ def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscret
     element list is exactly the infinite spectrum's intersection with that
     window.
     """
-    ctx = omega.context
     ds, levels = _full_frame_digit_set(omega)
     w0 = spectrum_from_homogeneity(ds, levels)
     if extra_exp < 0:
         raise ValueError("extra_exp must be >= 0")
-    scale = ctx.pow(-ds.M)
-    elems = [
-        (x + l) * scale for x in w0.elements for l in l_truncation(ctx, extra_exp)
-    ]
-    return UniformDiscreteSet.make(ctx, ds.M + extra_exp, elems)
+    return _lattice_truncation(omega.context, w0.elements, extra_exp, ds.M + extra_exp)
 
 
 def lifted_tiling_complement(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscreteSet:
     """Q_p tiling-complement truncation for a homogeneous Ω ⊆ Z_p: U₀ + L."""
-    ctx = omega.context
     ds, levels = _full_frame_digit_set(omega)
     w0 = complement_from_homogeneity(ds, levels)
     if extra_exp < 0:
         raise ValueError("extra_exp must be >= 0")
-    elems = [x + l for x in w0.elements for l in l_truncation(ctx, extra_exp)]
-    return UniformDiscreteSet.make(ctx, extra_exp, elems)
+    return _lattice_truncation(omega.context, w0.elements, extra_exp, extra_exp)

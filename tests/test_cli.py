@@ -350,6 +350,11 @@ def test_classify_sample_and_errors(capsys):
     code, _, _ = run(capsys, "classify", "--p", "2", "--M", "2", "--exhaustive",
                      "--sample", "4")
     assert code == 1
+    # q = p^M past 2^16 is refused before any q-bit mask is built
+    code, _, err = run(capsys, "classify", "--p", "2", "--M", "17", "--sample", "1")
+    assert code == 1 and "p=2, M=17" in err and "65536" in err and "Traceback" not in err
+    code, _, err = run(capsys, "is-tile", "--p", "3", "--M", "11", "--set", "0")
+    assert code == 1 and "p=3, M=11" in err and "65536" in err and "Traceback" not in err
 
 
 def test_gallery(tmp_path, capsys):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,6 @@ from padictiles.copen import (
     EmptySet,
     ScaledCyclotomic,
     autocorrelation,
-    digit_tree,
     frame_branching_set,
     indicator_fourier,
     is_p_homogeneous,
@@ -294,20 +294,30 @@ def test_is_p_homogeneous_on_canonical_frame():
 
 
 def test_digit_tree_counts():
-    ctx = PrimeContext(2)
-    om = CompactOpenSet.make(ctx, 0, 3, (0, 2, 5, 7))
-    tree = digit_tree(om)
-    assert tree.leaf_count() == len(om.digits)
+    # the digit tree's levels counted directly: residues mod p**(i+1) per
+    # residue mod p**i, against frame_branching_set and is_p_homogeneous
+    def children_per_level(p, m, digits):
+        out = []
+        for i in range(m):
+            children = Counter(r % p**i for r in {d % p ** (i + 1) for d in digits})
+            out.append(set(children.values()))
+        return out
+
     rng = random.Random(257)
     for p in (2, 3):
         for _ in range(40):
             om, _ = _random_set(rng, p)
-            tree = digit_tree(om)
-            assert tree.leaf_count() == len(om.digits)
-            flag, levels = is_p_homogeneous(om)
-            assert (tree.branching_set() is not None) == flag
+            assert len({d % p**om.M for d in om.digits}) == len(om.digits)  # leaf count
+            rows = children_per_level(p, om.M, om.digits)
+            tree_levels = {i for i, row in enumerate(rows) if row == {p}}
+            tree_flag = all(row in ({1}, {p}) for row in rows)
+            levels = frame_branching_set(p, om.M, om.digits)
+            flag, hom_levels = is_p_homogeneous(om)
+            assert (levels is not None) == flag == tree_flag
+            assert levels == hom_levels
             # homogeneous cardinality is the branching power
             if flag:
+                assert levels == tree_levels
                 assert len(om.digits) == p ** len(levels)
 
 

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -393,3 +394,23 @@ def test_witness_json_shape():
     w = is_tile_zmod(DigitSet.make(ctx, 2, (0, 3)))
     d = w.to_json_dict()
     assert d == {"kind": "tiling-complement", "p": 2, "M": 2, "elements": [0, 2]}
+
+
+@pytest.mark.parametrize("p, M", [(2, 17), (3, 11)])
+def test_mask_limit_is_checked_before_allocation(p, M):
+    # the first q past 2^16: without the check the tile search would build a
+    # q-bit mask (16-22 KB) and loop q times, and sampling would build one too
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScopeTooLarge, match=rf"p={p}, M={M}.*q = {p}\^{M} > 65536"):
+            is_tile_zmod(DigitSet.make(PrimeContext(p), M, [0]))
+        with pytest.raises(ScopeTooLarge, match=rf"p={p}, M={M}"):
+            classify_all(p, M, "sample", sample_size=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p**M // 8
+    # at the limit itself both run
+    m_ok = {2: 16, 3: 10}[p]
+    assert is_tile_zmod(DigitSet.make(PrimeContext(p), m_ok, [0])) is not None
+    assert classify_all(p, m_ok, "sample", sample_size=1).total == 1

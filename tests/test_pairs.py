@@ -1,16 +1,32 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from padictiles.copen import CompactOpenSet, autocorrelation
-from padictiles.cyclotomic import CyclotomicSum
-from padictiles.decide import ConstructionFailed
-from padictiles.padic import PrimeContext, character
+from padictiles.copen import (
+    CompactOpenSet,
+    ScaledCyclotomic,
+    autocorrelation,
+    frame_branching_set,
+    indicator_fourier,
+    local_constancy_parameter,
+)
+from padictiles.cyclotomic import CyclotomicSum, vanishes
+from padictiles.decide import (
+    ConstructionFailed,
+    DigitSet,
+    complement_from_homogeneity,
+    spectrum_from_homogeneity,
+)
+from padictiles.padic import Ball, PrimeContext, character
 from padictiles.pairs import (
+    Failure,
     NotASpectrumEvidence,
+    PairReport,
     SphereStatus,
     UniformDiscreteSet,
     WindowTooSmall,
@@ -346,3 +362,233 @@ def test_pair_report_json_shapes():
     d = verify_spectral_pair(om, broken, 2).to_json_dict()
     assert d["status"] == "FailedAt"
     assert "lhs" in d["failure"] and "xi" in d["failure"]
+
+
+# Window checks written directly in Fraction arithmetic: the reference that
+# every decision and every report of the integer-residue checks must equal.
+
+
+def _reference_n_f_of(omega):
+    ctx = omega.context
+    p = ctx.p
+    vm = omega.v + omega.M
+    n = min(-vm - 1, local_constancy_parameter(omega))
+    while True:
+        reps = p ** max(vm - n, 0)
+        if all(autocorrelation(omega, t * ctx.pow(n)) > 0 for t in range(reps)):
+            return n
+        n += 1
+
+
+def _reference_zero_sphere_scan(e, levels):
+    ctx, p, w = e.context, e.context.p, e.window_exp
+    levels = sorted(set(levels))
+    depth = max(0, w - min([0] + levels))
+    by_shell = {}
+    for x in e.elements:
+        shell = -w if x == 0 else -ctx.valuation(x)
+        by_shell.setdefault(shell, []).append(ctx.residue(x * ctx.pow(w), depth))
+    first_nonempty = -w if 0 in e.elements else min(by_shell)
+    shells = sorted(by_shell.items())
+    out = {}
+    for n in levels:
+        if n > w:
+            raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
+        q = p ** (w - n)
+        counts = Counter()
+        added = 0
+        seen_zero = last_zero = False
+        for k in range(max(n, first_nonempty), w + 1):
+            while added < len(shells) and shells[added][0] <= k:
+                counts.update(r % q for r in shells[added][1])
+                added += 1
+            last_zero = vanishes(p, w - n, counts)
+            if last_zero:
+                seen_zero = True
+            elif seen_zero:
+                raise NotASpectrumEvidence(
+                    n, k, f"sphere level {n}: truncated sum vanished then came back nonzero at p**{k}"
+                )
+        out[n] = SphereStatus.IN_ZERO_SET if last_zero else SphereStatus.NOT_IN_ZERO_SET
+    return out
+
+
+def _reference_verify_tiling_pair(omega, t_set, window_exp):
+    ctx = omega.context
+    p = ctx.p
+    ell = local_constancy_parameter(omega)
+    need = max(window_exp, -ell)
+    if t_set.window_exp < need:
+        raise WindowTooSmall(
+            f"tiling translates declared to p**{t_set.window_exp}, need p**{need}"
+        )
+    rel = [t for t in t_set.elements if t == 0 or ctx.valuation(t) >= -need]
+    s_res = max(omega.v + omega.M, -window_exp)
+    v2 = min([omega.v, -window_exp] + [ctx.valuation(t) for t in rel if t != 0])
+    m2 = s_res - v2
+    q = p**m2
+    base = omega.digits_in_frame(v2, m2)
+    step = p ** max(0, -window_exp - v2)
+    targets = range(0, q, step)
+    counts = dict.fromkeys(targets, 0)
+    for t in rel:
+        shift = ctx.residue(t * ctx.pow(-v2), m2)
+        for d in base:
+            cell = (d + shift) % q
+            if cell in counts:
+                counts[cell] += 1
+    failure = None
+    for cell in targets:
+        if counts[cell] != 1:
+            failure = Failure(xi=cell * ctx.pow(v2), lhs=F(counts[cell]), rhs=F(1))
+            break
+    return PairReport(
+        kind="tiling",
+        verified_window=Ball.make(ctx, -window_exp, 0, 0),
+        checked_points=len(targets),
+        failure=failure,
+    )
+
+
+def _reference_verify_spectral_pair(omega, lam, window_exp):
+    ctx = omega.context
+    p = ctx.p
+    vm = omega.v + omega.M
+    ell = local_constancy_parameter(omega)
+    need = max(window_exp, vm)
+    if lam.window_exp < need:
+        raise WindowTooSmall(f"spectrum declared to p**{lam.window_exp}, need p**{need}")
+    reps = [t * ctx.pow(-window_exp) for t in range(p ** max(window_exp - ell, 0))]
+    target = len(omega.digits) ** 2
+    mu2 = omega.measure() ** 2
+    failure = None
+    for xi in reps:
+        total = CyclotomicSum.make(ctx, 0, {})
+        for x in lam.elements:
+            if ctx.valuation(xi - x) >= -vm:
+                f = indicator_fourier(omega, xi - x)
+                total = total + f.sum * f.sum.conjugate()
+        if not total.equals_int(target):
+            failure = Failure(xi=xi, lhs=ScaledCyclotomic(-2 * vm, total), rhs=mu2)
+            break
+    return PairReport(
+        kind="spectral",
+        verified_window=Ball.make(ctx, -window_exp, 0, 0),
+        checked_points=len(reps),
+        failure=failure,
+        derived={"density": len(lam.elements) * ctx.pow(-lam.window_exp)},
+    )
+
+
+def _reference_lifted_spectrum(omega, extra_exp=3):
+    ctx = omega.context
+    mf = omega.v + omega.M
+    digits_f = omega.digits_in_frame(0, mf)
+    ds = DigitSet.make(ctx, mf, digits_f)
+    w0 = spectrum_from_homogeneity(ds, frame_branching_set(ctx.p, mf, digits_f))
+    scale = ctx.pow(-ds.M)
+    elems = [(x + l) * scale for x in w0.elements for l in l_truncation(ctx, extra_exp)]
+    return UniformDiscreteSet.make(ctx, ds.M + extra_exp, elems)
+
+
+def _outcome(fn, *args):
+    """A call's result, or the exception's type, message and evidence."""
+    try:
+        return fn(*args)
+    except (WindowTooSmall, NotASpectrumEvidence) as e:
+        return (type(e).__name__, str(e), getattr(e, "level", None), getattr(e, "truncation", None))
+
+
+def _report(fn, *args):
+    out = _outcome(fn, *args)
+    return out.to_json_dict() if isinstance(out, PairReport) else out
+
+
+def _homogeneous_frames():
+    """Canonical frames of the homogeneous sets of Z/2^3 and Z/3^2 at v = -2, 0, 1."""
+    seen = {}
+    for p, m in ((2, 3), (3, 2)):
+        ctx = PrimeContext(p)
+        for r in range(1, p**m + 1):
+            for digits in combinations(range(p**m), r):
+                if frame_branching_set(p, m, digits) is None:
+                    continue
+                for v in (-2, 0, 1):
+                    om = CompactOpenSet.make(ctx, v, m, digits)
+                    seen[(p, om.v, om.M, om.digits)] = om
+    return list(seen.values())
+
+
+def _variants(e, shift):
+    """E, E + shift (a unit, times p**-w when the window w is negative), and
+    E with one element dropped."""
+    ctx, w = e.context, e.window_exp
+    shift *= ctx.pow(max(-w, 0))
+    out = [e, UniformDiscreteSet.make(ctx, w, [x + shift for x in e.elements])]
+    if len(e.elements) > 1:
+        out.append(UniformDiscreteSet.make(ctx, w, e.elements[: len(e.elements) // 2]
+                                           + e.elements[len(e.elements) // 2 + 1 :]))
+    return out
+
+
+def _scaled(ctx, e, v):
+    """p**v * E, with the window moved to match."""
+    return UniformDiscreteSet.make(ctx, e.window_exp - v, [x * ctx.pow(v) for x in e.elements])
+
+
+def test_window_checks_equal_the_fraction_reference():
+    for om in _homogeneous_frames():
+        ctx, p = om.context, om.context.p
+        assert n_f_of(om) == _reference_n_f_of(om)
+        base = CompactOpenSet(ctx, 0, om.M, om.digits)
+        lam0, t0 = lifted_spectrum(base, 2), lifted_tiling_complement(base, 2)
+        assert lam0 == _reference_lifted_spectrum(base, 2)
+        u0 = complement_from_homogeneity(
+            DigitSet.make(ctx, om.M, om.digits), frame_branching_set(p, om.M, om.digits)
+        ).elements
+        assert t0 == UniformDiscreteSet.make(ctx, 2, [x + l for x in u0 for l in l_truncation(ctx, 2)])
+        if om.v >= 0:
+            assert lifted_spectrum(om, 2) == _reference_lifted_spectrum(om, 2)
+        shift = F(1, 3) if p == 2 else F(1, 2)
+        for lam in _variants(_scaled(ctx, lam0, -om.v), shift):
+            levels = range(-lam.window_exp - 3, lam.window_exp + 1)
+            assert _outcome(zero_sphere_scan, lam, levels) == _outcome(
+                _reference_zero_sphere_scan, lam, levels
+            )
+            for window in (0, 2):
+                assert _report(verify_spectral_pair, om, lam, window) == _report(
+                    _reference_verify_spectral_pair, om, lam, window
+                )
+        for t_set in _variants(_scaled(ctx, t0, om.v), shift):
+            for window in (0, 2):
+                assert _report(verify_tiling_pair, om, t_set, window) == _report(
+                    _reference_verify_tiling_pair, om, t_set, window
+                )
+
+
+def test_scan_starts_at_the_shell_of_zero():
+    # 0 sits in shell -W: below it only 16 (shell -4) joins, and {0, 16}
+    # vanishes at level -5 before 8 (shell -3) revives the sum
+    e = UniformDiscreteSet.make(PrimeContext(2), 2, [0, 8, 16])
+    assert zero_sphere_scan(e, [-5]) == _reference_zero_sphere_scan(e, [-5])
+    assert zero_sphere_scan(e, [-5])[-5] is SphereStatus.NOT_IN_ZERO_SET
+
+
+def test_ball_counts_and_n_e_equal_the_fraction_reference():
+    rng = random.Random(433)
+    for p in (2, 3):
+        ctx = PrimeContext(p)
+        for _ in range(60):
+            w = rng.randint(-1, 3)
+            pool = {
+                F(rng.randint(-(p**4), p**4) * p ** max(-w, 0), p ** rng.randint(0, max(w, 0)))
+                * rng.choice((1, F(1, 5), F(7, 11)))
+                for _ in range(rng.randint(1, 7))
+            }
+            e = UniformDiscreteSet.make(ctx, w, pool)
+            vals = [ctx.valuation(x - y) for x, y in combinations(e.elements, 2)]
+            assert e.n_E() == (max(vals) if vals else None)
+            for c in (0, F(1, 3), F(1, p), F(-5, p**2), *e.elements[:2]):
+                for radius in range(-3, 5):
+                    want = sum(1 for x in e.elements if ctx.valuation(x - c) >= -radius)
+                    assert e.count_in_ball(c, radius) == want
