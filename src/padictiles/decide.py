@@ -17,13 +17,14 @@ census treats any disagreement among the three as a fatal finding.
 from __future__ import annotations
 
 import cmath
+import math
+import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .copen import frame_branching_set
@@ -56,18 +57,18 @@ class ConstructionFailed(RuntimeError):
 
 
 class ScopeTooLarge(ValueError):
-    """Enumeration or a q-bit mask requested beyond the supported scope."""
+    """Enumeration, a decision or a sample requested beyond the supported scope."""
 
 
-# Largest q = p^M given a q-bit mask: the tile search on {0} takes 0.8 s at q = 2^16
-# on a 2-core Xeon with Python 3.11, and its time grows as q^2.
-_MAX_MASK_BITS = 2**16
+# Largest q = p^M that the deciders and the sampler take: spectral on all of Z/2^18, the
+# slowest decision there, takes 2.7-3.5 s on a 2-core Xeon with Python 3.11.7 (2^19: 5.6 s).
+_MAX_Q = 2**18
 
 
-def _check_mask_bits(p: int, M: int, what: str) -> None:
+def _check_q(p: int, M: int, what: str) -> None:
     """ScopeTooLarge past the limit, without forming p^M when 2^M alone passes it."""
-    if M >= _MAX_MASK_BITS.bit_length() or p**M > _MAX_MASK_BITS:
-        raise ScopeTooLarge(f"{what} needs a q-bit mask: p={p}, M={M}, q = {p}^{M} > {_MAX_MASK_BITS}")
+    if M >= _MAX_Q.bit_length() or p**M > _MAX_Q:
+        raise ScopeTooLarge(f"{what} is limited to q = p^M <= {_MAX_Q}: p={p}, M={M}, q = {p}^{M} > {_MAX_Q}")
 
 
 class EquivalenceViolation(RuntimeError):
@@ -123,24 +124,54 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     return len(counts) == q and all(n == 1 for n in counts.values())
 
 
+def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
+    """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last."""
+    counts = residue_counts(p, M, C)
+    yield counts
+    for w in [p**n for n in range(M - 1, -1, -1)]:
+        folded: dict[int, int] = {}
+        for r, k in counts.items():
+            folded[r % w] = folded.get(r % w, 0) + k
+        counts = folded
+        yield counts
+
+
+def _occurring_levels(p: int, M: int, C, lam) -> Iterator[tuple[int, dict[int, int]]]:
+    """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M):
+    j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction."""
+    sizes = [len({x % w for x in lam}) for w in [p**i for i in range(M + 1)]] + [len(lam)]
+    occurring = {j for j in range(M + 1) if sizes[j + 1] > sizes[j]}
+    levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
+    return ((j, counts) for j, counts in levels if j in occurring)
+
+
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
-    """Exact orthogonality: sum over C of the root at d*c vanishes per difference d of lam."""
+    """Exact orthogonality: sum over C of the root at d*c vanishes per difference d of lam.
+
+    For d = u*p^j with u a unit, the sum over C of exp(2 pi i d c / p^M) is the
+    image of level j of C (roots of order p^(M-j) at exponents c) under the Galois
+    automorphism zeta -> zeta^u, which fixes 0.  So the level sum of each valuation
+    among the differences decides them all, in O(M*(|C| + |lam|)).
+    """
     if len(set(lam)) != len(lam) or len(lam) != len(C):
         return False
-    p, q = context.p, context.p**M
-    return all(
-        vanishes(p, M, residue_counts(p, M, (d * c for c in C)))
-        for d in {(a - b) % q for a, b in combinations(lam, 2)}
-    )
+    return all(vanishes(context.p, M - j, counts) for j, counts in _occurring_levels(context.p, M, C, lam))
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
-    """Largest |pairwise character sum| numerically; guard check, never a decider."""
-    q = p**M
+    """Largest |character sum over C| at the differences of lam, numerically; a guard, never a decider.
+
+    Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
+    at u*p^j for the units u in {1, -1, 1 + p}, with fsum over the counts of C mod p^(M-j).
+    """
     worst = 0.0
-    for d in {(a - b) % q for a, b in combinations(lam, 2)}:
-        s = sum(cmath.exp(2j * cmath.pi * ((d * c) % q) / q) for c in C)
-        worst = max(worst, abs(s))
+    for j, counts in _occurring_levels(p, M, C, lam):
+        n = p ** (M - j)
+        step = 2j * cmath.pi / n
+        for u in {v % n for v in (1, -1, 1 + p)}:
+            terms = [k * cmath.exp(step * (u * r % n)) for r, k in counts.items()]
+            s = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
+            worst = max(worst, abs(s))
     return worst
 
 
@@ -150,14 +181,15 @@ def _t1_levels(C: DigitSet) -> frozenset[int] | None:
 
     Level j is in Z when the sum over C of the roots of order p^(M-j) at
     exponents c vanishes, and then so does the sum at d*c for d = p^j u:
-    scaling exponents by a unit u is a ring automorphism fixing 0.  Sizes
-    not dividing p^M are rejected before any level sum.  Both deciders ask
-    this of one set in turn, so the last answer is kept.
+    scaling exponents by a unit u is a ring automorphism fixing 0.  A q past
+    the limit raises ScopeTooLarge and a size not dividing p^M gives None, both
+    before any level sum.  Both deciders ask this of one set in turn.
     """
     p, M, k = C.context.p, C.M, len(C.C)
+    _check_q(p, M, "deciding tiles and spectra")
     if p**M % k:
         return None
-    levels = [j for j in range(M) if vanishes(p, M - j, residue_counts(p, M - j, C.C))]
+    levels = [j for j, counts in zip(range(M), _level_counts(p, M, C.C)) if vanishes(p, M - j, counts)]
     return frozenset(levels) if p ** len(levels) == k else None
 
 
@@ -170,33 +202,33 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     Every complement is then homogeneous and does not branch on C's
     branching set I_C, so at each i in I_C the translates in one class mod
     p^i share digit i; a choice meeting that rule lies in some complement,
-    so no allowed step is a dead end.  The witness is re-verified by a
-    coverage count.
+    so no allowed step is a dead end.  Coverage is a bytearray, scanned
+    forward from x.  The witness is re-verified by a coverage count.
     """
     p, M = C.context.p, C.M
-    q = p**M
     levels = _t1_levels(C)
     if levels is None:
         return None
-    _check_mask_bits(p, M, "the tile search")
+    q = p**M
     # weight p^i -> (class mod p^i -> the digit i its translates share)
     digit_of = {p ** (M - 1 - j): {} for j in levels}
-    full = (1 << q) - 1
-    covered = 0
+    covered = bytearray(q)
     chosen: list[int] = []
-    while covered != full:
-        x = ((covered + 1) & ~covered).bit_length() - 1
+    x = 0
+    while x != -1:
         for t in sorted((x - c) % q for c in C.C):
             if all(d.get(t % w, t // w % p) == t // w % p for w, d in digit_of.items()):
-                m = sum(1 << ((c + t) % q) for c in C.C)
-                if not covered & m:
+                cells = [(c + t) % q for c in C.C]
+                if not any(map(covered.__getitem__, cells)):
                     break
         else:
             raise ConstructionFailed(f"tile search found no allowed translate: C={C.C}, T so far={chosen}")
         for w, d in digit_of.items():
             d[t % w] = t // w % p
-        covered |= m
+        for y in cells:
+            covered[y] = 1
         chosen.append(t)
+        x = covered.find(0, x)
     T = tuple(sorted(chosen))
     if not verify_tiling_witness(p, M, C.C, T):
         raise ConstructionFailed(f"tile search witness failed coverage recount: C={C.C}, T={T}")
@@ -227,8 +259,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     digits a_i in [0, p).  Verified exactly before return; a failure raises
     rather than patching.
     """
-    ctx, M = C.context, C.M
-    p = ctx.p
+    ctx, M, p = C.context, C.M, C.context.p
     lam = [0]
     for i in sorted(levels):
         w = p ** (M - 1 - i)
@@ -245,8 +276,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Tiling complement for a homogeneous digit set: digits on non-branching levels."""
-    ctx, M = C.context, C.M
-    p = ctx.p
+    M, p = C.M, C.context.p
     rest = [j for j in range(M) if j not in set(levels)]
     t = [0]
     for j in rest:
@@ -263,11 +293,7 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
 def homogeneous_census_size(p: int, M: int, levels) -> int:
     """Closed form: number of homogeneous sets with branching set exactly `levels`."""
     I = set(levels)
-    e = 0
-    for i in range(M):
-        if i not in I:
-            e += p ** len([j for j in I if j < i])
-    return p**e
+    return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 
 
 @dataclass(frozen=True, slots=True)
@@ -306,8 +332,7 @@ class Census:
 
 def _row_from_mask(p: int, M: int, mask: int) -> CensusRow:
     ctx = PrimeContext(p)
-    q = p**M
-    C = tuple(x for x in range(q) if mask >> x & 1)
+    C = tuple(x for x, b in enumerate(bin(mask)[:1:-1]) if b == "1")
     ds = DigitSet(ctx, M, C)
     wt = is_tile_zmod(ds)
     wl = is_spectral_zmod(ds)
@@ -343,16 +368,15 @@ def _rows_for_masks(p: int, M: int, masks) -> list[CensusRow]:
 
 
 def _all_branching_sets(M: int):
-    out = [()]
-    for i in range(M):
-        out = [s + (i,) for s in out] + out
-    return sorted(set(out))
+    return sorted(tuple(i for i in range(M) if s >> i & 1) for s in range(1 << M))
 
 
 def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) -> Iterator[CensusRow]:
     """Validate a census request and return its rows, computed as they are
     read, in mask order regardless of jobs."""
     PrimeContext(p)  # validates primality
+    if not 1 <= jobs <= (os.cpu_count() or 1):
+        raise ValueError(f"--jobs must be between 1 and os.cpu_count() = {os.cpu_count() or 1}; got {jobs}")
     if mode == "exhaustive":
         if not ((p == 2 and M <= 4) or (p == 3 and M <= 2)):
             raise ScopeTooLarge(f"exhaustive classify limited to p=2, M<=4 and p=3, M<=2; got p={p}, M={M}")
@@ -360,7 +384,7 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
     elif mode == "sample":
         if sample_size is None or sample_size < 0:
             raise ValueError("sample mode needs sample_size >= 0")
-        _check_mask_bits(p, M, "sampling subsets")
+        _check_q(p, M, "sampling subsets")
         q = p**M
         universe = (1 << q) - 1
         rng = random.Random(seed)
@@ -425,7 +449,7 @@ def classify_all(
     sweep); sample mode draws sample_size distinct subsets from the given
     seed.  The exhaustive run also cross-checks the per-branching-set counts
     against the closed-form census size.  Rows come back in mask order
-    regardless of jobs.
+    regardless of jobs, which runs from 1 to os.cpu_count().
     """
     rows: list[CensusRow] = []
     census = _tally(p, M, mode, _census_rows(p, M, mode, sample_size, seed, jobs), rows.append)

@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import time
 import tracemalloc
 
 import pytest
 
+from padictiles import decide
 from padictiles.cli import main
 from padictiles.decide import classify_all
 
@@ -317,7 +320,9 @@ def test_classify_out_file_deterministic(tmp_path, capsys):
     (["--M", "4", "--sample", "300", "--seed", "5"], dict(M=4, mode="sample", sample_size=300, seed=5)),
     (["--M", "3", "--exhaustive", "--jobs", "2"], dict(M=3, mode="exhaustive", jobs=2)),
 ])
-def test_classify_out_file_streams_the_census_rows(tmp_path, capsys, argv, kwargs):
+def test_classify_out_file_streams_the_census_rows(tmp_path, capsys, monkeypatch, argv, kwargs):
+    # two workers are allowed on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     out = tmp_path / "rows.jsonl"
     assert main(["classify", "--p", "2", *argv, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -350,11 +355,38 @@ def test_classify_sample_and_errors(capsys):
     code, _, _ = run(capsys, "classify", "--p", "2", "--M", "2", "--exhaustive",
                      "--sample", "4")
     assert code == 1
-    # q = p^M past 2^16 is refused before any q-bit mask is built
-    code, _, err = run(capsys, "classify", "--p", "2", "--M", "17", "--sample", "1")
-    assert code == 1 and "p=2, M=17" in err and "65536" in err and "Traceback" not in err
-    code, _, err = run(capsys, "is-tile", "--p", "3", "--M", "11", "--set", "0")
-    assert code == 1 and "p=3, M=11" in err and "65536" in err and "Traceback" not in err
+    # q = p^M past 2^18 is refused before any q-bit mask is built
+    code, _, err = run(capsys, "classify", "--p", "2", "--M", "19", "--sample", "1")
+    assert code == 1 and "p=2, M=19" in err and "262144" in err and "Traceback" not in err
+    code, _, err = run(capsys, "is-tile", "--p", "3", "--M", "12", "--set", "0")
+    assert code == 1 and "p=3, M=12" in err and "262144" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["is-tile", "is-spectral"])
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_deciders_refuse_a_huge_depth_at_once(capsys, command, p):
+    # the level loop ran before any limit and formed p^(M-j) for every j
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, "--p", p, "--M", "100000", "--set", "0,1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and f"p={p}, M=100000" in err and "262144" in err and "Traceback" not in err
+
+
+class _NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("command", [["classify", "--p", "2", "--M", "2", "--exhaustive"], ["gallery"]])
+@pytest.mark.parametrize("jobs", ["0", "3"])
+def test_jobs_past_the_cpu_count_exit_1(tmp_path, capsys, monkeypatch, command, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(decide, "ProcessPoolExecutor", _NoPool)
+    if command == ["gallery"]:
+        command = ["gallery", "--out", str(tmp_path / "g")]
+    code, out, err = run(capsys, *command, "--jobs", jobs)
+    assert code == 1 and out == ""
+    assert f"--jobs must be between 1 and os.cpu_count() = 2; got {jobs}" in err
 
 
 def test_gallery(tmp_path, capsys):

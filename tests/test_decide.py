@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
 import time
 import tracemalloc
@@ -9,6 +10,8 @@ from itertools import combinations
 
 import pytest
 
+from padictiles import decide
+from padictiles.cyclotomic import residue_counts, vanishes
 from padictiles.decide import (
     Census,
     DigitSet,
@@ -372,7 +375,9 @@ def test_classify_sample_mode_is_deterministic():
     assert d.total == 10
 
 
-def test_classify_jobs_agree_with_serial():
+def test_classify_jobs_agree_with_serial(monkeypatch):
+    # two workers are allowed on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = classify_all(2, 3, "exhaustive")
     parallel = classify_all(2, 3, "exhaustive", jobs=2)
     assert [r.to_json_dict() for r in serial.rows] == [
@@ -396,21 +401,110 @@ def test_witness_json_shape():
     assert d == {"kind": "tiling-complement", "p": 2, "M": 2, "elements": [0, 2]}
 
 
-@pytest.mark.parametrize("p, M", [(2, 17), (3, 11)])
+@pytest.mark.parametrize("p, M", [(2, 19), (3, 12)])
 def test_mask_limit_is_checked_before_allocation(p, M):
-    # the first q past 2^16: without the check the tile search would build a
-    # q-bit mask (16-22 KB) and loop q times, and sampling would build one too
+    # the first q past 2^18: without the check both deciders would run their
+    # level sums, the tile walk would allocate q bytes and loop q times, and
+    # sampling would build a q-bit mask
+    ds = DigitSet.make(PrimeContext(p), M, [0])
     tracemalloc.start()
+    start = time.perf_counter()
     try:
-        with pytest.raises(ScopeTooLarge, match=rf"p={p}, M={M}.*q = {p}\^{M} > 65536"):
-            is_tile_zmod(DigitSet.make(PrimeContext(p), M, [0]))
+        for decider in (is_tile_zmod, is_spectral_zmod):
+            with pytest.raises(ScopeTooLarge, match=rf"p={p}, M={M}.*q = {p}\^{M} > 262144"):
+                decider(ds)
         with pytest.raises(ScopeTooLarge, match=rf"p={p}, M={M}"):
             classify_all(p, M, "sample", sample_size=1)
+        took = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < p**M // 8
-    # at the limit itself both run
-    m_ok = {2: 16, 3: 10}[p]
-    assert is_tile_zmod(DigitSet.make(PrimeContext(p), m_ok, [0])) is not None
-    assert classify_all(p, m_ok, "sample", sample_size=1).total == 1
+    assert took < 0.5
+    # at the limit itself all three run: the tile walk on {0} covers q cells one
+    # translate at a time, and the sampled row reads a q-bit mask
+    ds = DigitSet.make(PrimeContext(p), M - 1, [0])
+    assert len(is_tile_zmod(ds).elements) == p ** (M - 1)
+    assert is_spectral_zmod(ds).elements == (0,)
+    assert classify_all(p, M - 1, "sample", sample_size=1).total == 1
+
+
+def test_deciders_at_scale():
+    # checking every difference of Λ took 78 s on the first set, and a q-bit
+    # tile walk 0.84 s on the second (2-core Xeon, Python 3.11.7)
+    ctx = PrimeContext(2)
+    C = range(2**13)
+    start = time.perf_counter()
+    w = is_spectral_zmod(DigitSet.make(ctx, 14, C))
+    assert time.perf_counter() - start < 3
+    assert w is not None and verify_spectrum_witness(ctx, 14, C, w.elements)
+    C = (0, 2**15)
+    start = time.perf_counter()
+    w = is_tile_zmod(DigitSet.make(ctx, 16, C))
+    assert time.perf_counter() - start < 3
+    assert w is not None and verify_tiling_witness(2, 16, C, w.elements)
+
+
+def _reference_verify_spectrum_witness(context, M, C, lam):
+    """The exact recheck over every distinct difference of lam."""
+    if len(set(lam)) != len(lam) or len(lam) != len(C):
+        return False
+    p, q = context.p, context.p**M
+    return all(
+        vanishes(p, M, residue_counts(p, M, (d * c for c in C)))
+        for d in {(a - b) % q for a, b in combinations(lam, 2)}
+    )
+
+
+def _reference_spectrum_orthogonality_defect(p, M, C, lam):
+    """The numeric guard over every distinct difference of lam."""
+    q = p**M
+    worst = 0.0
+    for d in {(a - b) % q for a, b in combinations(lam, 2)}:
+        s = sum(cmath.exp(2j * cmath.pi * ((d * c) % q) / q) for c in C)
+        worst = max(worst, abs(s))
+    return worst
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2)])
+def test_recheck_per_valuation_equals_all_differences(p, m):
+    rng = random.Random(1013 * p + m)
+    ctx, q = PrimeContext(p), p**m
+    pairs = positives = 0
+    for c in (c for _ in range(3) for c in _homogeneous_and_perturbed(rng, p, m)):
+        w = is_spectral_zmod(DigitSet.make(ctx, m, c))
+        candidates = [tuple(rng.sample(range(q), len(c))) for _ in range(4)]
+        # entries that agree mod q, and an entry repeated
+        candidates.append((*c[:-1], c[0] + q) if len(c) > 1 else (q,))
+        candidates.append((c[0],) * len(c))
+        if w is not None:
+            lam = w.elements
+            positives += 1
+            assert _reference_spectrum_orthogonality_defect(p, m, c, lam) < 1e-9
+            assert spectrum_orthogonality_defect(p, m, c, lam) < 1e-9
+            candidates.append(lam)
+            for i in range(len(lam)):
+                moved = rng.choice([x for x in range(q) if x != lam[i]])
+                candidates.append(lam[:i] + (moved,) + lam[i + 1 :])
+        for lam in candidates:
+            want = _reference_verify_spectrum_witness(ctx, m, c, lam)
+            assert verify_spectrum_witness(ctx, m, c, lam) == want, (c, lam)
+            if len(set(lam)) == len(lam) == len(c):
+                # the narrowed guard still separates orthogonal from not
+                assert (spectrum_orthogonality_defect(p, m, c, lam) < 1e-9) == want, (c, lam)
+            pairs += 1
+    assert positives and pairs > 100
+
+
+def _no_pool(max_workers):
+    raise AssertionError("a worker pool was started")
+
+
+def test_jobs_are_bounded_by_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(decide, "ProcessPoolExecutor", _no_pool)
+    for jobs in (0, -1, 3, 10**9):
+        with pytest.raises(ValueError, match=rf"--jobs must be between 1 and os.cpu_count\(\) = 2; got {jobs}"):
+            classify_all(2, 2, "exhaustive", jobs=jobs)
+        with pytest.raises(ValueError, match="--jobs"):
+            classify_all(2, 2, "sample", sample_size=3, jobs=jobs)
