@@ -34,6 +34,7 @@ from .decide import (
     ConstructionFailed,
     DigitSet,
     EquivalenceViolation,
+    _MAX_Q,
     ScopeTooLarge,
     _census_rows,
     _tally,
@@ -114,7 +115,7 @@ def _parse_fraction_list(text: str, flag: str) -> list[Fraction]:
 
 
 def _parse_levels(text: str, flag: str) -> list[int]:
-    """'a:b' is the inclusive integer range; otherwise a comma list."""
+    """'a:b' is the inclusive integer range, of at most _MAX_Q levels; otherwise a comma list."""
     text = text.strip()
     if ":" in text:
         lo_s, _, hi_s = text.partition(":")
@@ -122,6 +123,8 @@ def _parse_levels(text: str, flag: str) -> list[int]:
             lo, hi = int(lo_s), int(hi_s)
         except ValueError:
             raise ValueError(f"{flag}: cannot parse range {text!r} as A:B")
+        if hi - lo + 1 > _MAX_Q:
+            raise ScopeTooLarge(f"{flag}: a range is limited to {_MAX_Q} levels: {text!r} has {hi - lo + 1}")
         return list(range(lo, hi + 1))
     return _parse_int_list(text, flag)
 
@@ -152,7 +155,9 @@ def _omega_from_args(args) -> CompactOpenSet:
 
 def _digitset_from_args(args) -> DigitSet:
     ctx = PrimeContext(args.p)
-    digits = _parse_int_list(args.set, "--set")
+    if args.set is None:
+        raise ValueError("--set is required")
+    digits = _parse_int_list(sys.stdin.read() if args.set == "-" else args.set, "--set")
     if not digits:
         raise ValueError("--set: digit list is empty")
     m = args.M if args.M is not None else _infer_depth(args.p, digits)
@@ -276,32 +281,21 @@ def cmd_homogeneity(args) -> int:
     return EXIT_OK if flag else EXIT_FAILED
 
 
-def cmd_is_tile(args) -> int:
-    ds = _digitset_from_args(args)
-    w = is_tile_zmod(ds)
+def _decider_command(args, decider, key: str, no: str, yes: str) -> int:
+    w = decider(_digitset_from_args(args))
     if w is None:
-        _emit(args, {"is_tile": False, "witness": None}, "not a tile")
+        _emit(args, {key: False, "witness": None}, no)
         return EXIT_FAILED
-    _emit(
-        args,
-        {"is_tile": True, "witness": w.to_json_dict()},
-        f"tile; witness T = {{{', '.join(map(str, w.elements))}}}",
-    )
+    _emit(args, {key: True, "witness": w.to_json_dict()}, f"{yes} = {{{', '.join(map(str, w.elements))}}}")
     return EXIT_OK
+
+
+def cmd_is_tile(args) -> int:
+    return _decider_command(args, is_tile_zmod, "is_tile", "not a tile", "tile; witness T")
 
 
 def cmd_is_spectral(args) -> int:
-    ds = _digitset_from_args(args)
-    w = is_spectral_zmod(ds)
-    if w is None:
-        _emit(args, {"is_spectral": False, "witness": None}, "not spectral")
-        return EXIT_FAILED
-    _emit(
-        args,
-        {"is_spectral": True, "witness": w.to_json_dict()},
-        f"spectral; witness Λ = {{{', '.join(map(str, w.elements))}}}",
-    )
-    return EXIT_OK
+    return _decider_command(args, is_spectral_zmod, "is_spectral", "not spectral", "spectral; witness Λ")
 
 
 def _constructor_command(args, builder, label: str) -> int:
@@ -601,7 +595,8 @@ def _build_parser() -> _Parser:
     ):
         sp = new(name, fn, help_text)
         sp.add_argument("--p", type=int, required=True)
-        sp.add_argument("--set", required=True, help="digit set: comma list or JSON array")
+        sp.add_argument("--set", required=True,
+                        help="digit set: comma list or JSON array; '-' reads it from stdin")
         sp.add_argument("--M", type=int, default=None,
                         help="group depth (default: smallest depth holding the largest digit)")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .padic import PAdicScalar, PrimeContext, RootOfUnity, _as_fraction
 
@@ -63,6 +63,18 @@ def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
     """Exponent -> count map of the residues reduced mod p**m, in first-seen order."""
     q = p**m
     return dict(Counter(r % q for r in residues))
+
+
+def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
+    """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last."""
+    counts = residue_counts(p, M, C)
+    yield counts
+    for w in [p**n for n in range(M - 1, -1, -1)]:
+        folded: dict[int, int] = {}
+        for r, k in counts.items():
+            folded[r % w] = folded.get(r % w, 0) + k
+        counts = folded
+        yield counts
 
 
 class CyclotomicSum:
@@ -212,9 +224,12 @@ class CyclotomicSum:
         return f"CyclotomicSum(p={self.context.p}, n={self.n}, coeffs={dict(sorted(self.coeffs.items()))})"
 
     def numeric(self) -> complex:
-        """Float approximation; cross-check and report aid, never a decision input."""
+        """Float approximation; cross-check and report aid, never a decision input.
+        Terms are added in sorted exponent order with fsum, so the result depends
+        only on the coefficients, not on the order they were inserted in."""
         q = self.context.p**self.n
-        return sum(a * cmath.exp(2j * cmath.pi * j / q) for j, a in self.coeffs.items())
+        terms = [a * cmath.exp(2j * cmath.pi * j / q) for j, a in sorted(self.coeffs.items())]
+        return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
     def to_json_dict(self) -> dict:
         return {
@@ -271,7 +286,7 @@ def vanishing_level_set(
     chi is the standard character.  With V the least valuation of a nonzero
     element and u_c = c * p**-V in Z_p, chi(p**i * c) is the root at exponent
     u_c mod p**m of order p**m, m = max(0, -(i + V)); so one residue per
-    element serves every level, and the zero test is exact.
+    element, folded level by level, serves every level; the zero test is exact.
     """
     p = context.p
     elems = [_as_fraction(e) for e in elements]
@@ -279,9 +294,5 @@ def vanishing_level_set(
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])
     units = [context.residue(c * context.pow(-V), depth) for c in elems]
-    out = set()
-    for i in levels:
-        m = max(0, -(i + V))
-        if vanishes(p, m, residue_counts(p, m, units)):
-            out.add(i)
-    return frozenset(out)
+    folded = list(_level_counts(p, depth, units))  # folded[depth - m]: the units mod p**m
+    return frozenset(i for i in levels if vanishes(p, -min(0, i + V), folded[depth + min(0, i + V)]))

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .copen import frame_branching_set
-from .cyclotomic import residue_counts, vanishes
+from .cyclotomic import _level_counts, vanishes
 from .padic import PrimeContext
 
 __all__ = [
@@ -65,10 +65,12 @@ class ScopeTooLarge(ValueError):
 _MAX_Q = 2**18
 
 
-def _check_q(p: int, M: int, what: str) -> None:
-    """ScopeTooLarge past the limit, without forming p^M when 2^M alone passes it."""
-    if M >= _MAX_Q.bit_length() or p**M > _MAX_Q:
-        raise ScopeTooLarge(f"{what} is limited to q = p^M <= {_MAX_Q}: p={p}, M={M}, q = {p}^{M} > {_MAX_Q}")
+def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None:
+    """ScopeTooLarge when q = count·p^M passes the limit, naming the input that sets M,
+    without forming p^M when 2^M alone passes it."""
+    if M >= _MAX_Q.bit_length() or count * p**M > _MAX_Q:
+        q = f"{p}^{M}" if count == 1 else f"{count}·{p}^{M}"
+        raise ScopeTooLarge(f"{what} is limited to q <= {_MAX_Q}: p={p}, {name}={M}, q = {q} > {_MAX_Q}")
 
 
 class EquivalenceViolation(RuntimeError):
@@ -122,18 +124,6 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     q = p**M
     counts = Counter((c + t) % q for c in C for t in T)
     return len(counts) == q and all(n == 1 for n in counts.values())
-
-
-def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
-    """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last."""
-    counts = residue_counts(p, M, C)
-    yield counts
-    for w in [p**n for n in range(M - 1, -1, -1)]:
-        folded: dict[int, int] = {}
-        for r, k in counts.items():
-            folded[r % w] = folded.get(r % w, 0) + k
-        counts = folded
-        yield counts
 
 
 def _occurring_levels(p: int, M: int, C, lam) -> Iterator[tuple[int, dict[int, int]]]:
@@ -202,8 +192,12 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     Every complement is then homogeneous and does not branch on C's
     branching set I_C, so at each i in I_C the translates in one class mod
     p^i share digit i; a choice meeting that rule lies in some complement,
-    so no allowed step is a dead end.  Coverage is a bytearray, scanned
-    forward from x.  The witness is re-verified by a coverage count.
+    so no allowed step is a dead end.  No allowed translate overlaps a chosen
+    one: C is homogeneous (T1 and the lemma), so every nonzero difference in
+    C - C has its valuation in I_C, while two translates that meet the rule
+    first differ at a level outside I_C (and t covers the uncovered x, so it
+    is new).  Coverage is a bytearray, scanned forward from x.  The witness
+    is re-verified by a coverage count.
     """
     p, M = C.context.p, C.M
     levels = _t1_levels(C)
@@ -218,15 +212,13 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     while x != -1:
         for t in sorted((x - c) % q for c in C.C):
             if all(d.get(t % w, t // w % p) == t // w % p for w, d in digit_of.items()):
-                cells = [(c + t) % q for c in C.C]
-                if not any(map(covered.__getitem__, cells)):
-                    break
+                break
         else:
             raise ConstructionFailed(f"tile search found no allowed translate: C={C.C}, T so far={chosen}")
         for w, d in digit_of.items():
             d[t % w] = t // w % p
-        for y in cells:
-            covered[y] = 1
+        for c in C.C:
+            covered[(c + t) % q] = 1
         chosen.append(t)
         x = covered.find(0, x)
     T = tuple(sorted(chosen))

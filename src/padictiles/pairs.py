@@ -11,10 +11,10 @@ construction of a tiling complement from a spectrum.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Iterable
 
 from .copen import (
@@ -28,6 +28,7 @@ from .cyclotomic import CyclotomicSum, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
+    _check_q,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
@@ -83,27 +84,20 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _residues(ctx: PrimeContext, xs: Iterable[Fraction], w: int, m: int) -> list[int]:
-    """x * p**w mod p**m for each x with v_p(x) >= -w.  A p-power denominator
-    cancels against p**w, so it is a shift; any other one (1/3 in Q_2) also
-    takes the inverse of its unit part mod p**m."""
-    p, q = ctx.p, ctx.p**m
-    up, down = p ** max(w, 0), p ** max(-w, 0)
-    out = []
-    for x in xs:
-        a, b = x.numerator * up, x.denominator * down
-        g = gcd(a, b)
-        out.append(a // g * pow(b // g, -1, q) % q)
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class UniformDiscreteSet:
-    """A declared truncation: elements are exactly E ∩ B(0, p**window_exp)."""
+    """A declared truncation: elements are exactly E ∩ B(0, p**window_exp).
+
+    Stored as integer numerators over one common denominator: element x is
+    n / (p**window_exp * unit), with the numerators sorted and distinct and
+    unit the lcm of the unit parts of the denominators (1 for every
+    truncation the library builds).  `elements` derives the Fractions.
+    """
 
     context: PrimeContext
     window_exp: int
-    elements: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    unit: int = 1
 
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
@@ -115,16 +109,34 @@ class UniformDiscreteSet:
                 raise WindowTooSmall(
                     f"element {x} lies outside the declared window B(0, p**{window_exp})"
                 )
-        return cls(context, window_exp, tuple(elems))
+        p = context.p
+        unit = lcm(*(x.denominator // p ** _int_valuation(p, x.denominator) for x in elems))
+        scale = context.pow(window_exp) * unit
+        return cls(context, window_exp, tuple(int(x * scale) for x in elems), unit)
+
+    @property
+    def elements(self) -> tuple[Fraction, ...]:
+        w, p = self.window_exp, self.context.p
+        up, den = p ** max(-w, 0), p ** max(w, 0) * self.unit
+        return tuple(Fraction(n * up, den) for n in self.numerators)
+
+    def residues(self, w: int, m: int) -> list[int]:
+        """x * p**w mod p**m for each element x, for w >= window_exp: n * p**(w - W) / unit,
+        with one modular inverse when unit > 1."""
+        q = self.context.p**m
+        f = self.context.p ** (w - self.window_exp)
+        if self.unit > 1:
+            f *= pow(self.unit, -1, q)
+        return [n * f % q for n in self.numerators]
 
     def n_E(self) -> int | None:
         """Largest valuation of a pairwise difference; None for a singleton.
         It is m - 1 - W for the least m where all residues x * p**W mod p**m differ."""
-        k = len(set(self.elements))  # a directly built set may repeat one
+        k = len(set(self.numerators))  # a directly built set may repeat one
         if k == 1:
             return None
         m = 1
-        while len(set(_residues(self.context, self.elements, self.window_exp, m))) < k:
+        while len(set(self.residues(self.window_exp, m))) < k:
             m += 1
         return m - 1 - self.window_exp
 
@@ -134,7 +146,7 @@ class UniformDiscreteSet:
         ctx, c = self.context, _as_fraction(center)
         w = self.window_exp if c == 0 else max(self.window_exp, -ctx.valuation(c))
         m = max(w - radius_exp, 0)
-        return _residues(ctx, self.elements, w, m).count(_residues(ctx, [c], w, m)[0])
+        return self.residues(w, m).count(ctx.residue(c * ctx.pow(w), m))
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,9 +164,12 @@ class UniformDiscreteSet:
 def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
     """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators
     x * p**k + j over p**window: distinct and in the window, so make's checks are skipped."""
-    pk, pw = ctx.p**k, ctx.p**window
-    nums = sorted(x * pk + j for x in ints for j in range(pk))
-    return UniformDiscreteSet(ctx, window, tuple(Fraction(n, pw) for n in nums))
+    if k < 0:
+        raise ValueError(f"lift depth k must be >= 0, got {k}")
+    ints = tuple(ints)
+    _check_q(ctx.p, k, f"a truncation of {len(ints)} integers at depth k", len(ints), "k")
+    pk = ctx.p**k
+    return UniformDiscreteSet(ctx, window, tuple(sorted(x * pk + j for x in ints for j in range(pk))))
 
 
 def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
@@ -255,9 +270,9 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     levels = sorted(set(levels))
     depth = max(0, w - min([0] + levels))
     by_shell: dict[int, list[int]] = {}
-    for r in _residues(e.context, e.elements, w, depth):
+    for r in e.residues(w, depth):
         by_shell.setdefault(w - _int_valuation(p, r) if r else w - depth, []).append(r)
-    first_nonempty = -w if 0 in e.elements else min(by_shell)
+    first_nonempty = -w if 0 in e.numerators else min(by_shell)
     shells = sorted(by_shell.items())
     out = {}
     for n in levels:
@@ -316,17 +331,8 @@ def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int
 
 def uniformity_check(e: UniformDiscreteSet, n: int, probes: Iterable) -> bool:
     """Card(E ∩ B(probe, p**n)) equals p**n times the stabilized density, per probe."""
-    ctx = e.context
-    dens = len(e.elements) * ctx.pow(-e.window_exp)
-    expected = ctx.pow(n) * dens
-    for probe in probes:
-        c = _as_fraction(probe)
-        reach = n if c == 0 else max(n, -ctx.valuation(c))
-        if reach > e.window_exp:
-            raise WindowTooSmall(f"probe {c} at radius p**{n} leaves the window")
-        if e.count_in_ball(c, n) != expected:
-            return False
-    return True
+    dens = len(e.numerators) * e.context.pow(-e.window_exp)
+    return all(density(e, probe, [n]) == [(n, dens)] for probe in probes)
 
 
 def verify_tiling_pair(
@@ -352,13 +358,14 @@ def verify_tiling_pair(
     s_res = max(omega.v + omega.M, -window_exp)
     v2 = min(omega.v, -window_exp)
     m2 = s_res - v2
+    _check_q(p, m2, f"a tiling check at window_exp={window_exp}", name="cell depth")
     q = p**m2
     base = omega.digits_in_frame(v2, m2)
     step = p ** max(0, -window_exp - v2)
     targets = range(0, q, step)
     counts = dict.fromkeys(targets, 0)
     cut, top = p ** (w - need), p ** (w + s_res)
-    for r in _residues(ctx, t_set.elements, w, w + s_res):
+    for r in t_set.residues(w, w + s_res):
         if r % cut:
             continue
         shift = r * q // top
@@ -394,7 +401,10 @@ def verify_spectral_pair(
     With s = ξ * p**W (W the window of Λ) and r = λ * p**W mod p**(W - v),
     s - r fixes 1̂_Ω(ξ - λ), and |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M):
     each ξ visits the λ of its class in the order of Λ, and each distinct
-    s - r mod p**(W - v) is transformed once per call.
+    s - r mod p**(W - v) is transformed once per call.  Per ξ the λ are
+    counted per distinct difference, the count-weighted |1̂_Ω|² are folded in
+    sorted order into one exponent map at their largest order, and one zero
+    test against Card(digits)² decides.
     """
     ctx, p = omega.context, omega.context.p
     vm = omega.v + omega.M
@@ -403,9 +413,11 @@ def verify_spectral_pair(
     w = lam.window_exp
     if w < need:
         raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
+    _check_q(p, max(window_exp - ell, 0), f"a spectral check at window_exp={window_exp}",
+             name="window_exp - ℓ")
     q, cut = p ** (w - omega.v), p ** (w - vm)
     by_class: dict[int, list[int]] = {}
-    for r in _residues(ctx, lam.elements, w, w - omega.v):
+    for r in lam.residues(w, w - omega.v):
         by_class.setdefault(r % cut, []).append(r)
     scale, step = ctx.pow(-w), p ** (w - window_exp)
     reps = range(p ** max(window_exp - ell, 0))
@@ -415,14 +427,22 @@ def verify_spectral_pair(
     failure = None
     for t in reps:
         s = t * step
-        total = CyclotomicSum.make(ctx, 0, {})
-        for r in by_class.get(s % cut, ()):
-            d = (s - r) % q
+        diffs = Counter((s - r) % q for r in by_class.get(s % cut, ()))
+        for d in diffs:
             if d not in squares:
-                f = indicator_fourier(omega, d * scale)
-                squares[d] = f.sum * f.sum.conjugate()
-            total = total + squares[d]
-        if not total.equals_int(target):
+                f = indicator_fourier(omega, d * scale).sum
+                squares[d] = f * f.conjugate()
+        terms = [(k, squares[d]) for d, k in sorted(diffs.items())]
+        n = max((sq.n for _, sq in terms), default=0)
+        acc: dict[int, int] = {}
+        for k, sq in terms:
+            lift = p ** (n - sq.n)
+            for j, a in sq.coeffs.items():
+                acc[j * lift] = acc.get(j * lift, 0) + k * a
+        acc[0] = acc.get(0, 0) - target
+        if not vanishes(p, n, acc):
+            acc[0] += target
+            total = CyclotomicSum(ctx, n, {j: a for j, a in acc.items() if a})
             failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total), rhs=mu2)
             break
     return PairReport(
@@ -430,7 +450,7 @@ def verify_spectral_pair(
         verified_window=Ball.make(ctx, -window_exp, 0, 0),
         checked_points=len(reps),
         failure=failure,
-        derived={"density": len(lam.elements) * ctx.pow(-lam.window_exp)},
+        derived={"density": len(lam.numerators) * ctx.pow(-lam.window_exp)},
     )
 
 
@@ -466,25 +486,9 @@ def spectrum_to_tiling_complement(
     k = max(verify_window_exp, 0)
     t_set = _lattice_truncation(ctx, u, k, k)
     report = verify_tiling_pair(omega, t_set, verify_window_exp)
-    derived = dict(report.derived)
-    derived.update(
-        {
-            "n_f": nf,
-            "I": inside,
-            "J": disjoint,
-            "card_U": len(u),
-            "measure": mu,
-            "spectrum_count_at_n_f": lam.count_in_ball(0, nf),
-        }
-    )
-    report = PairReport(
-        kind=report.kind,
-        verified_window=report.verified_window,
-        checked_points=report.checked_points,
-        failure=report.failure,
-        derived=derived,
-    )
-    return tuple(u), report
+    derived = {"n_f": nf, "I": inside, "J": disjoint, "card_U": len(u), "measure": mu,
+               "spectrum_count_at_n_f": lam.count_in_ball(0, nf)}
+    return tuple(u), replace(report, derived={**report.derived, **derived})
 
 
 def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[int]]:
@@ -509,8 +513,6 @@ def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscret
     """
     ds, levels = _full_frame_digit_set(omega)
     w0 = spectrum_from_homogeneity(ds, levels)
-    if extra_exp < 0:
-        raise ValueError("extra_exp must be >= 0")
     return _lattice_truncation(omega.context, w0.elements, extra_exp, ds.M + extra_exp)
 
 
@@ -518,6 +520,4 @@ def lifted_tiling_complement(omega: CompactOpenSet, extra_exp: int = 3) -> Unifo
     """Q_p tiling-complement truncation for a homogeneous Ω ⊆ Z_p: U₀ + L."""
     ds, levels = _full_frame_digit_set(omega)
     w0 = complement_from_homogeneity(ds, levels)
-    if extra_exp < 0:
-        raise ValueError("extra_exp must be >= 0")
     return _lattice_truncation(omega.context, w0.elements, extra_exp, extra_exp)

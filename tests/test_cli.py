@@ -372,6 +372,40 @@ def test_deciders_refuse_a_huge_depth_at_once(capsys, command, p):
     assert code == 1 and f"p={p}, M=100000" in err and "262144" in err and "Traceback" not in err
 
 
+def test_is_spectral_reads_a_large_set_from_stdin(capsys, monkeypatch):
+    # all of Z/2^18 as a comma list is about 1.6 MB, past the 128 KiB cap on one argument
+    monkeypatch.setattr("sys.stdin", io.StringIO(",".join(map(str, range(2**18)))))
+    code, obj, err = run_json(capsys, "is-spectral", "--p", "2", "--M", "18", "--set", "-")
+    assert code == 0 and err == ""
+    assert obj["is_spectral"] and obj["witness"]["elements"] == list(range(2**18))
+    monkeypatch.setattr("sys.stdin", io.StringIO("0,1\n"))
+    code, obj, _ = run_json(capsys, "is-tile", "--p", "2", "--M", "2", "--set", "-")
+    assert code == 0 and obj["witness"]["elements"] == [0, 2]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["spectrum-to-tiling", "--p", "2", "--set", "0,3", "--lift-exp", "18"], "k=18, q = 2·2^18"),
+    (["verify-tiling", "--p", "2", "--set", "0", "--elements", "0", "--window", "19",
+      "--window-exp", "19"], "window_exp=19"),
+    (["verify-spectral", "--p", "2", "--set", "0", "--elements", "0", "--window", "19",
+      "--window-exp", "19"], "window_exp=19"),
+    (["density", "--p", "2", "--elements", "0", "--window", "0", "--k-range=-262144:0"], "--k-range"),
+    (["scan-zeros", "--p", "2", "--elements", "0", "--window", "0", "--levels=-262144:0"], "--levels"),
+])
+def test_window_sizes_past_the_limit_exit_1_at_once(capsys, argv, names):
+    # the first value past q = 2^18 elements, cells, representatives or levels
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run(capsys, *argv)
+        took = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and names in err and "262144" in err and "Traceback" not in err
+    assert took < 0.5 and peak < 1_000_000
+
+
 class _NoPool:
     def __init__(self, max_workers):
         raise AssertionError("a worker pool was started")

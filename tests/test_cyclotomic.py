@@ -32,6 +32,20 @@ def test_make_reduces_and_merges():
         CyclotomicSum.make(ctx, -1, {})
 
 
+def test_numeric_does_not_depend_on_insertion_order():
+    # summed in insertion order, the two orders below differed in the last
+    # bits on 49 of 50 shuffles
+    ctx = PrimeContext(2)
+    rng = random.Random(5)
+    items = [(j, rng.randint(-9, 9)) for j in rng.sample(range(64), 20)]
+    for _ in range(50):
+        rng.shuffle(items)
+        forward = CyclotomicSum(ctx, 6, dict(items))
+        backward = CyclotomicSum(ctx, 6, dict(reversed(items)))
+        assert forward.numeric() == backward.numeric()
+        assert abs(forward.numeric() - _numeric(forward)) < 1e-9
+
+
 def test_is_zero_frozen_cases():
     c2, c3 = PrimeContext(2), PrimeContext(3)
     assert CyclotomicSum.make(c3, 1, {0: 1, 1: 1, 2: 1}).is_zero()

@@ -4,8 +4,11 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padictiles.copen import (
     CompactOpenSet,
@@ -30,6 +33,7 @@ from padictiles.pairs import (
     SphereStatus,
     UniformDiscreteSet,
     WindowTooSmall,
+    _rat,
     density,
     l_truncation,
     lifted_spectrum,
@@ -592,3 +596,119 @@ def test_ball_counts_and_n_e_equal_the_fraction_reference():
                 for radius in range(-3, 5):
                     want = sum(1 for x in e.elements if ctx.valuation(x - c) >= -radius)
                     assert e.count_in_ball(c, radius) == want
+
+
+# References for the numerator checks: every element's residue recomputed
+# from its Fraction, and the quadratic identity summed one CyclotomicSum per λ.
+
+
+def _reference_residues(ctx, xs, w, m):
+    p, q = ctx.p, ctx.p**m
+    up, down = p ** max(w, 0), p ** max(-w, 0)
+    out = []
+    for x in xs:
+        a, b = x.numerator * up, x.denominator * down
+        g = gcd(a, b)
+        out.append(a // g * pow(b // g, -1, q) % q)
+    return out
+
+
+def _reference_n_e(e):
+    k = len(e.elements)
+    if k == 1:
+        return None
+    m = 1
+    while len(set(_reference_residues(e.context, e.elements, e.window_exp, m))) < k:
+        m += 1
+    return m - 1 - e.window_exp
+
+
+def _reference_count_in_ball(e, c, radius_exp):
+    ctx = e.context
+    w = e.window_exp if c == 0 else max(e.window_exp, -ctx.valuation(c))
+    m = max(w - radius_exp, 0)
+    return _reference_residues(ctx, e.elements, w, m).count(_reference_residues(ctx, [c], w, m)[0])
+
+
+def _reference_progressive_spectral_pair(omega, lam, window_exp):
+    ctx, p = omega.context, omega.context.p
+    vm = omega.v + omega.M
+    ell = local_constancy_parameter(omega)
+    need = max(window_exp, vm)
+    w = lam.window_exp
+    if w < need:
+        raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
+    q, cut = p ** (w - omega.v), p ** (w - vm)
+    by_class = {}
+    for r in _reference_residues(ctx, lam.elements, w, w - omega.v):
+        by_class.setdefault(r % cut, []).append(r)
+    scale, step = ctx.pow(-w), p ** (w - window_exp)
+    reps = range(p ** max(window_exp - ell, 0))
+    target = len(omega.digits) ** 2
+    squares = {}
+    failure = None
+    for t in reps:
+        s = t * step
+        total = CyclotomicSum.make(ctx, 0, {})
+        for r in by_class.get(s % cut, ()):
+            d = (s - r) % q
+            if d not in squares:
+                f = indicator_fourier(omega, d * scale)
+                squares[d] = f.sum * f.sum.conjugate()
+            total = total + squares[d]
+        if not total.equals_int(target):
+            failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total),
+                              rhs=omega.measure() ** 2)
+            break
+    return PairReport(
+        kind="spectral",
+        verified_window=Ball.make(ctx, -window_exp, 0, 0),
+        checked_points=len(reps),
+        failure=failure,
+        derived={"density": len(lam.elements) * ctx.pow(-lam.window_exp)},
+    )
+
+
+_FRAMES = _homogeneous_frames()
+# unit denominators other than 1: 1/3 and -5/7 in Q_2, 1/2 in Q_3
+_UNITS = {2: (1, F(1, 3), F(-5, 7)), 3: (1, F(1, 2))}
+
+
+@st.composite
+def _pairs_case(draw):
+    """A homogeneous Ω and a set E near its lifted spectrum or complement:
+    scaled by a unit, shifted, with elements dropped or added."""
+    om = draw(st.sampled_from(_FRAMES))
+    ctx, p = om.context, om.context.p
+    base = CompactOpenSet(ctx, 0, om.M, om.digits)
+    lifted = draw(st.sampled_from((lifted_spectrum, lifted_tiling_complement)))(base, 2)
+    e = _scaled(ctx, lifted, draw(st.sampled_from((-om.v, om.v))))
+    w = e.window_exp
+    unit = draw(st.sampled_from(_UNITS[p]))
+    shift = draw(st.integers(-(p**2), p**2)) * draw(st.sampled_from(_UNITS[p])) * ctx.pow(-w)
+    elems = [x * unit + shift for x in e.elements]
+    keep = draw(st.lists(st.booleans(), min_size=len(elems), max_size=len(elems)))
+    elems = [x for x, k in zip(elems, keep) if k] or elems[:1]
+    extra = draw(st.lists(st.integers(-(p**3), p**3), max_size=3))
+    elems += [a * unit * ctx.pow(-w) for a in extra]
+    return om, UniformDiscreteSet.make(ctx, w, elems), elems
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs_case(), st.integers(-2, 2), st.sampled_from((0, 1, 2)))
+def test_numerator_checks_equal_the_fraction_references(case, radius, window):
+    om, e, elems = case
+    p = e.context.p
+    want = tuple(sorted(set(elems)))
+    assert e.elements == want
+    assert e.to_json_dict() == {"p": p, "window_exp": e.window_exp, "elements": [_rat(x) for x in want]}
+    assert UniformDiscreteSet.from_json_dict(e.to_json_dict()) == e
+    assert e.n_E() == _reference_n_e(e)
+    for c in (0, F(1, 3), F(-5, p**2), F(1, 2), *e.elements[:2]):
+        assert e.count_in_ball(c, radius) == _reference_count_in_ball(e, F(c), radius)
+    levels = range(-e.window_exp - 2, e.window_exp + 1)
+    assert _outcome(zero_sphere_scan, e, levels) == _outcome(_reference_zero_sphere_scan, e, levels)
+    assert _report(verify_tiling_pair, om, e, window) == _report(_reference_verify_tiling_pair, om, e, window)
+    spectral = _report(verify_spectral_pair, om, e, window)
+    assert spectral == _report(_reference_progressive_spectral_pair, om, e, window)
+    assert spectral == _report(_reference_verify_spectral_pair, om, e, window)
