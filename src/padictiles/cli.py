@@ -85,8 +85,7 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
     text = text.strip()
     try:
         if text.startswith("["):
-            vals = json.loads(text)
-            return [int(v) for v in vals]
+            return [_int_field(v, f"{flag}[{i}]") for i, v in enumerate(json.loads(text))]
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except (ValueError, TypeError) as e:
         raise ValueError(f"{flag}: cannot parse {text!r} as a comma list or JSON array of integers ({e})")
@@ -171,8 +170,8 @@ def _eset_from_args(args, ctx: PrimeContext, flag="--elements") -> UniformDiscre
     return UniformDiscreteSet.make(ctx, args.window, elems)
 
 
-def _add_omega_flags(sp, need_p=True):
-    sp.add_argument("--p", type=int, default=None if not need_p else None,
+def _add_omega_flags(sp):
+    sp.add_argument("--p", type=int,
                     help="the prime p (required unless --stdin supplies a document)")
     sp.add_argument("--set", help="digit set: comma list '0,3' or JSON '[0,3]'")
     sp.add_argument("--v", type=int, default=0, help="frame scale exponent (default 0)")
@@ -261,6 +260,8 @@ def cmd_autocorr(args) -> int:
 def cmd_homogeneity(args) -> int:
     _require_p(args)
     if args.declared_frame:
+        if args.stdin:
+            raise ValueError("--declared-frame answers on the frame of --set; it cannot read --stdin")
         ds = _digitset_from_args(args)
         levels = frame_branching_set(ds.context.p, ds.M, ds.C)
         flag = levels is not None

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PAdicScalar, PrimeContext, _as_fraction
+from .padic import Ball, PrimeContext
 
 __all__ = [
     "EmptySet",
@@ -86,9 +86,9 @@ class CompactOpenSet:
     def measure(self) -> Fraction:
         return len(self.digits) * self.context.pow(-(self.v + self.M))
 
-    def member(self, x: PAdicScalar | Fraction | int) -> bool:
+    def member(self, x: Fraction | int) -> bool:
         ctx = self.context
-        r = _as_fraction(x) * ctx.pow(-self.v)
+        r = Fraction(x) * ctx.pow(-self.v)
         if ctx.valuation(r) < 0:
             return False
         return ctx.residue(r, self.M) in self.digits
@@ -217,7 +217,7 @@ class ScaledCyclotomic:
 
 
 def indicator_fourier(
-    omega: CompactOpenSet, xi: PAdicScalar | Fraction | int
+    omega: CompactOpenSet, xi: Fraction | int
 ) -> ScaledCyclotomic:
     """1̂_Ω(ξ) = p**-(v+M) * sum over digits c of χ(-ξ p**v c); zero beyond p**(v+M).
 
@@ -227,7 +227,7 @@ def indicator_fourier(
     """
     ctx = omega.context
     p = ctx.p
-    x = _as_fraction(xi)
+    x = Fraction(xi)
     e = -(omega.v + omega.M)
     if x != 0 and ctx.valuation(x) < e:
         return ScaledCyclotomic(e, CyclotomicSum(ctx, 0, {}))
@@ -240,11 +240,11 @@ def indicator_fourier(
 
 
 def autocorrelation(
-    omega: CompactOpenSet, xi: PAdicScalar | Fraction | int
+    omega: CompactOpenSet, xi: Fraction | int
 ) -> Fraction:
     """Measure of Ω ∩ (Ω + ξ), exactly, by digit-shift overlap counting."""
     ctx = omega.context
-    x = _as_fraction(xi)
+    x = Fraction(xi)
     if x == 0:
         return omega.measure()
     vx = ctx.valuation(x)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
+from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .padic import PAdicScalar, PrimeContext, RootOfUnity, _as_fraction
+from .padic import PrimeContext, RootOfUnity
 
 __all__ = [
     "CyclotomicSum",
@@ -278,7 +279,7 @@ def decompose_vanishing(s: CyclotomicSum) -> list[tuple[int, ...]]:
 
 def vanishing_level_set(
     context: PrimeContext,
-    elements: Iterable[PAdicScalar],
+    elements: Iterable[Fraction | int],
     levels: Iterable[int],
 ) -> frozenset[int]:
     """The levels i (from the given candidates) where sum_c of chi(p**i * c) vanishes.
@@ -289,7 +290,7 @@ def vanishing_level_set(
     element, folded level by level, serves every level; the zero test is exact.
     """
     p = context.p
-    elems = [_as_fraction(e) for e in elements]
+    elems = [Fraction(e) for e in elements]
     levels = sorted(set(levels))
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])

@@ -244,6 +244,17 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     return spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
 
 
+def _digit_lattice(p: int, exponents: list[int]) -> list[int]:
+    """All sums of a_j * p^j over distinct exponents j with digits a_j in [0, p), sorted;
+    ScopeTooLarge past _MAX_Q sums, before any is built."""
+    _check_q(p, len(exponents), "a digit lattice", name="levels")
+    out = [0]
+    for j in exponents:
+        w = p**j
+        out = [x + a * w for x in out for a in range(p)]
+    return sorted(out)
+
+
 def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Spectrum for a homogeneous digit set from its branching levels.
 
@@ -252,12 +263,8 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     rather than patching.
     """
     ctx, M, p = C.context, C.M, C.context.p
-    lam = [0]
-    for i in sorted(levels):
-        w = p ** (M - 1 - i)
-        lam = [x + a * w for x in lam for a in range(p)]
-    lam = tuple(sorted(x % p**M for x in lam))
-    if len(set(lam)) != len(C.C) or not verify_spectrum_witness(ctx, M, C.C, lam):
+    lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
+    if len(lam) != len(C.C) or not verify_spectrum_witness(ctx, M, C.C, lam):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )
@@ -269,12 +276,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Tiling complement for a homogeneous digit set: digits on non-branching levels."""
     M, p = C.M, C.context.p
-    rest = [j for j in range(M) if j not in set(levels)]
-    t = [0]
-    for j in rest:
-        w = p**j
-        t = [x + b * w for x in t for b in range(p)]
-    t = tuple(sorted(x % p**M for x in t))
+    t = tuple(_digit_lattice(p, [j for j in range(M) if j not in set(levels)]))
     if not verify_tiling_witness(p, M, C.C, t):
         raise ConstructionFailed(
             f"homogeneity complement formula failed for C={C.C}, levels={sorted(levels)}"

@@ -1,8 +1,8 @@
-"""Exact p-adic scalar arithmetic: valuations, fractional parts, characters, balls.
+"""Exact p-adic quantities of rationals: valuations, fractional parts, characters, balls.
 
-Everything here is computed over the rationals.  Floating point never enters:
-a p-adic absolute value is carried as its exponent, a unit root as an exact
-exponent pair, a ball as an integer triple.
+Every point is a plain Fraction, read through one PrimeContext.  Floating
+point never enters: a valuation is an integer, a unit root an exact exponent
+pair, a ball an integer triple.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from fractions import Fraction
 
 __all__ = [
     "PrimeContext",
-    "PAdicScalar",
     "RootOfUnity",
     "Ball",
     "BallRelation",
-    "valuation",
-    "frac_part",
     "character",
     "ball_member",
     "ball_relation",
@@ -95,10 +92,6 @@ class PrimeContext:
             return INF
         return _int_valuation(self.p, x.numerator) - _int_valuation(self.p, x.denominator)
 
-    def abs_exp(self, x: Fraction | int) -> int | float:
-        """Exponent e with |x|_p = p**e (so -valuation); -inf for 0."""
-        return -self.valuation(x)
-
     def residue(self, x: Fraction | int, m: int) -> int:
         """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0.
 
@@ -129,70 +122,6 @@ class PrimeContext:
         """The p-adic fractional part of x: a rational in [0, 1) with denominator p**n."""
         n, k = self.frac_exponent(x)
         return Fraction(k, self.p**n)
-
-    def scalar(self, value: Fraction | int | str) -> "PAdicScalar":
-        if isinstance(value, str):
-            value = Fraction(value)
-        return PAdicScalar(self, Fraction(value))
-
-
-@dataclass(frozen=True, slots=True)
-class PAdicScalar:
-    """A rational number viewed inside Q_p (exact; the embedding is the identity)."""
-
-    context: PrimeContext
-    value: Fraction
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, Fraction):
-            object.__setattr__(self, "value", Fraction(self.value))
-
-    def _check(self, other: "PAdicScalar") -> None:
-        if self.context != other.context:
-            raise ValueError("PAdicScalar contexts differ")
-
-    def __add__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        return PAdicScalar(self.context, self.value + other.value)
-
-    def __sub__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        return PAdicScalar(self.context, self.value - other.value)
-
-    def __mul__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        return PAdicScalar(self.context, self.value * other.value)
-
-    def __truediv__(self, other: "PAdicScalar") -> "PAdicScalar":
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero scalar")
-        return PAdicScalar(self.context, self.value / other.value)
-
-    def __neg__(self) -> "PAdicScalar":
-        return PAdicScalar(self.context, -self.value)
-
-    def valuation(self) -> int | float:
-        return self.context.valuation(self.value)
-
-    def frac_part(self) -> Fraction:
-        return self.context.frac_part(self.value)
-
-
-def _as_fraction(x: PAdicScalar | Fraction | int | str) -> Fraction:
-    if isinstance(x, PAdicScalar):
-        return x.value
-    return Fraction(x)
-
-
-def valuation(x: PAdicScalar) -> int | float:
-    """v_p(x) as an integer; math.inf for 0."""
-    return x.valuation()
-
-
-def frac_part(x: PAdicScalar) -> Fraction:
-    """p-adic fractional part, a rational in [0, 1)."""
-    return x.frac_part()
 
 
 @dataclass(frozen=True, slots=True)
@@ -244,11 +173,10 @@ class RootOfUnity:
                        math.sin(2 * math.pi * self.k / self.context.p**self.n))
 
 
-def character(xi: PAdicScalar, x: PAdicScalar) -> RootOfUnity:
+def character(context: PrimeContext, xi: Fraction | int, x: Fraction | int) -> RootOfUnity:
     """The standard unitary character of Q_p at xi*x: exp(2*pi*i*{xi*x})."""
-    xi._check(x)
-    n, k = xi.context.frac_exponent(xi.value * x.value)
-    return RootOfUnity(xi.context, n, k)
+    n, k = context.frac_exponent(xi * x)
+    return RootOfUnity(context, n, k)
 
 
 class BallRelation(Enum):
@@ -289,19 +217,18 @@ class Ball:
         return cls(context, v, M, c)
 
     @classmethod
-    def around(cls, x: PAdicScalar, radius_exp: int) -> "Ball":
+    def around(cls, context: PrimeContext, x: Fraction | int, radius_exp: int) -> "Ball":
         """The ball of p-adic radius p**radius_exp around x."""
-        ctx = x.context
         vm = -radius_exp  # v + M of the result
-        xv = ctx.valuation(x.value)
+        xv = context.valuation(x)
         if xv >= vm:
-            return cls.make(ctx, vm, 0, 0)
+            return cls.make(context, vm, 0, 0)
         # x = p**xv * unit; digits of the unit below the radius cutoff survive
         M = vm - xv
-        return cls.make(ctx, xv, M, ctx.residue(x.value * ctx.pow(-xv), M))
+        return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
 
-    def center(self) -> PAdicScalar:
-        return PAdicScalar(self.context, self.c * self.context.pow(self.v))
+    def center(self) -> Fraction:
+        return self.c * self.context.pow(self.v)
 
     def radius_exp(self) -> int:
         """Exponent r with radius = p**r."""
@@ -312,11 +239,9 @@ class Ball:
         return self.context.pow(-(self.v + self.M))
 
 
-def ball_member(x: PAdicScalar, b: Ball) -> bool:
+def ball_member(x: Fraction | int, b: Ball) -> bool:
     """Exact membership test: v_p(x - center) >= v + M."""
-    if x.context != b.context:
-        raise ValueError("contexts differ")
-    return x.context.valuation(x.value - b.c * x.context.pow(b.v)) >= b.v + b.M
+    return b.context.valuation(x - b.center()) >= b.v + b.M
 
 
 def ball_relation(a: Ball, b: Ball) -> BallRelation:
@@ -326,9 +251,8 @@ def ball_relation(a: Ball, b: Ball) -> BallRelation:
     """
     if a.context != b.context:
         raise ValueError("contexts differ")
-    ctx = a.context
     ra, rb = a.radius_exp(), b.radius_exp()
-    d = ctx.valuation(a.c * ctx.pow(a.v) - b.c * ctx.pow(b.v))
+    d = a.context.valuation(a.center() - b.center())
     # centers within the larger radius <=> the smaller ball sits inside
     if d >= -max(ra, rb):
         if ra == rb:

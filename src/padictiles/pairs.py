@@ -29,10 +29,11 @@ from .decide import (
     ConstructionFailed,
     DigitSet,
     _check_q,
+    _digit_lattice,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _as_fraction, _int_valuation
+from .padic import Ball, PrimeContext, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -101,7 +102,7 @@ class UniformDiscreteSet:
 
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
-        elems = sorted({_as_fraction(x) for x in elements})
+        elems = sorted({Fraction(x) for x in elements})
         if not elems:
             raise ValueError("truncation must contain at least one element")
         for x in elems:
@@ -143,7 +144,7 @@ class UniformDiscreteSet:
     def count_in_ball(self, center, radius_exp: int) -> int:
         """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
         mod p**(w - radius_exp), for a scale w making both p-adic integers."""
-        ctx, c = self.context, _as_fraction(center)
+        ctx, c = self.context, Fraction(center)
         w = self.window_exp if c == 0 else max(self.window_exp, -ctx.valuation(c))
         m = max(w - radius_exp, 0)
         return self.residues(w, m).count(ctx.residue(c * ctx.pow(w), m))
@@ -317,7 +318,7 @@ def zero_bound_check(e: UniformDiscreteSet) -> bool:
 def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int, Fraction]]:
     """Exact count-over-measure ratios Card(E ∩ B(x0, p**k)) / p**k per k."""
     ctx = e.context
-    c = _as_fraction(x0)
+    c = Fraction(x0)
     out = []
     for k in sorted(set(k_range)):
         reach = k if c == 0 else max(k, -ctx.valuation(c))
@@ -465,18 +466,13 @@ def spectrum_to_tiling_complement(
     candidate complement U + L must tile, and Card(U)·𝔪(Ω) = 1 exactly.
     """
     ctx = omega.context
-    p = ctx.p
     if omega.v < 0:
         raise ValueError("the compact open set must sit inside Z_p (v >= 0); rescale first")
     nf = n_f_of(omega)
     statuses = zero_sphere_scan(lam, range(0, nf))
     inside = sorted(n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET)
     disjoint = sorted(n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET)
-    u = [0]
-    for j in disjoint:
-        w = p**j
-        u = [x + a * w for x in u for a in range(p)]
-    u = sorted(u)
+    u = _digit_lattice(ctx.p, disjoint)
     mu = omega.measure()
     if len(u) * mu != 1:
         raise ConstructionFailed(

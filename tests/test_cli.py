@@ -4,10 +4,15 @@ import hashlib
 import io
 import json
 import os
+import sys
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padictiles import decide
 from padictiles.cli import main
@@ -84,6 +89,18 @@ def test_measure_bad_digit_list(capsys):
     assert "--set" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["is-tile", "--p", "2", "--set", "[1e400]"], "--set[0]"),  # inf: int() raised OverflowError
+    (["is-tile", "--p", "2", "--set", "[0, 1.5]"], "--set[1]"),  # was read as 1
+    (["measure", "--p", "2", "--set", "[true]"], "--set[0]"),  # was read as 1
+    (["normalize", "--p", "2", "--balls", "0,1,0;[0,1,1.5]"], "--balls[1][2]"),
+])
+def test_json_list_elements_must_be_integers(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert name in err and "Traceback" not in err
+
+
 def test_normalize(capsys):
     code, obj, _ = run_json(
         capsys, "normalize", "--p", "2", "--balls", "0,2,0;0,2,1;0,2,2;0,2,3"
@@ -149,6 +166,14 @@ def test_homogeneity(capsys):
         "--declared-frame",
     )
     assert code == 0 and obj["I"] == [1]
+
+
+def test_declared_frame_refuses_stdin(capsys, monkeypatch):
+    # it read --set with p = None and ended in a TypeError from PrimeContext(None)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"p": 2, "v": 0, "M": 2, "digits": [0, 3]})))
+    code, out, err = run(capsys, "homogeneity", "--declared-frame", "--stdin")
+    assert code == 1 and out == ""
+    assert "--declared-frame" in err and "--stdin" in err and "Traceback" not in err
 
 
 def test_is_tile(capsys):
@@ -391,6 +416,8 @@ def test_is_spectral_reads_a_large_set_from_stdin(capsys, monkeypatch):
       "--window-exp", "19"], "window_exp=19"),
     (["density", "--p", "2", "--elements", "0", "--window", "0", "--k-range=-262144:0"], "--k-range"),
     (["scan-zeros", "--p", "2", "--elements", "0", "--window", "0", "--levels=-262144:0"], "--levels"),
+    (["spectrum-to-tiling", "--p", "2", "--set", "0", "--M", "19"], "levels=19, q = 2^19"),
+    (["make-complement", "--p", "2", "--set", "0", "--M", "19"], "levels=19, q = 2^19"),
 ])
 def test_window_sizes_past_the_limit_exit_1_at_once(capsys, argv, names):
     # the first value past q = 2^18 elements, cells, representatives or levels
@@ -473,3 +500,46 @@ def test_negative_flag_values_need_equals_syntax(capsys):
     code, _, _ = run(capsys, "scan-zeros", "--p", "2", "--elements", "0,3",
                      "--window", "0", "--levels", "-3:0")
     assert code == 1
+
+
+# One element of an integer-list flag: an int small enough that no command builds much
+# (a --balls triple of such ints spans at most p^9 digits), or a value that must be refused.
+_TOKENS = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.floats().map(json.dumps),
+    st.sampled_from(["1e400", "-1e400", "true", "false", "null"]),
+    st.text(max_size=3).map(json.dumps),
+    st.lists(st.integers(-1, 4), max_size=2).map(json.dumps),
+)
+
+
+@st.composite
+def _int_list_flag(draw):
+    """A comma list or a JSON array of drawn tokens."""
+    tokens = draw(st.lists(_TOKENS, max_size=4))
+    return "[" + ", ".join(tokens) + "]" if draw(st.booleans()) else ",".join(tokens)
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    command=st.sampled_from(["measure", "homogeneity", "is-tile", "make-spectrum", "normalize"]),
+    p=st.sampled_from([2, 3, None]),
+    M=st.integers(-1, 4),
+    values=st.lists(_int_list_flag(), min_size=1, max_size=2),
+    extra=st.lists(st.sampled_from(["--stdin", "--declared-frame", "--json"]), unique=True),
+)
+@example(command="is-tile", p=2, M=2, values=["[1e400]"], extra=[])
+@example(command="homogeneity", p=None, M=2, values=["[0, 3]"], extra=["--declared-frame", "--stdin"])
+def test_fuzz_integer_list_flags_exit_cleanly(command, p, M, values, extra):
+    # p=None leaves --p out; --stdin reads a document whose digits are the same list
+    argv = [command, *(["--p", str(p)] if p else [])]
+    if command == "normalize":
+        argv += ["--balls", ";".join(values)]
+    else:
+        argv += ["--set", values[0], "--M", str(M)]
+    doc = f'{{"p": {p or 2}, "v": 0, "M": {M}, "digits": {values[0]}}}'
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(doc)), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv + extra)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

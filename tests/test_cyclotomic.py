@@ -115,8 +115,7 @@ def test_from_roots_uses_common_order():
     s = CyclotomicSum.from_roots(ctx, roots)
     assert s.n == 2
     assert s.coeffs == {2: 1, 1: 1}
-    xi = ctx.scalar(F(1, 4))
-    t = CyclotomicSum.from_roots(ctx, [character(xi, ctx.scalar(c)) for c in (0, 1, 2, 3)])
+    t = CyclotomicSum.from_roots(ctx, [character(ctx, F(1, 4), c) for c in (0, 1, 2, 3)])
     assert t.is_zero()
 
 

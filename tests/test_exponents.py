@@ -69,10 +69,10 @@ def _reference_scan(e: UniformDiscreteSet, levels) -> dict[int, SphereStatus]:
             first = -e.window_exp
         else:
             first = -max(ctx.valuation(x) for x in e.elements if x != 0)
-        xi = ctx.scalar(ctx.pow(n))
+        xi = ctx.pow(n)
         seen = last = False
         for k in range(max(n, first), e.window_exp + 1):
-            roots = [character(xi, ctx.scalar(x)) for x in e.elements if ctx.valuation(x) >= -k]
+            roots = [character(ctx, xi, x) for x in e.elements if ctx.valuation(x) >= -k]
             last = CyclotomicSum.from_roots(ctx, roots).is_zero()
             if last:
                 seen = True
@@ -161,7 +161,7 @@ def test_frac_part_and_character_match_definition(data):
     assert f == _frac_digits(p, y)
     assert ctx.frac_exponent(y) == (n, f.numerator * p**n // f.denominator)
     xi = data.draw(_rationals(p))
-    r = character(ctx.scalar(xi), ctx.scalar(y))
+    r = character(ctx, xi, y)
     assert r == RootOfUnity.make(ctx, r.n, r.k)  # canonical
     assert r.exponent() == _frac_digits(p, xi * y)
 

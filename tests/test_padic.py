@@ -152,11 +152,11 @@ def test_root_of_unity_group_law():
 
 def test_character_frozen_values():
     ctx = PrimeContext(2)
-    r = character(ctx.scalar(F(1, 2)), ctx.scalar(1))
+    r = character(ctx, F(1, 2), 1)
     assert (r.n, r.k) == (1, 1)  # e^{pi i} = -1
-    r = character(ctx.scalar(F(1, 4)), ctx.scalar(3))
+    r = character(ctx, F(1, 4), 3)
     assert (r.n, r.k) == (2, 3)  # e^{2 pi i 3/4} = -i
-    assert character(ctx.scalar(F(1, 4)), ctx.scalar(4)).is_one()
+    assert character(ctx, F(1, 4), 4).is_one()
 
 
 def test_character_is_multiplicative_in_x():
@@ -164,11 +164,11 @@ def test_character_is_multiplicative_in_x():
     for p in (2, 3):
         ctx = PrimeContext(p)
         for _ in range(200):
-            xi = ctx.scalar(F(rng.randint(-40, 40), rng.randint(1, 40)))
-            x = ctx.scalar(F(rng.randint(-40, 40), rng.randint(1, 40)))
-            y = ctx.scalar(F(rng.randint(-40, 40), rng.randint(1, 40)))
-            lhs = character(xi, x + y)
-            rhs = character(xi, x).mul(character(xi, y))
+            xi = F(rng.randint(-40, 40), rng.randint(1, 40))
+            x = F(rng.randint(-40, 40), rng.randint(1, 40))
+            y = F(rng.randint(-40, 40), rng.randint(1, 40))
+            lhs = character(ctx, xi, x + y)
+            rhs = character(ctx, xi, x).mul(character(ctx, xi, y))
             assert lhs == rhs
 
 
@@ -176,10 +176,10 @@ def test_character_numeric_agrees_with_cmath():
     rng = random.Random(29)
     ctx = PrimeContext(3)
     for _ in range(100):
-        xi = ctx.scalar(F(rng.randint(-30, 30), rng.randint(1, 30)))
-        x = ctx.scalar(F(rng.randint(-30, 30), rng.randint(1, 30)))
-        r = character(xi, x)
-        f = ctx.frac_part(xi.value * x.value)
+        xi = F(rng.randint(-30, 30), rng.randint(1, 30))
+        x = F(rng.randint(-30, 30), rng.randint(1, 30))
+        r = character(ctx, xi, x)
+        f = ctx.frac_part(xi * x)
         assert abs(r.numeric() - cmath.exp(2j * math.pi * float(f))) < 1e-12
 
 
@@ -204,20 +204,20 @@ def test_ball_make_preserves_membership():
             c = rng.randint(-10, 10)
             b = Ball.make(ctx, v, m, c)
             for _ in range(8):
-                x = ctx.scalar(F(rng.randint(-30, 30), rng.choice([1, p, p * p, 3, 7])))
-                raw = ctx.valuation(x.value - c * ctx.pow(v)) >= v + m
+                x = F(rng.randint(-30, 30), rng.choice([1, p, p * p, 3, 7]))
+                raw = ctx.valuation(x - c * ctx.pow(v)) >= v + m
                 assert ball_member(x, b) == raw
 
 
 def test_ball_around_and_measure():
     ctx = PrimeContext(3)
-    x = ctx.scalar(F(2, 3))
-    b = Ball.around(x, -2)
+    x = F(2, 3)
+    b = Ball.around(ctx, x, -2)
     assert ball_member(x, b)
     assert b.measure() == F(1, 9)
     assert b.radius_exp() == -2
     # a radius at least |x| swallows the center into the ball around 0
-    wide = Ball.around(x, 1)
+    wide = Ball.around(ctx, x, 1)
     assert (wide.v, wide.M, wide.c) == (-1, 0, 0)
     assert wide.measure() == 3
 
@@ -256,14 +256,12 @@ def test_ball_relation_never_partial():
         if ball_relation(a, b) is not BallRelation.DISJOINT:
             continue
         for t in range(4):
-            x = a.center() + ctx.scalar(t * ctx.pow(a.v + a.M))
+            x = a.center() + t * ctx.pow(a.v + a.M)
             assert ball_member(x, a)
             assert not ball_member(x, b)
 
 
 def test_context_mixing_is_rejected():
     c2, c3 = PrimeContext(2), PrimeContext(3)
-    with pytest.raises(ValueError):
-        c2.scalar(1) + c3.scalar(1)
     with pytest.raises(ValueError):
         ball_relation(Ball.make(c2, 0, 0, 0), Ball.make(c3, 0, 0, 0))
