@@ -26,7 +26,6 @@ from .copen import (
     frame_branching_set,
     indicator_fourier,
     is_p_homogeneous,
-    local_constancy_parameter,
     normalize_set,
 )
 from .decide import (
@@ -34,8 +33,6 @@ from .decide import (
     ConstructionFailed,
     DigitSet,
     EquivalenceViolation,
-    _MAX_Q,
-    ScopeTooLarge,
     _census_rows,
     _tally,
     complement_from_homogeneity,
@@ -43,7 +40,7 @@ from .decide import (
     is_tile_zmod,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext
+from .padic import Ball, PrimeContext, ScopeTooLarge, _MAX_Q
 from .pairs import (
     NotASpectrumEvidence,
     UniformDiscreteSet,
@@ -51,7 +48,6 @@ from .pairs import (
     _rat,
     density,
     lifted_spectrum,
-    lifted_tiling_complement,
     spectrum_to_tiling_complement,
     uniformity_check,
     verify_spectral_pair,
@@ -81,13 +77,23 @@ def _emit(args, obj: dict, human: str) -> None:
         print(human)
 
 
+def _load_json(text: str, flag: str):
+    """json.loads, with malformed or too deeply nested text a ValueError naming the flag."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{flag}: invalid JSON at position {e.pos}: {e.msg}")
+    except RecursionError:
+        raise ValueError(f"{flag}: JSON nested too deeply to read")
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     text = text.strip()
+    if text.startswith("["):
+        return [_int_field(v, f"{flag}[{i}]") for i, v in enumerate(_load_json(text, flag))]
     try:
-        if text.startswith("["):
-            return [_int_field(v, f"{flag}[{i}]") for i, v in enumerate(json.loads(text))]
         return [int(part) for part in text.split(",") if part.strip() != ""]
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ValueError(f"{flag}: cannot parse {text!r} as a comma list or JSON array of integers ({e})")
 
 
@@ -101,11 +107,7 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
 def _parse_fraction_list(text: str, flag: str) -> list[Fraction]:
     text = text.strip()
     if text.startswith("["):
-        try:
-            vals = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{flag}: invalid JSON array at position {e.pos}: {e.msg}")
-        return [_parse_fraction(str(v), f"{flag}[{i}]") for i, v in enumerate(vals)]
+        return [_parse_fraction(str(v), f"{flag}[{i}]") for i, v in enumerate(_load_json(text, flag))]
     return [
         _parse_fraction(part, f"{flag}[{i}]")
         for i, part in enumerate(text.split(","))
@@ -138,7 +140,7 @@ def _infer_depth(p: int, digits: list[int]) -> int:
 
 def _omega_from_args(args) -> CompactOpenSet:
     if getattr(args, "stdin", False):
-        doc = json.load(sys.stdin)
+        doc = _load_json(sys.stdin.read(), "--stdin")
         return CompactOpenSet.from_json_dict(
             doc, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
         )
@@ -191,7 +193,7 @@ def _require_p(args) -> None:
 
 def cmd_normalize(args) -> int:
     if args.stdin:
-        doc = json.load(sys.stdin)
+        doc = _load_json(sys.stdin.read(), "--stdin")
         balls = doc.get("balls") if isinstance(doc, dict) else None
         if not isinstance(balls, list) or not all(isinstance(b, dict) for b in balls):
             raise ValueError("--stdin: expected a JSON object {p, balls: [{v, M, c}, ...]}")
@@ -667,7 +669,7 @@ def main(argv=None) -> int:
     except (ConstructionFailed, EquivalenceViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILED
-    except (ScopeTooLarge, EmptySet, ValueError, KeyError, json.JSONDecodeError, OSError) as e:
+    except (ScopeTooLarge, EmptySet, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PrimeContext
+from .padic import Ball, PrimeContext, _check_q
 
 __all__ = [
     "EmptySet",
@@ -144,23 +144,21 @@ def _int_field(value, field: str) -> int:
 
 
 def normalize_set(context: PrimeContext, balls: Iterable[Ball]) -> CompactOpenSet:
-    """Union of balls -> canonical compact open set."""
+    """Union of balls -> canonical compact open set; ScopeTooLarge when a ball would
+    expand to more than _MAX_Q digits of the common frame, before any digit is built."""
     balls = list(balls)
     if not balls:
         raise EmptySet("empty union of balls")
     for b in balls:
         if b.context != context:
             raise ValueError("ball context differs")
-    p = context.p
     v = min(b.v for b in balls)
     M = max(b.v + b.M for b in balls) - v
+    _check_q(context.p, v + M - min(b.v + b.M for b in balls), "normalizing a union of balls",
+             name="levels below a ball")
     ds: set[int] = set()
-    for b in balls:
-        f = p ** (b.v - v)
-        tail = p ** ((v + M) - (b.v + b.M))
-        step = f * p**b.M
-        for t in range(tail):
-            ds.add(b.c * f + t * step)
+    for b in balls:  # a ball is the one-digit frame (b.v, b.M, {b.c})
+        ds.update(CompactOpenSet(context, b.v, b.M, (b.c,)).digits_in_frame(v, M))
     return CompactOpenSet.make(context, v, M, ds)
 
 
@@ -239,22 +237,17 @@ def indicator_fourier(
     return ScaledCyclotomic(e, CyclotomicSum(ctx, n, residue_counts(p, n, exps)))
 
 
-def autocorrelation(
-    omega: CompactOpenSet, xi: Fraction | int
-) -> Fraction:
-    """Measure of Ω ∩ (Ω + ξ), exactly, by digit-shift overlap counting."""
+def autocorrelation(omega: CompactOpenSet, xi: Fraction | int) -> Fraction:
+    """Measure of Ω ∩ (Ω + ξ), exactly: for s = ξ * p**-v in Z_p it is the number of
+    digits a with a - s mod p**M a digit, times p**-(v+M); otherwise 0 (Ω lies in
+    p**v Z_p, and Ω + ξ then does not)."""
     ctx = omega.context
-    x = Fraction(xi)
-    if x == 0:
-        return omega.measure()
-    vx = ctx.valuation(x)
-    v2 = min(omega.v, vx)
-    M2 = omega.v + omega.M - v2
-    ds = set(omega.digits_in_frame(v2, M2))
-    q = ctx.p**M2
-    s = ctx.residue(x * ctx.pow(-v2), M2)
-    hit = sum(1 for d in ds if (d + s) % q in ds)
-    return hit * ctx.pow(-(v2 + M2))
+    s = Fraction(xi) * ctx.pow(-omega.v)
+    if s.denominator % ctx.p == 0:
+        return Fraction(0)
+    q, r, ds = ctx.p**omega.M, ctx.residue(s, omega.M), set(omega.digits)
+    hit = sum((a - r) % q in ds for a in omega.digits)
+    return hit * ctx.pow(-(omega.v + omega.M))
 
 
 def local_constancy_parameter(omega: CompactOpenSet) -> int:

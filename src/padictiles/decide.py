@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 from .copen import frame_branching_set
 from .cyclotomic import _level_counts, vanishes
-from .padic import PrimeContext
+from .padic import PrimeContext, ScopeTooLarge, _check_q
 
 __all__ = [
     "DigitSet",
@@ -54,23 +54,6 @@ __all__ = [
 
 class ConstructionFailed(RuntimeError):
     """A constructed candidate failed its own exact verification."""
-
-
-class ScopeTooLarge(ValueError):
-    """Enumeration, a decision or a sample requested beyond the supported scope."""
-
-
-# Largest q = p^M that the deciders and the sampler take: spectral on all of Z/2^18, the
-# slowest decision there, takes 2.7-3.5 s on a 2-core Xeon with Python 3.11.7 (2^19: 5.6 s).
-_MAX_Q = 2**18
-
-
-def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None:
-    """ScopeTooLarge when q = count·p^M passes the limit, naming the input that sets M,
-    without forming p^M when 2^M alone passes it."""
-    if M >= _MAX_Q.bit_length() or count * p**M > _MAX_Q:
-        q = f"{p}^{M}" if count == 1 else f"{count}·{p}^{M}"
-        raise ScopeTooLarge(f"{what} is limited to q <= {_MAX_Q}: p={p}, {name}={M}, q = {q} > {_MAX_Q}")
 
 
 class EquivalenceViolation(RuntimeError):

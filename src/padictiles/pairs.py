@@ -21,19 +21,17 @@ from .copen import (
     CompactOpenSet,
     ScaledCyclotomic,
     frame_branching_set,
-    indicator_fourier,
     local_constancy_parameter,
 )
 from .cyclotomic import CyclotomicSum, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
-    _check_q,
     _digit_lattice,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _int_valuation
+from .padic import Ball, PrimeContext, _check_q, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -396,16 +394,16 @@ def verify_spectral_pair(
 
     The left side is constant on balls of radius p**ℓ (ℓ the diameter
     exponent of Ω), so one representative per such cell of the window
-    decides.  Each term is an exact scaled cyclotomic product; the identity
-    holds iff the assembled integer sum equals Card(digits)².
+    decides.  With N the digit overlaps of Ω, p**2(v+M) |1̂_Ω|²(η) is the sum
+    of N(δ) roots at exponent -η p**v δ, so the identity is one vanishing
+    integer exponent map per representative.
 
     With s = ξ * p**W (W the window of Λ) and r = λ * p**W mod p**(W - v),
-    s - r fixes 1̂_Ω(ξ - λ), and |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M):
-    each ξ visits the λ of its class in the order of Λ, and each distinct
-    s - r mod p**(W - v) is transformed once per call.  Per ξ the λ are
-    counted per distinct difference, the count-weighted |1̂_Ω|² are folded in
-    sorted order into one exponent map at their largest order, and one zero
-    test against Card(digits)² decides.
+    d = s - r mod p**(W - v) fixes (ξ - λ) p**v ≡ d / p**(W - v) mod Z_p, and
+    |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M): each ξ counts the λ of its
+    class per distinct d, takes the largest order p**n among the d, adds
+    count · N(δ) at exponent -(d / p**(W-v-n)) δ mod p**n, and one zero test
+    against Card(digits)² decides.
     """
     ctx, p = omega.context, omega.context.p
     vm = omega.v + omega.M
@@ -416,35 +414,33 @@ def verify_spectral_pair(
         raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
     _check_q(p, max(window_exp - ell, 0), f"a spectral check at window_exp={window_exp}",
              name="window_exp - ℓ")
-    q, cut = p ** (w - omega.v), p ** (w - vm)
+    e = w - omega.v
+    q, cut = p**e, p ** (w - vm)
     by_class: dict[int, list[int]] = {}
-    for r in lam.residues(w, w - omega.v):
+    for r in lam.residues(w, e):
         by_class.setdefault(r % cut, []).append(r)
-    scale, step = ctx.pow(-w), p ** (w - window_exp)
+    step = p ** (w - window_exp)
     reps = range(p ** max(window_exp - ell, 0))
     target = len(omega.digits) ** 2
-    mu2 = omega.measure() ** 2
-    squares: dict[int, CyclotomicSum] = {}
+    qm = p**omega.M
+    overlaps = Counter((a - b) % qm for a in omega.digits for b in omega.digits)
     failure = None
     for t in reps:
         s = t * step
         diffs = Counter((s - r) % q for r in by_class.get(s % cut, ()))
-        for d in diffs:
-            if d not in squares:
-                f = indicator_fourier(omega, d * scale).sum
-                squares[d] = f * f.conjugate()
-        terms = [(k, squares[d]) for d, k in sorted(diffs.items())]
-        n = max((sq.n for _, sq in terms), default=0)
-        acc: dict[int, int] = {}
-        for k, sq in terms:
-            lift = p ** (n - sq.n)
-            for j, a in sq.coeffs.items():
-                acc[j * lift] = acc.get(j * lift, 0) + k * a
-        acc[0] = acc.get(0, 0) - target
+        n = max((e - _int_valuation(p, d) for d in diffs if d), default=0)
+        qn, lift = p**n, p ** (e - n)
+        acc = {0: -target}
+        for d, k in diffs.items():
+            f = -(d // lift)
+            for delta, c in overlaps.items():
+                j = f * delta % qn
+                acc[j] = acc.get(j, 0) + k * c
         if not vanishes(p, n, acc):
             acc[0] += target
             total = CyclotomicSum(ctx, n, {j: a for j, a in acc.items() if a})
-            failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total), rhs=mu2)
+            failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total),
+                              rhs=omega.measure() ** 2)
             break
     return PairReport(
         kind="spectral",

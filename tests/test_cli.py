@@ -113,6 +113,18 @@ def test_normalize(capsys):
     assert code == 1 and "--balls[0]" in err
 
 
+def test_normalize_bounds_the_frame_depth_before_expanding(capsys):
+    # each ball's expansion to the common frame is checked against 2^18 digits before
+    # any is built; a deep ball that needs no expansion stays one digit
+    code, out, err = run(capsys, "normalize", "--p", "2", "--balls", "0,0,0;19,0,0")
+    assert code == 1 and out == ""
+    assert "levels below a ball=19" in err and "262144" in err and "Traceback" not in err
+    code, out, _ = run(capsys, "normalize", "--p", "2", "--balls", "0,0,0;18,0,0")
+    assert code == 0 and out.strip() == "p=2 v=0 M=0 digits=0"
+    code, out, _ = run(capsys, "normalize", "--p", "2", "--balls", "0,40,5")
+    assert code == 0 and out.strip() == "p=2 v=0 M=40 digits=5"
+
+
 def test_normalize_stdin(capsys, monkeypatch):
     doc = {"p": 2, "balls": [{"v": 0, "M": 1, "c": 0}, {"v": 0, "M": 1, "c": 1}]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
@@ -530,6 +542,8 @@ def _int_list_flag(draw):
 )
 @example(command="is-tile", p=2, M=2, values=["[1e400]"], extra=[])
 @example(command="homogeneity", p=None, M=2, values=["[0, 3]"], extra=["--declared-frame", "--stdin"])
+@example(command="is-tile", p=2, M=2, values=["[" * 100000], extra=[])
+@example(command="measure", p=2, M=2, values=["[" * 100000], extra=["--stdin"])
 def test_fuzz_integer_list_flags_exit_cleanly(command, p, M, values, extra):
     # p=None leaves --p out; --stdin reads a document whose digits are the same list
     argv = [command, *(["--p", str(p)] if p else [])]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction as F
 
@@ -203,6 +204,21 @@ def test_autocorrelation_frozen_values():
     assert autocorrelation(om, 3) == F(1, 4)
     assert autocorrelation(om, F(1, 4)) == 0  # shift leaves Z_2 entirely
     assert autocorrelation(om, 4) == F(1, 2)  # 4 = 0 mod 4 maps the set to itself
+    # shifts far outside the frame, answered without refining it to 2^40 cells
+    assert autocorrelation(om, F(1, 2**40)) == 0
+    assert autocorrelation(om, 2**40) == om.measure()
+
+
+def test_autocorrelation_is_linear_in_the_digits():
+    # the 2^14 digits below 2^14 of Z/2^15: a pass over D² (2^28 pairs) would take
+    # minutes, one set lookup per digit takes milliseconds
+    om = CompactOpenSet.make(PrimeContext(2), 0, 15, range(2**14))
+    assert (om.v, om.M, len(om.digits)) == (0, 15, 2**14)
+    start = time.perf_counter()
+    assert autocorrelation(om, 0) == om.measure() == F(1, 2)
+    assert autocorrelation(om, 1) == F(2**14 - 1, 2**15)
+    assert autocorrelation(om, 2**14) == 0
+    assert time.perf_counter() - start < 2
 
 
 def _autocorr_oracle(om: CompactOpenSet, x: F) -> F:
