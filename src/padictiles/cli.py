@@ -40,7 +40,7 @@ from .decide import (
     is_tile_zmod,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, ScopeTooLarge, _MAX_Q
+from .padic import Ball, PrimeContext, ScopeTooLarge, _MAX_Q, _check_exp
 from .pairs import (
     NotASpectrumEvidence,
     UniformDiscreteSet,
@@ -165,6 +165,13 @@ def _digitset_from_args(args) -> DigitSet:
     return DigitSet.make(ctx, m, digits)
 
 
+def _declared_frame(args) -> tuple[DigitSet, frozenset[int] | None]:
+    """The digit set of --set on its declared frame (v=0, --M) and its branching levels."""
+    ds = _digitset_from_args(args)
+    _check_exp(ds.context.p, ds.M, "a declared frame", "M")
+    return ds, frame_branching_set(ds.context.p, ds.M, ds.C)
+
+
 def _eset_from_args(args, ctx: PrimeContext, flag="--elements") -> UniformDiscreteSet:
     if args.elements is None or args.window is None:
         raise ValueError(f"{flag} and --window are both required")
@@ -264,8 +271,7 @@ def cmd_homogeneity(args) -> int:
     if args.declared_frame:
         if args.stdin:
             raise ValueError("--declared-frame answers on the frame of --set; it cannot read --stdin")
-        ds = _digitset_from_args(args)
-        levels = frame_branching_set(ds.context.p, ds.M, ds.C)
+        ds, levels = _declared_frame(args)
         flag = levels is not None
         frame = {"v": 0, "M": ds.M, "digits": list(ds.C)}
     else:
@@ -302,8 +308,7 @@ def cmd_is_spectral(args) -> int:
 
 
 def _constructor_command(args, builder, label: str) -> int:
-    ds = _digitset_from_args(args)
-    levels = frame_branching_set(ds.context.p, ds.M, ds.C)
+    ds, levels = _declared_frame(args)
     if levels is None:
         print(f"set is not p-homogeneous on the declared frame; no {label} construction",
               file=sys.stderr)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PrimeContext, _check_q
+from .padic import Ball, PrimeContext, _check_exp, _check_q
 
 __all__ = [
     "EmptySet",
@@ -53,15 +53,19 @@ class CompactOpenSet:
 
         Two reductions run to a fixpoint: merge a level when every digit
         class mod p**(M-1) is present with all p children or none, and shift
-        the scale when every digit is divisible by p.
+        the scale when every digit is divisible by p.  p**|v| and p**|v+M|
+        are bounded first (ScopeTooLarge).
         """
         if M < 0:
             raise ValueError("frame depth M must be >= 0")
         p = context.p
+        _check_exp(p, v, "a compact open set", "v")
+        _check_exp(p, v + M, "a compact open set", "v + M")
+        q = p**M
         ds = set()
         for d in digits:
             d = int(d)
-            if not 0 <= d < p**M:
+            if not 0 <= d < q:
                 raise ValueError(f"digit {d} outside [0, p**M)")
             ds.add(d)
         if not ds:

@@ -73,9 +73,20 @@ def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
     for w in [p**n for n in range(M - 1, -1, -1)]:
         folded: dict[int, int] = {}
         for r, k in counts.items():
-            folded[r % w] = folded.get(r % w, 0) + k
+            r %= w
+            folded[r] = folded.get(r, 0) + k
         counts = folded
         yield counts
+
+
+def _zero_orders(p: int, m: int, residues: Iterable[int]) -> frozenset[int]:
+    """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over the residues
+    vanishes: one fold of their counts from p**m down, one zero test per order."""
+    zero = []
+    for j, counts in enumerate(_level_counts(p, m, residues)):
+        if vanishes(p, m - j, counts):
+            zero.append(m - j)
+    return frozenset(zero)
 
 
 class CyclotomicSum:
@@ -294,6 +305,5 @@ def vanishing_level_set(
     levels = sorted(set(levels))
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])
-    units = [context.residue(c * context.pow(-V), depth) for c in elems]
-    folded = list(_level_counts(p, depth, units))  # folded[depth - m]: the units mod p**m
-    return frozenset(i for i in levels if vanishes(p, -min(0, i + V), folded[depth + min(0, i + V)]))
+    zero = _zero_orders(p, depth, [context.residue(c * context.pow(-V), depth) for c in elems])
+    return frozenset(i for i in levels if max(0, -(i + V)) in zero)

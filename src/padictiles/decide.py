@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .copen import frame_branching_set
-from .cyclotomic import _level_counts, vanishes
+from .cyclotomic import _level_counts, _zero_orders, vanishes
 from .padic import PrimeContext, ScopeTooLarge, _check_q
 
 __all__ = [
@@ -77,12 +77,12 @@ class DigitSet:
     def make(cls, context: PrimeContext, M: int, elements) -> "DigitSet":
         if M < 0:
             raise ValueError("M must be >= 0")
-        q = context.p**M
         elems = sorted({int(c) for c in elements})
         if not elems:
             raise ValueError("digit set must be nonempty")
-        if elems[0] < 0 or elems[-1] >= q:
-            raise ValueError(f"elements outside [0, p**M) = [0, {q})")
+        # p**M is formed only when the largest element has more than M bits, so a huge M costs nothing
+        if elems[0] < 0 or elems[-1].bit_length() > M and elems[-1] >= context.p**M:
+            raise ValueError(f"elements outside [0, p**M) = [0, {context.p**M})")
         return cls(context, M, tuple(elems))
 
 
@@ -162,8 +162,8 @@ def _t1_levels(C: DigitSet) -> frozenset[int] | None:
     _check_q(p, M, "deciding tiles and spectra")
     if p**M % k:
         return None
-    levels = [j for j, counts in zip(range(M), _level_counts(p, M, C.C)) if vanishes(p, M - j, counts)]
-    return frozenset(levels) if p ** len(levels) == k else None
+    zero = _zero_orders(p, M, C.C)  # the orders M - j of the zero levels j (never 0: C is nonempty)
+    return frozenset(M - n for n in zero) if p ** len(zero) == k else None
 
 
 def is_tile_zmod(C: DigitSet) -> Witness | None:

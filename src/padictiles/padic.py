@@ -45,6 +45,20 @@ def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None
         raise ScopeTooLarge(f"{what} is limited to q <= {_MAX_Q}: p={p}, {name}={M}, q = {q} > {_MAX_Q}")
 
 
+# Largest size in bits of a power p^|e| asked for by an exponent (v and v + M of a frame, M of a
+# ball or a declared frame, a window, a scan depth): at the limit the slowest command found takes
+# 0.4 s (README, Limits), and every rational printed stays under Python's 4,300-digit limit.
+_MAX_EXP_BITS = 2048
+
+
+def _check_exp(p: int, e: int, what: str, name: str) -> None:
+    """ScopeTooLarge when p^|e| has more than _MAX_EXP_BITS bits, naming the input that sets e,
+    without forming p^|e| when 2^|e| alone passes the limit."""
+    if abs(e) >= _MAX_EXP_BITS or (p ** abs(e)).bit_length() > _MAX_EXP_BITS:
+        raise ScopeTooLarge(f"{what} is limited to p^|{name}| of at most {_MAX_EXP_BITS} bits: "
+                            f"p={p}, {name}={e}")
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
@@ -224,6 +238,7 @@ class Ball:
         if M < 0:
             raise ValueError("ball depth M must be >= 0")
         p = context.p
+        _check_exp(p, M, "a ball", "M")
         c %= p**M
         while c != 0 and c % p == 0:
             c //= p

@@ -23,7 +23,7 @@ from .copen import (
     frame_branching_set,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum, vanishes
+from .cyclotomic import CyclotomicSum, _zero_orders, residue_counts, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
@@ -31,7 +31,7 @@ from .decide import (
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _check_q, _int_valuation
+from .padic import Ball, PrimeContext, _check_exp, _check_q, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -100,6 +100,7 @@ class UniformDiscreteSet:
 
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
+        _check_exp(context.p, window_exp, "a truncation", "window")
         elems = sorted({Fraction(x) for x in elements})
         if not elems:
             raise ValueError("truncation must contain at least one element")
@@ -256,46 +257,37 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     """Classify each sphere S(0, p**-n) against the zero set of the measure's transform.
 
     One representative ξ = p**n per sphere suffices (unit scaling permutes
-    exponents of each truncated sum without changing vanishing).  A sum is
-    tested at every truncation from the first informative one (the later of
-    B(0, p**-n) and the first nonempty ball) out to the window W.
-
-    Each element x enters once, as r = x * p**W mod p**(W - n0) (n0 = min(0,
-    lowest level)) filed under its shell W - v_p(r), or min(W, n0) if r = 0.  At
-    level n its root is exponent r mod p**(W-n) of order p**(W-n), and each
-    truncation adds one shell to the count map.
+    exponents of each truncated sum without changing vanishing).  Element x
+    enters as r = x * p**W mod p**depth, at exponent r mod p**(W-n) at level
+    n, in the truncations p**k from its shell k = W - v_p(r) on.  Past n + 1
+    the truncations where a sum vanishes form a prefix: shell k >= n + 2 adds
+    exponents of valuation W - k < W - n - 1, which no coset of the zero test
+    mixes with another.  So a status is the whole sum's (one shared fold), and
+    NotASpectrumEvidence arises iff the whole sum is nonzero but the sum at
+    k1 = max(n + 1, first nonempty) vanishes; only then is the walk run.
     """
     p, w = e.context.p, e.window_exp
     levels = sorted(set(levels))
-    depth = max(0, w - min([0] + levels))
-    by_shell: dict[int, list[int]] = {}
-    for r in e.residues(w, depth):
-        by_shell.setdefault(w - _int_valuation(p, r) if r else w - depth, []).append(r)
-    first_nonempty = -w if 0 in e.numerators else min(by_shell)
-    shells = sorted(by_shell.items())
+    lowest = min([0] + levels)
+    depth = max(0, w - lowest)
+    _check_exp(p, depth, f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
+    res = e.residues(w, depth)
+    zero = _zero_orders(p, depth, res)
+    shells = [w - _int_valuation(p, r) if r else w - depth for r in res]
+    first = -w if 0 in e.numerators else min(shells)
     out = {}
     for n in levels:
         if n > w:
             raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
-        # Truncations at or below the sphere level contribute only full-character
-        # terms (every summand is 1), so the informative range starts at level n;
-        # clamp to the first nonempty truncation.
-        q = p ** (w - n)
-        counts: Counter[int] = Counter()
-        added = 0
-        seen_zero = last_zero = False
-        for k in range(max(n, first_nonempty), w + 1):
-            while added < len(shells) and shells[added][0] <= k:
-                counts.update(r % q for r in shells[added][1])
-                added += 1
-            last_zero = vanishes(p, w - n, counts)
-            if last_zero:
-                seen_zero = True
-            elif seen_zero:
-                raise NotASpectrumEvidence(
-                    n, k, f"sphere level {n}: truncated sum vanished then came back nonzero at p**{k}"
-                )
-        out[n] = SphereStatus.IN_ZERO_SET if last_zero else SphereStatus.NOT_IN_ZERO_SET
+        k1 = max(n + 1, first)
+        inside = k1 <= w and w - n in zero
+        if not inside and k1 < w:  # the first truncation from k1 on where the sum is nonzero
+            k = next(k for k in range(k1, w + 1) if not vanishes(
+                p, w - n, residue_counts(p, w - n, [r for r, s in zip(res, shells) if s <= k])))
+            if k > k1:
+                raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
+                                                 f"back nonzero at p**{k}")
+        out[n] = SphereStatus.IN_ZERO_SET if inside else SphereStatus.NOT_IN_ZERO_SET
     return out
 
 
@@ -317,8 +309,12 @@ def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int
     """Exact count-over-measure ratios Card(E ∩ B(x0, p**k)) / p**k per k."""
     ctx = e.context
     c = Fraction(x0)
+    ks = sorted(set(k_range))
+    if ks:
+        _check_exp(ctx.p, max(0, e.window_exp - ks[0]),
+                   f"a density scan of window {e.window_exp} down to k = {ks[0]}", "depth")
     out = []
-    for k in sorted(set(k_range)):
+    for k in ks:
         reach = k if c == 0 else max(k, -ctx.valuation(c))
         if reach > e.window_exp:
             raise WindowTooSmall(
@@ -419,7 +415,7 @@ def verify_spectral_pair(
     by_class: dict[int, list[int]] = {}
     for r in lam.residues(w, e):
         by_class.setdefault(r % cut, []).append(r)
-    step = p ** (w - window_exp)
+    step = p ** (w - max(window_exp, ell))  # below ℓ the one representative is 0
     reps = range(p ** max(window_exp - ell, 0))
     target = len(omega.digits) ** 2
     qm = p**omega.M

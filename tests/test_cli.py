@@ -445,6 +445,58 @@ def test_window_sizes_past_the_limit_exit_1_at_once(capsys, argv, names):
     assert took < 0.5 and peak < 1_000_000
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["is-tile", "--p", "3", "--set", "0", "--M", "100000000"], "M=100000000, q = 3^100000000 > 262144"),
+    (["homogeneity", "--p", "3", "--set", "0", "--M", "100000000", "--declared-frame"], "p=3, M=100000000"),
+    (["make-spectrum", "--p", "3", "--set", "0", "--M", "100000000"], "p=3, M=100000000"),
+    (["measure", "--p", "3", "--set", "1", "--v", "-100000000"], "p=3, v=-100000000"),
+    (["scan-zeros", "--p", "3", "--elements", "0", "--window", "100000000", "--levels", "0"],
+     "p=3, window=100000000"),
+    (["autocorr", "--p", "2", "--set", "0", "--M", "100000", "--xi", "1"], "p=2, v + M=100000"),
+    (["measure", "--p", "2", "--set", "0", "--M", "20000"], "p=2, v + M=20000"),
+    (["normalize", "--p", "3", "--balls", "0,100000000,1"], "p=3, M=100000000"),
+    (["density", "--p", "3", "--elements", "0", "--window", "0", "--k-range", "0", "--probes", "0",
+      "--uniformity-n=-100000000"], "p=3, depth=100000000"),
+])
+def test_huge_exponent_flags_exit_1_at_once(capsys, argv, names):
+    # each ran past an 8 s timeout: p**M, p**v or p**window was formed, or a frame reduced
+    # one level at a time; measure --M 20000 ended in Python's int-to-str "Exceeds the limit"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == "" and names in err and "Traceback" not in err
+    assert "262144" in err if argv[0] == "is-tile" else "of at most 2048 bits" in err
+
+
+def test_a_huge_negative_window_exp_needs_one_representative(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify-spectral", "--p", "3", "--set", "0", "--elements", "0",
+                       "--window", "0", "--window-exp=-100000000")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and "(1 cells)" in out
+
+
+@pytest.mark.parametrize("argv, flag, at, past, names", [
+    (["measure", "--p", "2", "--set", "0"], "--M", "2047", "2048", "v + M=2048"),
+    (["measure", "--p", "3", "--set", "1"], "--v", "-1292", "-1293", "v=-1293"),
+    (["homogeneity", "--p", "2", "--set", "0", "--declared-frame"], "--M", "2047", "2048", "M=2048"),
+    (["make-spectrum", "--p", "3", "--set", "0"], "--M", "1292", "1293", "M=1293"),
+    (["normalize", "--p", "2"], "--balls", "0,2047,1", "0,2048,1", "M=2048"),
+    (["scan-zeros", "--p", "2", "--elements", "0", "--levels", "0"], "--window", "2047", "2048",
+     "window=2048"),
+    (["scan-zeros", "--p", "2", "--elements", "0,3", "--window", "0"], "--levels", "-2047:0", "-2048:0",
+     "window 0 down to level -2048 is limited to p^|depth| of at most 2048 bits: p=2, depth=2048"),
+    (["density", "--p", "2", "--elements", "0,3", "--window", "0"], "--k-range", "-2047:0", "-2048:0",
+     "window 0 down to k = -2048 is limited to p^|depth| of at most 2048 bits: p=2, depth=2048"),
+])
+def test_exponents_at_and_past_the_bit_limit(capsys, argv, flag, at, past, names):
+    # 2^2047 and 3^1292 have 2048 bits, 2^2048 and 3^1293 more
+    code, _, err = run(capsys, *argv, f"{flag}={at}")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *argv, f"{flag}={past}")
+    assert code == 1 and out == "" and names in err and "2048 bits" in err and "Traceback" not in err
+
+
 class _NoPool:
     def __init__(self, max_workers):
         raise AssertionError("a worker pool was started")
@@ -555,5 +607,51 @@ def test_fuzz_integer_list_flags_exit_cleanly(command, p, M, values, extra):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(doc)), redirect_stdout(out), redirect_stderr(err):
         code = main(argv + extra)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+
+
+# An exponent flag: a small value, one at or just past the 2048-bit limit for p = 3 or 2, or anything
+# up to 10^8 in size
+_EXPONENT = st.one_of(st.integers(-4, 4), st.sampled_from([1292, 1293, 2047, 2048]),
+                      st.integers(-10**8, 10**8))
+
+
+@st.composite
+def _exponent_argv(draw):
+    """A command with drawn --M, --v, --window, A:B --levels or --k-range, or --balls triples."""
+    command = draw(st.sampled_from(["measure", "autocorr", "homogeneity", "make-spectrum", "scan-zeros",
+                                    "density", "normalize"]))
+    argv = [command, "--p", str(draw(st.sampled_from([2, 3])))]
+    M, v, window, lo, hi = (str(draw(_EXPONENT)) for _ in range(5))
+    if command == "normalize":
+        triples = draw(st.lists(st.tuples(_EXPONENT, _EXPONENT, st.integers(-10, 10**9)),
+                                min_size=1, max_size=2))
+        return argv + ["--balls", ";".join(",".join(map(str, t)) for t in triples)]
+    if command in ("scan-zeros", "density"):
+        levels = f"{lo}:{hi}" if draw(st.booleans()) else lo
+        flag = "--levels" if command == "scan-zeros" else "--k-range"
+        argv += ["--elements", "0,1/3,7", f"--window={window}", f"{flag}={levels}"]
+        return argv + (["--bound"] if command == "scan-zeros" and draw(st.booleans()) else [])
+    argv += ["--set", "0,1", f"--M={M}"] + ([f"--v={v}"] if command != "make-spectrum" else [])
+    if command == "homogeneity" and draw(st.booleans()):
+        argv.append("--declared-frame")
+    return argv + (["--xi", "1/3"] if command == "autocorr" else [])
+
+
+@settings(max_examples=200, deadline=2000)
+@given(argv=_exponent_argv())
+@example(argv=["is-tile", "--p", "3", "--set", "0", "--M", "100000000"])
+@example(argv=["homogeneity", "--p", "3", "--set", "0", "--M", "100000000", "--declared-frame"])
+@example(argv=["make-spectrum", "--p", "3", "--set", "0", "--M", "100000000"])
+@example(argv=["measure", "--p", "3", "--set", "1", "--v", "-100000000"])
+@example(argv=["scan-zeros", "--p", "3", "--elements", "0", "--window", "100000000", "--levels", "0"])
+@example(argv=["autocorr", "--p", "2", "--set", "0", "--M", "100000", "--xi", "1"])
+@example(argv=["scan-zeros", "--p", "2", "--elements", "0,3", "--window", "0", "--levels=-20000:0"])
+@example(argv=["normalize", "--p", "3", "--balls", "0,100000000,1"])
+def test_fuzz_exponent_flags_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

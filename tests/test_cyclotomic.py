@@ -6,12 +6,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padictiles.cyclotomic import (
     CyclotomicSum,
     NotIndicator,
     NotVanishing,
+    _zero_orders,
     decompose_vanishing,
+    residue_counts,
+    vanishes,
     vanishing_level_set,
 )
 from padictiles.padic import PrimeContext
@@ -225,3 +230,20 @@ def test_vanishing_level_set_frozen():
     assert vanishing_level_set(c5, range(5), range(-2, 1)) == frozenset({-1})
     # scaling the set shifts the level set
     assert vanishing_level_set(c2, [0, 6], range(-4, 1)) == frozenset({-2})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zero_orders_equal_one_zero_test_per_order(data):
+    # the residues mix random integers with full cosets r + t*p**(n-1) mod p**n, so
+    # that most draws vanish at some order; the empty list vanishes at every order
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    m = data.draw(st.integers(0, 5))
+    residues = data.draw(st.lists(st.integers(-(p ** (m + 1)), p ** (m + 1)), max_size=8))
+    for n, r, lift in data.draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 10**4),
+                                                   st.integers(0, 3)), max_size=3)):
+        residues += [r + t * p ** (n - 1) + lift * p**n for t in range(p)]
+    want = {n for n in range(m + 1) if vanishes(p, n, residue_counts(p, n, residues))}
+    assert _zero_orders(p, m, residues) == want
+    assert _zero_orders(p, m, []) == set(range(m + 1))
+    assert _zero_orders(2, 3, [0, 4]) == {3} and _zero_orders(2, 2, range(4)) == {1, 2}

@@ -508,3 +508,15 @@ def test_jobs_are_bounded_by_the_cpu_count(monkeypatch):
             classify_all(2, 2, "exhaustive", jobs=jobs)
         with pytest.raises(ValueError, match="--jobs"):
             classify_all(2, 2, "sample", sample_size=3, jobs=jobs)
+
+
+def test_digit_set_make_forms_no_power_for_small_elements():
+    # 3**(10**8) alone takes many seconds; the deciders then refuse through their q limit
+    ctx = PrimeContext(3)
+    start = time.perf_counter()
+    assert DigitSet.make(ctx, 10**8, [5, 0, 5]).C == (0, 5)
+    assert time.perf_counter() - start < 0.5
+    assert DigitSet.make(ctx, 2, [8, 0]).C == (0, 8)
+    for M, elements in ((2, [9]), (2, [0, 2**20]), (0, [1]), (2, [-1, 3])):
+        with pytest.raises(ValueError, match=r"elements outside \[0, p\*\*M\)"):
+            DigitSet.make(ctx, M, elements)

@@ -135,6 +135,20 @@ def test_scan_errors_match_reference():
         assert _outcome(zero_sphere_scan, e, levels) == _outcome(_reference_scan, e, levels)
     assert _outcome(zero_sphere_scan, e, range(-2, 3))[0] == "evidence"
     assert _outcome(zero_sphere_scan, e, [2]) == ("window",)
+    # levels -3 and 1 would each raise, at truncations 2 and 3: the lowest raises, at its own
+    two = UniformDiscreteSet.make(PrimeContext(2), 3, [F(1, 4), 1, F(15, 8), F(13, 4), 5])
+    # the first nonempty truncation, p**0, lies above level -2 + 1; the sum at p**0 vanishes
+    high = UniformDiscreteSet.make(PrimeContext(2), 2, [F(3, 2), F(11, 4), 3, 5])
+    # a window below 0 holding 0: the scan starts at p**-W, past the window, so no sphere
+    # is in the zero set, though the whole sum at level -2 vanishes
+    below = UniformDiscreteSet.make(PrimeContext(2), -1, [0, 2])
+    for e, levels, want in ((two, [1], ("evidence", 1, 3)), (two, [-3, 1], ("evidence", -3, 2)),
+                            (two, range(-5, 4), ("evidence", -3, 2)), (high, [-2], ("evidence", -2, 1)),
+                            (high, range(-4, 3), ("evidence", -2, 1)), (high, [-1, 0, 2], None),
+                            (below, range(-4, 0), None)):
+        got = _outcome(zero_sphere_scan, e, levels)
+        assert got == _outcome(_reference_scan, e, levels)
+        assert want is None or got == want
 
 
 _primes = st.sampled_from([2, 3, 5, 7])

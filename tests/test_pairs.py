@@ -25,7 +25,7 @@ from padictiles.decide import (
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from padictiles.padic import Ball, PrimeContext, character
+from padictiles.padic import Ball, PrimeContext, ScopeTooLarge, character
 from padictiles.pairs import (
     Failure,
     NotASpectrumEvidence,
@@ -712,3 +712,20 @@ def test_numerator_checks_equal_the_fraction_references(case, radius, window):
     spectral = _report(verify_spectral_pair, om, e, window)
     assert spectral == _report(_reference_progressive_spectral_pair, om, e, window)
     assert spectral == _report(_reference_verify_spectral_pair, om, e, window)
+
+
+def test_scan_and_density_bound_the_depth_of_their_levels():
+    # the work per level grows with W - level; p**(W - lowest level) may have 2048 bits
+    ctx = PrimeContext(2)
+    e = UniformDiscreteSet.make(ctx, 0, [0, 3])
+    assert set(zero_sphere_scan(e, [-2047, 0]).values()) == {SphereStatus.NOT_IN_ZERO_SET}
+    assert density(e, 0, [-2047]) == [(-2047, 2**2047)]  # only 0 lies that close to 0
+    with pytest.raises(ScopeTooLarge, match="window 0 down to level -2048 .* depth=2048"):
+        zero_sphere_scan(e, [-2048, 0, 1])
+    with pytest.raises(ScopeTooLarge, match="window 0 down to k = -2048 .* depth=2048"):
+        density(e, 0, [-2048, 0])
+    deep = UniformDiscreteSet(ctx, 2048, (0,))  # built directly, past the window limit of make
+    with pytest.raises(ScopeTooLarge, match="window 2048 down to level 0"):
+        zero_sphere_scan(deep, [0])
+    with pytest.raises(ScopeTooLarge, match="window=2048"):
+        UniformDiscreteSet.make(ctx, 2048, [0])
