@@ -469,7 +469,8 @@ def _census_summary_human(census: Census) -> str:
 
 
 def _row_writer(stream):
-    return lambda row: stream.write(json.dumps(row.to_json_dict(), sort_keys=True) + "\n")
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode  # json.dumps builds one per row
+    return lambda row: stream.write(encode(row.to_json_dict()) + "\n")
 
 
 def cmd_classify(args) -> int:

@@ -275,18 +275,22 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
     exactly p residues mod p**(i+1); unary when every one extends to exactly
     one.  Anything else disqualifies the set.  Each residue has 1 to p
     children, so comparing the counts of residues mod p**i and p**(i+1) decides.
+    They are folded from the leaves (residues mod p**M) up; a homogeneous tree has
+    p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.
     """
-    digits = list(digits)
+    q = p**M
+    nodes = {d % q for d in digits}
+    if not nodes or q % len(nodes):
+        return None
     levels = set()
-    below = 1
-    for i in range(M):
-        qq = p ** (i + 1)
-        n = len({d % qq for d in digits})
-        if n == p * below:
+    for i in range(M - 1, -1, -1):
+        w = p**i
+        below = {r % w for r in nodes} if i else {0}
+        if len(nodes) == p * len(below):
             levels.add(i)
-        elif n != below:
+        elif len(nodes) != len(below):
             return None
-        below = n
+        nodes = below
     return frozenset(levels)
 
 

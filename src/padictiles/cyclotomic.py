@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -63,7 +62,11 @@ def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
 def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
     """Exponent -> count map of the residues reduced mod p**m, in first-seen order."""
     q = p**m
-    return dict(Counter(r % q for r in residues))
+    counts: dict[int, int] = {}
+    for r in residues:
+        r %= q
+        counts[r] = counts.get(r, 0) + 1
+    return counts
 
 
 def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:

@@ -21,11 +21,10 @@ import math
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .copen import frame_branching_set
 from .cyclotomic import _level_counts, _zero_orders, vanishes
@@ -273,8 +272,8 @@ def homogeneous_census_size(p: int, M: int, levels) -> int:
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 
 
-@dataclass(frozen=True, slots=True)
-class CensusRow:
+class CensusRow(NamedTuple):
+    """One classified set; a named tuple, cheaper to build than a frozen dataclass."""
     C: tuple[int, ...]
     is_tile: bool
     is_spectral: bool
@@ -307,10 +306,13 @@ class Census:
     rows: list[CensusRow]
 
 
-def _row_from_mask(p: int, M: int, mask: int) -> CensusRow:
-    ctx = PrimeContext(p)
-    C = tuple(x for x, b in enumerate(bin(mask)[:1:-1]) if b == "1")
-    ds = DigitSet(ctx, M, C)
+def _row_from_mask(context: PrimeContext, M: int, mask: int) -> CensusRow:
+    """The row of C = {x : bit x of mask is set}, with the three flags cross-checked.  It stays a
+    module-level function that _rows looks up per row, so rebinding decide._row_from_mask (to time
+    each set, say) reaches every serial census; the caller, not this step, writes the rows."""
+    p = context.p
+    C = tuple([x for x, b in enumerate(bin(mask)[:1:-1]) if b == "1"])
+    ds = DigitSet(context, M, C)
     wt = is_tile_zmod(ds)
     wl = is_spectral_zmod(ds)
     levels = frame_branching_set(p, M, C)
@@ -321,10 +323,7 @@ def _row_from_mask(p: int, M: int, mask: int) -> CensusRow:
             f"spectral={flags[1]}, homogeneous={flags[2]}"
         )
     if wt is not None:
-        k = len(C)
-        while k % p == 0:
-            k //= p
-        if k != 1:
+        if p**M % len(C):  # |C| <= p^M divides p^M iff it is a power of p
             raise EquivalenceViolation(f"positive set with non-p-power size: C={C}")
         # tiling is symmetric: C must complement its own witness
         if not verify_tiling_witness(p, M, wt.elements, C):
@@ -340,8 +339,8 @@ def _row_from_mask(p: int, M: int, mask: int) -> CensusRow:
     )
 
 
-def _rows_for_masks(p: int, M: int, masks) -> list[CensusRow]:
-    return [_row_from_mask(p, M, m) for m in masks]
+def _rows_for_masks(context: PrimeContext, M: int, masks) -> list[CensusRow]:
+    return [_row_from_mask(context, M, m) for m in masks]
 
 
 def _all_branching_sets(M: int):
@@ -351,7 +350,7 @@ def _all_branching_sets(M: int):
 def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) -> Iterator[CensusRow]:
     """Validate a census request and return its rows, computed as they are
     read, in mask order regardless of jobs."""
-    PrimeContext(p)  # validates primality
+    context = PrimeContext(p)  # validates primality, once per census
     if not 1 <= jobs <= (os.cpu_count() or 1):
         raise ValueError(f"--jobs must be between 1 and os.cpu_count() = {os.cpu_count() or 1}; got {jobs}")
     if mode == "exhaustive":
@@ -373,19 +372,20 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
         masks = sorted(picked)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return _rows(p, M, masks, jobs)
+    return _rows(context, M, masks, jobs)
 
 
-def _rows(p: int, M: int, masks, jobs: int) -> Iterator[CensusRow]:
+def _rows(context: PrimeContext, M: int, masks, jobs: int) -> Iterator[CensusRow]:
     if jobs > 1 and len(masks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here only: it loads multiprocessing
         chunk = max(1, len(masks) // (jobs * 8))
         parts = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_rows_for_masks, [p] * len(parts), [M] * len(parts), parts):
+            for part in pool.map(_rows_for_masks, [context] * len(parts), [M] * len(parts), parts):
                 yield from part
     else:
         for m in masks:
-            yield _row_from_mask(p, M, m)
+            yield _row_from_mask(context, M, m)
 
 
 def _tally(p: int, M: int, mode: str, rows: Iterable[CensusRow], emit) -> Census:

@@ -10,6 +10,7 @@ construction of a tiling complement from a spectrum.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -131,13 +132,18 @@ class UniformDiscreteSet:
 
     def n_E(self) -> int | None:
         """Largest valuation of a pairwise difference; None for a singleton.
-        It is m - 1 - W for the least m where all residues x * p**W mod p**m differ."""
-        k = len(set(self.numerators))  # a directly built set may repeat one
-        if k == 1:
+        It is m - 1 - W for the least m where the numerators differ mod p**m (unit is prime to p).
+        Distinct mod p**m means distinct mod every higher power, and mod p**D for the bit length D
+        of the widest difference, so m is bisected for in range(D) (D if none there): O(k log D)."""
+        nums = set(self.numerators)  # a directly built set may repeat one
+        if len(nums) == 1:
             return None
-        m = 1
-        while len(set(self.residues(self.window_exp, m))) < k:
-            m += 1
+
+        def distinct(m: int) -> bool:
+            q = self.context.p ** m
+            return len({n % q for n in nums}) == len(nums)
+
+        m = bisect_left(range((max(nums) - min(nums)).bit_length()), True, key=distinct)
         return m - 1 - self.window_exp
 
     def count_in_ball(self, center, radius_exp: int) -> int:

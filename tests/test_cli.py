@@ -1,20 +1,23 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padictiles import decide
+import padictiles
 from padictiles.cli import main
 from padictiles.decide import classify_all
 
@@ -23,6 +26,30 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_CHILD = """
+import io, json, sys, time
+from contextlib import redirect_stderr, redirect_stdout
+from padictiles.cli import main
+out, err = io.StringIO(), io.StringIO()
+start = time.perf_counter()
+with redirect_stdout(out), redirect_stderr(err):
+    code = main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]))
+"""
+
+
+def run_in_child(*argv, timeout=10):
+    """(code, out, err, seconds in main) of the command, run in a child process that is
+    killed after timeout seconds.  A hang then fails the test that ran it: neither a
+    Hypothesis deadline nor signal.alarm interrupts one long big-int operation."""
+    src = str(Path(padictiles.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True,
+                           timeout=timeout, env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    return tuple(json.loads(child.stdout))
 
 
 def run_json(capsys, *argv):
@@ -458,12 +485,11 @@ def test_window_sizes_past_the_limit_exit_1_at_once(capsys, argv, names):
     (["density", "--p", "3", "--elements", "0", "--window", "0", "--k-range", "0", "--probes", "0",
       "--uniformity-n=-100000000"], "p=3, depth=100000000"),
 ])
-def test_huge_exponent_flags_exit_1_at_once(capsys, argv, names):
+def test_huge_exponent_flags_exit_1_at_once(argv, names):
     # each ran past an 8 s timeout: p**M, p**v or p**window was formed, or a frame reduced
     # one level at a time; measure --M 20000 ended in Python's int-to-str "Exceeds the limit"
-    start = time.perf_counter()
-    code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 1
+    code, out, err, seconds = run_in_child(*argv)
+    assert seconds < 1
     assert code == 1 and out == "" and names in err and "Traceback" not in err
     assert "262144" in err if argv[0] == "is-tile" else "of at most 2048 bits" in err
 
@@ -506,7 +532,8 @@ class _NoPool:
 @pytest.mark.parametrize("jobs", ["0", "3"])
 def test_jobs_past_the_cpu_count_exit_1(tmp_path, capsys, monkeypatch, command, jobs):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(decide, "ProcessPoolExecutor", _NoPool)
+    # decide imports the pool class from concurrent.futures only when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _NoPool)
     if command == ["gallery"]:
         command = ["gallery", "--out", str(tmp_path / "g")]
     code, out, err = run(capsys, *command, "--jobs", jobs)

@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padictiles.copen import (
     CompactOpenSet,
@@ -296,6 +298,44 @@ def test_frame_branching_set_frozen():
     assert frame_branching_set(3, 2, (0, 1, 3)) is None
     assert frame_branching_set(2, 2, (1,)) == frozenset()
     assert frame_branching_set(2, 2, (0, 1, 2)) is None
+
+
+def _reference_frame_branching_set(p, M, digits):
+    # the level-by-level scan from the root, without the leaf-count gate
+    digits = list(digits)
+    levels = set()
+    below = 1
+    for i in range(M):
+        n = len({d % p ** (i + 1) for d in digits})
+        if n == p * below:
+            levels.add(i)
+        elif n != below:
+            return None
+        below = n
+    return frozenset(levels)
+
+
+@pytest.mark.parametrize("p, M", [(2, 4), (3, 2)])
+def test_frame_branching_set_equals_the_reference_on_every_subset(p, M):
+    q = p**M
+    for mask in range(1 << q):
+        digits = [x for x in range(q) if mask >> x & 1]
+        assert frame_branching_set(p, M, digits) == _reference_frame_branching_set(p, M, digits), digits
+
+
+@st.composite
+def _digit_lists(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    M = draw(st.integers(0, 4))
+    # duplicates and digits past p**M, which reduce onto another leaf
+    return p, M, draw(st.lists(st.integers(0, 2 * p ** (M + 1)), min_size=1, max_size=30))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_digit_lists())
+def test_frame_branching_set_equals_the_reference_on_drawn_digits(case):
+    p, M, digits = case
+    assert frame_branching_set(p, M, digits) == _reference_frame_branching_set(p, M, digits)
 
 
 def test_is_p_homogeneous_on_canonical_frame():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import concurrent.futures
 import math
 import os
 import random
@@ -10,7 +11,6 @@ from itertools import combinations
 
 import pytest
 
-from padictiles import decide
 from padictiles.cyclotomic import residue_counts, vanishes
 from padictiles.decide import (
     Census,
@@ -362,6 +362,22 @@ def test_classify_rows_carry_verified_witnesses():
         assert len(row.C) == 3 ** len(row.branching)
 
 
+def test_census_rows_refuse_assignment_and_keep_their_json_shape():
+    rows = classify_all(2, 2, "exhaustive").rows
+    positive, negative = rows[2], rows[6]  # masks 3 and 7
+    for name in ("C", "is_tile", "branching", "witness_T", "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(positive, name, None)
+    assert positive.to_json_dict() == {
+        "C": [0, 1], "is_tile": True, "is_spectral": True, "is_homogeneous": True,
+        "I": [0], "witness_T": [0, 2], "witness_Lambda": [0, 2],
+    }
+    assert negative.to_json_dict() == {
+        "C": [0, 1, 2], "is_tile": False, "is_spectral": False, "is_homogeneous": False,
+        "I": None, "witness_T": None, "witness_Lambda": None,
+    }
+
+
 def test_classify_sample_mode_is_deterministic():
     a = classify_all(2, 4, "sample", sample_size=64, seed=9)
     b = classify_all(2, 4, "sample", sample_size=64, seed=9)
@@ -502,7 +518,8 @@ def _no_pool(max_workers):
 
 def test_jobs_are_bounded_by_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(decide, "ProcessPoolExecutor", _no_pool)
+    # decide imports the pool class from concurrent.futures only when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     for jobs in (0, -1, 3, 10**9):
         with pytest.raises(ValueError, match=rf"--jobs must be between 1 and os.cpu_count\(\) = 2; got {jobs}"):
             classify_all(2, 2, "exhaustive", jobs=jobs)

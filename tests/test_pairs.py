@@ -623,6 +623,32 @@ def _reference_n_e(e):
     return m - 1 - e.window_exp
 
 
+def _reference_n_E(e):
+    # the walk over m = 1, 2, ... with every residue recomputed at each step
+    k = len(set(e.numerators))
+    if k == 1:
+        return None
+    m = 1
+    while len(set(e.residues(e.window_exp, m))) < k:
+        m += 1
+    return m - 1 - e.window_exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(-(10**4), 10**4), st.integers(0, 60)), min_size=1, max_size=8),
+    st.sampled_from((1, 7, 143)),
+)
+def test_n_E_equals_the_walk_over_m(p, w, parts, unit):
+    # built directly, so numerators may repeat (a drawn pair twice, or a = 0 at any b);
+    # one part gives a singleton, and the units 7 and 143 are prime to each p
+    numerators = tuple(sorted(a * p**b for a, b in parts))
+    e = UniformDiscreteSet(PrimeContext(p), w, numerators, unit)
+    assert e.n_E() == _reference_n_E(e)
+
+
 def _reference_count_in_ball(e, c, radius_exp):
     ctx = e.context
     w = e.window_exp if c == 0 else max(e.window_exp, -ctx.valuation(c))
