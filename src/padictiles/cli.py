@@ -469,8 +469,18 @@ def _census_summary_human(census: Census) -> str:
 
 
 def _row_writer(stream):
-    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode  # json.dumps builds one per row
-    return lambda row: stream.write(encode(row.to_json_dict()) + "\n")
+    """emit(row) for _tally: writes json.dumps(row.to_json_dict(), sort_keys=True), formatted directly."""
+    write = stream.write
+
+    def ints(xs):
+        return "null" if xs is None else "[" + ", ".join(map(str, xs)) + "]"
+
+    def emit(row):
+        C, tile, spectral, homog, I, T, L = row
+        write(f'{{"C": {ints(C)}, "I": {ints(I)}, "is_homogeneous": {"true" if homog else "false"}, '
+              f'"is_spectral": {"true" if spectral else "false"}, "is_tile": {"true" if tile else "false"}, '
+              f'"witness_Lambda": {ints(L)}, "witness_T": {ints(T)}}}\n')
+    return emit
 
 
 def cmd_classify(args) -> int:

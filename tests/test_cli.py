@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import time
@@ -18,8 +19,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padictiles
+from padictiles import cli
 from padictiles.cli import main
-from padictiles.decide import classify_all
+from padictiles.decide import CensusRow, classify_all
 
 
 def run(capsys, *argv):
@@ -29,27 +31,68 @@ def run(capsys, *argv):
 
 
 _CHILD = """
-import io, json, sys, time
+import io, json, sys, time, traceback
 from contextlib import redirect_stderr, redirect_stdout
 from padictiles.cli import main
-out, err = io.StringIO(), io.StringIO()
-start = time.perf_counter()
-with redirect_stdout(out), redirect_stderr(err):
-    code = main(sys.argv[1:])
-print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]))
+commands, sys.stdin = sys.stdin, io.StringIO()  # a command reading stdin must not take the next one
+for line in commands:
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(json.loads(line))
+        except Exception:
+            code = None
+            traceback.print_exc()
+    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]), flush=True)
 """
 
 
-def run_in_child(*argv, timeout=10):
-    """(code, out, err, seconds in main) of the command, run in a child process that is
-    killed after timeout seconds.  A hang then fails the test that ran it: neither a
-    Hypothesis deadline nor signal.alarm interrupts one long big-int operation."""
-    src = str(Path(padictiles.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    child = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True,
-                           timeout=timeout, env={**os.environ, "PYTHONPATH": path})
-    assert child.returncode == 0, child.stderr
-    return tuple(json.loads(child.stdout))
+class CliChild:
+    """Runs cli.main on each argv in one long-lived child process, fed over a pipe.  A command
+    still running after `timeout` seconds kills the child (the next command starts a new one) and
+    fails the test that sent it: neither a Hypothesis deadline nor signal.alarm interrupts one
+    long big-int operation in-process."""
+
+    timeout = 10
+
+    def __init__(self):
+        self.proc = None
+
+    def run(self, *argv):
+        """(code, out, err, seconds in main); an exception in main comes back as code None
+        with its traceback in err."""
+        if self.proc is None:
+            src = str(Path(padictiles.__file__).parents[1])
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            self.proc = subprocess.Popen([sys.executable, "-c", _CHILD], stdin=subprocess.PIPE,
+                                         stdout=subprocess.PIPE, text=True,
+                                         env={**os.environ, "PYTHONPATH": path})
+        self.proc.stdin.write(json.dumps(argv) + "\n")
+        self.proc.stdin.flush()
+        if not select.select([self.proc.stdout], [], [], self.timeout)[0]:
+            self.close()
+            pytest.fail(f"{list(argv)} still ran after {self.timeout} s")
+        line = self.proc.stdout.readline()
+        if not line:
+            self.close()
+            pytest.fail(f"the child running {list(argv)} exited")
+        return tuple(json.loads(line))
+
+    def close(self):
+        if self.proc is not None:
+            self.proc.kill()
+            self.proc.wait()
+            self.proc.stdin.close()
+            self.proc.stdout.close()
+            self.proc = None
+
+
+@pytest.fixture(scope="module")
+def cli_child():
+    child = CliChild()
+    yield child
+    child.close()
 
 
 def run_json(capsys, *argv):
@@ -394,6 +437,43 @@ def test_classify_out_file_streams_the_census_rows(tmp_path, capsys, monkeypatch
     assert out.read_text().splitlines() == want
 
 
+@pytest.mark.parametrize("out", ["-", "rows.jsonl"])
+@pytest.mark.parametrize("argv", [
+    *(["--p", p, "--M", M, "--exhaustive"] for p, M in ("21", "22", "23", "24", "31", "32")),
+    ["--p", "3", "--M", "2", "--sample", "60", "--seed", "4"],
+])
+def test_row_writer_writes_json_dumps_of_each_row(tmp_path, capsys, monkeypatch, argv, out):
+    # the rows handed to the writer are kept, so each line is checked against its own row
+    rows, writer = [], cli._row_writer
+
+    def recording_writer(stream):
+        emit = writer(stream)
+
+        def record(row):
+            rows.append(row)
+            emit(row)
+        return record
+
+    monkeypatch.setattr(cli, "_row_writer", recording_writer)
+    path = out if out == "-" else str(tmp_path / out)
+    assert main(["classify", *argv, "--out", path]) == 0
+    written = capsys.readouterr().out if out == "-" else Path(path).read_bytes().decode()
+    assert rows and written == "".join(json.dumps(row.to_json_dict(), sort_keys=True) + "\n" for row in rows)
+
+
+_INTS = st.one_of(st.none(), st.lists(st.integers(-2**64, 2**64), max_size=5).map(tuple))
+
+
+@settings(max_examples=300)
+@given(C=st.lists(st.integers(0, 2**64), max_size=5).map(tuple), flags=st.tuples(*[st.booleans()] * 3),
+       branching=_INTS, witness_T=_INTS, witness_Lambda=_INTS)
+def test_row_writer_writes_json_dumps_of_drawn_rows(C, flags, branching, witness_T, witness_Lambda):
+    row = CensusRow(C, *flags, branching, witness_T, witness_Lambda)
+    out = io.StringIO()
+    cli._row_writer(out)(row)
+    assert out.getvalue() == json.dumps(row.to_json_dict(), sort_keys=True) + "\n"
+
+
 def test_classify_out_file_keeps_no_rows(tmp_path, capsys):
     tracemalloc.start()
     try:
@@ -485,10 +565,10 @@ def test_window_sizes_past_the_limit_exit_1_at_once(capsys, argv, names):
     (["density", "--p", "3", "--elements", "0", "--window", "0", "--k-range", "0", "--probes", "0",
       "--uniformity-n=-100000000"], "p=3, depth=100000000"),
 ])
-def test_huge_exponent_flags_exit_1_at_once(argv, names):
+def test_huge_exponent_flags_exit_1_at_once(cli_child, argv, names):
     # each ran past an 8 s timeout: p**M, p**v or p**window was formed, or a frame reduced
     # one level at a time; measure --M 20000 ended in Python's int-to-str "Exceeds the limit"
-    code, out, err, seconds = run_in_child(*argv)
+    code, out, err, seconds = cli_child.run(*argv)
     assert seconds < 1
     assert code == 1 and out == "" and names in err and "Traceback" not in err
     assert "262144" in err if argv[0] == "is-tile" else "of at most 2048 bits" in err
@@ -568,11 +648,16 @@ def test_gallery(tmp_path, capsys):
     # byte-for-byte output of the seed code
     assert {
         name: hashlib.sha256(before[name]).hexdigest()
-        for name in ("pipelines.jsonl", "summary.md", "census_p2_M4.jsonl")
+        for name in names
     } == {
+        "census_p2_M1.jsonl": "2c7f015a504fac83c08cf84a76c9b65b82d2fb5fa1819d1cdfb4df71b3d00d89",
+        "census_p2_M2.jsonl": "e10f6950db0cef7a0b29d840886b14e7fc48d33f24e78f4973bbbe7035cd0fb0",
+        "census_p2_M3.jsonl": "1b7a200676bd3db2c7c843070f6ff8727a6dc900687e53dddeab0277059c0d93",
+        "census_p2_M4.jsonl": "15204d667b57faf469b84dea8e3dde09c2f1acb74c94417e7e4e8d176fa63fca",
+        "census_p3_M1.jsonl": "0f65aa62991efc39e5692089c9a61184d3899bb92775443c0a0d7e6423e8f376",
+        "census_p3_M2.jsonl": "1f54604ab2d269bcabac46315435673e6f57b3017da947dee233209d2339b25d",
         "pipelines.jsonl": "e38c1c16402d47428479b5b60e546aa55608f3a452925da2fef972fda8eefab9",
         "summary.md": "494c7fba826f4351406feb61c99be615b4813519ba3dd41948eaf9373d322dcd",
-        "census_p2_M4.jsonl": "15204d667b57faf469b84dea8e3dde09c2f1acb74c94417e7e4e8d176fa63fca",
     }
     assert main(["gallery", "--out", str(out)]) == 0
     capsys.readouterr()
@@ -676,9 +761,7 @@ def _exponent_argv(draw):
 @example(argv=["autocorr", "--p", "2", "--set", "0", "--M", "100000", "--xi", "1"])
 @example(argv=["scan-zeros", "--p", "2", "--elements", "0,3", "--window", "0", "--levels=-20000:0"])
 @example(argv=["normalize", "--p", "3", "--balls", "0,100000000,1"])
-def test_fuzz_exponent_flags_exit_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+def test_fuzz_exponent_flags_exit_cleanly(cli_child, argv):
+    code, _, err, _ = cli_child.run(*argv)
     assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
