@@ -180,35 +180,11 @@ class ScaledCyclotomic:
     def is_zero(self) -> bool:
         return self.sum.is_zero()
 
-    def equals_rational(self, q: Fraction | int) -> bool:
-        """Exact comparison against a rational.
-
-        The sum is an algebraic integer, so the value can only equal q when
-        q * p**-power is a rational integer.
-        """
-        r = Fraction(q) * self.context.pow(-self.power)
-        if r.denominator != 1:
-            return False
-        return self.sum.equals_int(r.numerator)
-
     def value_if_rational(self) -> Fraction | None:
         r = self.sum.value_if_integer()
         if r is None:
             return None
         return r * self.context.pow(self.power)
-
-    def conjugate(self) -> "ScaledCyclotomic":
-        return ScaledCyclotomic(self.power, self.sum.conjugate())
-
-    def __mul__(self, other: "ScaledCyclotomic") -> "ScaledCyclotomic":
-        return ScaledCyclotomic(self.power + other.power, self.sum * other.sum)
-
-    def __add__(self, other: "ScaledCyclotomic") -> "ScaledCyclotomic":
-        e = min(self.power, other.power)
-        p = self.context.p
-        left = self.sum * p ** (self.power - e)
-        right = other.sum * p ** (other.power - e)
-        return ScaledCyclotomic(e, left + right)
 
     def numeric(self) -> complex:
         """Float value; report/cross-check aid only."""

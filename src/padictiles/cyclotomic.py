@@ -18,21 +18,10 @@ from .padic import PrimeContext, RootOfUnity
 
 __all__ = [
     "CyclotomicSum",
-    "NotVanishing",
-    "NotIndicator",
-    "decompose_vanishing",
     "residue_counts",
     "vanishes",
     "vanishing_level_set",
 ]
-
-
-class NotVanishing(ValueError):
-    """Raised when a decomposition is requested for a sum that is not zero."""
-
-
-class NotIndicator(ValueError):
-    """Raised when a decomposition is requested for a sum with coefficients outside {0, 1}."""
 
 
 def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
@@ -146,9 +135,6 @@ class CyclotomicSum:
             acc[j] = acc.get(j, 0) + 1
         return cls(context, n, {j: a for j, a in acc.items() if a != 0})
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.coeffs))
-
     def normalize(self) -> "CyclotomicSum":
         """Equal sum at the least order: divide exponents by p while possible."""
         n, coeffs = self.n, self.coeffs
@@ -214,19 +200,14 @@ class CyclotomicSum:
 
     def value_if_integer(self) -> int | None:
         """The sum's value when it is rational (hence a rational integer), else None."""
-        s = self.normalize()
-        if not s.coeffs:
-            return 0
-        if s.n == 0:
-            return s.coeffs.get(0, 0)
-        # if the value is an integer r, (s - r) vanishes, which pins r down on
-        # the coset of 0: r = a_0 - a_(p**(n-1))
-        q = s.context.p ** (s.n - 1)
-        r = s.coeffs.get(0, 0) - s.coeffs.get(q, 0)
-        return r if s.equals_int(r) else None
-
-    def equals_int(self, r: int) -> bool:
-        return (self - CyclotomicSum.constant(self.context, r)).is_zero()
+        p, n, a = self.context.p, self.n, self.coeffs
+        if n == 0:
+            return a.get(0, 0)
+        # if the value is an integer r, the sum minus r vanishes, which pins r down on the coset
+        # of 0 at the declared order, minimal or not: r = a_0 - a_q with q = p**(n-1)
+        q = p ** (n - 1)
+        r = a.get(0, 0) - a.get(q, 0)
+        return r if vanishes(p, n, {**a, 0: a.get(q, 0)}) else None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CyclotomicSum):
@@ -253,42 +234,9 @@ class CyclotomicSum:
             "coeffs": {str(j): a for j, a in sorted(self.coeffs.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CyclotomicSum":
-        ctx = PrimeContext(int(d["p"]))
-        return cls.make(ctx, int(d["n"]), {int(j): int(a) for j, a in d["coeffs"].items()})
-
     def _check(self, other: "CyclotomicSum") -> None:
         if self.context != other.context:
             raise ValueError("CyclotomicSum contexts differ")
-
-
-def decompose_vanishing(s: CyclotomicSum) -> list[tuple[int, ...]]:
-    """Partition the support of a vanishing 0/1-coefficient sum into full cosets.
-
-    Each returned block is a coset {r + t*p**(n-1)} of size p in the declared
-    order's exponent group, and the sub-sum over each block is itself zero.
-    Blocks are sorted by their residue.
-    """
-    for a in s.coeffs.values():
-        if a != 1:
-            raise NotIndicator(f"coefficient {a} outside {{0, 1}}")
-    if not s.is_zero():
-        raise NotVanishing("sum is not zero")
-    if not s.coeffs:
-        return []
-    p = s.context.p
-    q = p ** (s.n - 1)  # s.n >= 1 here: a nonzero constant cannot vanish
-    groups: dict[int, list[int]] = {}
-    for j in s.coeffs:
-        groups.setdefault(j % q, []).append(j)
-    blocks = []
-    for r in sorted(groups):
-        block = tuple(sorted(groups[r]))
-        if len(block) != p:  # guaranteed by the zero test; belt and braces
-            raise NotVanishing(f"coset of {r} is not full")
-        blocks.append(block)
-    return blocks
 
 
 def vanishing_level_set(

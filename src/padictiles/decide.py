@@ -347,6 +347,11 @@ def _all_branching_sets(M: int):
     return sorted(tuple(i for i in range(M) if s >> i & 1) for s in range(1 << M))
 
 
+# Largest K·q of a sampled census, in bits of the K masks it draws and sorts before its first row:
+# K = 1 at q = 2^18, and 2 MiB of masks at most.
+_MAX_SAMPLE_BITS = 2**24
+
+
 def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) -> Iterator[CensusRow]:
     """Validate a census request and return its rows, computed as they are
     read, in mask order regardless of jobs."""
@@ -362,6 +367,9 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
             raise ValueError("sample mode needs sample_size >= 0")
         _check_q(p, M, "sampling subsets")
         q = p**M
+        if sample_size * q > _MAX_SAMPLE_BITS:
+            raise ScopeTooLarge(f"a sample of K subsets of Z/p^M is limited to K·p^M <= {_MAX_SAMPLE_BITS} "
+                                f"mask bits: K={sample_size}, p={p}, M={M}, K·p^M = {sample_size * q}")
         universe = (1 << q) - 1
         rng = random.Random(seed)
         if sample_size > universe:

@@ -168,42 +168,6 @@ class RootOfUnity:
     n: int
     k: int
 
-    @classmethod
-    def make(cls, context: PrimeContext, n: int, k: int) -> "RootOfUnity":
-        if n < 0:
-            raise ValueError("order exponent must be >= 0")
-        p = context.p
-        k %= p**n
-        if k == 0:
-            return cls(context, 0, 0)
-        while k % p == 0:
-            k //= p
-            n -= 1
-        return cls(context, n, k)
-
-    def exponent(self) -> Fraction:
-        """The exponent k / p**n in [0, 1)."""
-        return Fraction(self.k, self.context.p**self.n)
-
-    def mul(self, other: "RootOfUnity") -> "RootOfUnity":
-        if self.context != other.context:
-            raise ValueError("RootOfUnity contexts differ")
-        n = max(self.n, other.n)
-        p = self.context.p
-        k = self.k * p ** (n - self.n) + other.k * p ** (n - other.n)
-        return RootOfUnity.make(self.context, n, k)
-
-    def conjugate(self) -> "RootOfUnity":
-        return RootOfUnity.make(self.context, self.n, -self.k)
-
-    def is_one(self) -> bool:
-        return self.n == 0
-
-    def numeric(self) -> complex:
-        """Float approximation; for reporting and numeric cross-checks only."""
-        return complex(math.cos(2 * math.pi * self.k / self.context.p**self.n),
-                       math.sin(2 * math.pi * self.k / self.context.p**self.n))
-
 
 def character(context: PrimeContext, xi: Fraction | int, x: Fraction | int) -> RootOfUnity:
     """The standard unitary character of Q_p at xi*x: exp(2*pi*i*{xi*x})."""

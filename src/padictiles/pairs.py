@@ -161,11 +161,6 @@ class UniformDiscreteSet:
             "elements": [_rat(x) for x in self.elements],
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "UniformDiscreteSet":
-        ctx = PrimeContext(int(d["p"]))
-        return cls.make(ctx, int(d["window_exp"]), [Fraction(s) for s in d["elements"]])
-
 
 def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
     """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators

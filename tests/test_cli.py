@@ -506,6 +506,19 @@ def test_classify_sample_and_errors(capsys):
     assert code == 1 and "p=3, M=12" in err and "262144" in err and "Traceback" not in err
 
 
+def test_a_sample_past_the_mask_bit_limit_exits_1_before_drawing(cli_child, tmp_path):
+    # every mask was drawn before the first row: 2,000 masks at (2,18) took max RSS from 33 to 90 MB;
+    # K = 65 is one mask past 2^24 bits at q = 2^18, so a regression costs 2 MiB, and the child's
+    # timeout fails it by name
+    out = tmp_path / "rows.jsonl"
+    for dest in ("-", str(out)):
+        code, stdout, err, seconds = cli_child.run("classify", "--p", "2", "--M", "18", "--sample", "65",
+                                                   "--out", dest)
+        assert code == 1 and stdout == "" and seconds < 1 and "Traceback" not in err
+        assert "K=65, p=2, M=18" in err and "16777216" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["is-tile", "is-spectral"])
 @pytest.mark.parametrize("p", ["2", "3"])
 def test_deciders_refuse_a_huge_depth_at_once(capsys, command, p):
@@ -762,6 +775,75 @@ def _exponent_argv(draw):
 @example(argv=["scan-zeros", "--p", "2", "--elements", "0,3", "--window", "0", "--levels=-20000:0"])
 @example(argv=["normalize", "--p", "3", "--balls", "0,100000000,1"])
 def test_fuzz_exponent_flags_exit_cleanly(cli_child, argv):
+    code, _, err, _ = cli_child.run(*argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+# One element of a rational-list or rational flag: a small rational, a power of p of up to 4,215
+# digits (2^14000) as a numerator or a denominator, 5,000 digits (past Python's 4,300-digit limit
+# on reading an integer), or text that must be refused
+_RATIONAL = st.one_of(
+    st.fractions(-20, 20, max_denominator=30).map(str),
+    st.builds(lambda a, pe, inv: f"{a}/{pe[0] ** pe[1]}" if inv else f"{a * pe[0] ** pe[1]}",
+              st.integers(-3, 3), st.sampled_from([(2, 40), (3, 40), (2, 2048), (3, 1292), (3, 8000),
+                                                   (2, 14000)]), st.booleans()),
+    st.sampled_from(["1/0", "x", "1e400", "-1e400", "nan", "inf", "1.5", "", "1/" + "9" * 5000, "[1, 2]",
+                     '["1/2", 3]', "[[1]]", "[true]", "[1e400]", "[" * 10000]),
+)
+
+
+@st.composite
+def _rational_list_flag(draw):
+    """A comma list or a JSON array of drawn tokens."""
+    tokens = draw(st.lists(_RATIONAL, max_size=4))
+    return "[" + ", ".join(json.dumps(t) for t in tokens) + "]" if draw(st.booleans()) else ",".join(tokens)
+
+
+@st.composite
+def _rational_argv(draw):
+    """A command with drawn --elements, --probes, --xi, --x0, --window-exp or --lift-exp."""
+    command = draw(st.sampled_from(["fourier", "autocorr", "density", "scan-zeros", "verify-tiling",
+                                    "verify-spectral", "spectrum-to-tiling"]))
+    argv = [command, "--p", str(draw(st.sampled_from([2, 3])))]
+    small = st.integers(-3, 4).map(str)
+    if command in ("fourier", "autocorr"):
+        return argv + ["--set", "0,1", f"--M={draw(small)}", f"--xi={draw(_RATIONAL)}"]
+    truncation = [f"--elements={draw(_rational_list_flag())}",
+                  f"--window={draw(st.one_of(small, _EXPONENT.map(str)))}"]
+    if command == "density":
+        argv += truncation + [f"--k-range={draw(small)}:{draw(small)}", f"--x0={draw(_RATIONAL)}"]
+        if draw(st.booleans()):
+            argv += [f"--probes={draw(_rational_list_flag())}", f"--uniformity-n={draw(small)}"]
+        return argv
+    if command == "scan-zeros":
+        return argv + truncation + [f"--levels={draw(small)}:{draw(small)}"]
+    argv += ["--set", draw(st.sampled_from(["0", "0,3", "0,1,4,5"])), f"--M={draw(small)}",
+             f"--window-exp={draw(_EXPONENT)}"]
+    if command == "spectrum-to-tiling":  # without --elements it lifts the constructed spectrum
+        lift = f"--lift-exp={draw(st.one_of(small, _EXPONENT))}"
+        return argv + (truncation if draw(st.booleans()) else []) + [lift]
+    return argv + truncation
+
+
+_HUGE = "1/" + str(2**14000)  # 4,215 digits
+
+
+@settings(max_examples=200, deadline=2000)
+@given(argv=_rational_argv())
+@example(argv=["fourier", "--p", "2", "--set", "0,1", "--M", "2", "--xi", _HUGE])
+@example(argv=["autocorr", "--p", "2", "--set", "0,1", "--M", "2", "--xi", _HUGE])
+@example(argv=["density", "--p", "2", "--elements", "0,3", "--window", "0", "--k-range=-2:0", "--x0", _HUGE])
+@example(argv=["density", "--p", "2", "--elements", "0,3", "--window", "0", "--k-range=-2:0",
+               "--probes", _HUGE, "--uniformity-n=-1"])
+@example(argv=["scan-zeros", "--p", "2", "--elements", _HUGE, "--window", "0", "--levels=-2:0"])
+@example(argv=["verify-spectral", "--p", "3", "--set", "0", "--elements", "0", "--window", "0",
+               "--window-exp=-100000"])
+@example(argv=["verify-tiling", "--p", "3", "--set", "0", "--elements", "0", "--window", "0",
+               "--window-exp=-100000"])
+@example(argv=["spectrum-to-tiling", "--p", "2", "--set", "0,3", "--M", "2", "--lift-exp=-3"])
+@example(argv=["spectrum-to-tiling", "--p", "2", "--set", "0,3", "--M", "2", "--lift-exp", "3000"])
+def test_fuzz_rational_and_window_flags_exit_cleanly(cli_child, argv):
     code, _, err, _ = cli_child.run(*argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err

@@ -287,8 +287,7 @@ def test_fourier_is_constant_on_constancy_cells():
         delta = rng.randint(1, 4) * ctx.pow(-ell + rng.randint(0, 2))
         a = indicator_fourier(om, xi)
         b = indicator_fourier(om, xi + delta)
-        diff = a + (b * ScaledCyclotomic(0, CyclotomicSum.constant(ctx, -1)))
-        assert diff.is_zero()
+        assert a.power == b.power and (a.sum - b.sum).is_zero()
 
 
 def test_frame_branching_set_frozen():
@@ -380,11 +379,9 @@ def test_digit_tree_counts():
 def test_scaled_cyclotomic_rational_detection():
     c2, c3 = PrimeContext(2), PrimeContext(3)
     half = ScaledCyclotomic(-2, CyclotomicSum.constant(c2, 2))
-    assert half.equals_rational(F(1, 2))
     assert half.value_if_rational() == F(1, 2)
-    assert not half.equals_rational(F(1, 4))
     one = ScaledCyclotomic(-1, CyclotomicSum.constant(c3, 3))
-    assert one.equals_rational(1)
+    assert one.value_if_rational() == 1
     irr = ScaledCyclotomic(-2, CyclotomicSum.make(c2, 2, {0: 1, 1: 1}))
     assert irr.value_if_rational() is None
     assert not irr.is_zero()

@@ -128,26 +128,18 @@ def test_residue_inverts_unit_denominators():
 
 
 def test_root_of_unity_canonical_form():
+    # character is the one producer of roots: 0 <= k < p**n, and p divides k only when n = 0
     ctx = PrimeContext(2)
-    r = RootOfUnity.make(ctx, 2, 6)  # 6/4 = 1/2 mod 1
-    assert (r.n, r.k) == (1, 1)
-    assert r.exponent() == F(1, 2)
-    assert RootOfUnity.make(ctx, 3, 8) == RootOfUnity(ctx, 0, 0)
-    assert RootOfUnity.make(ctx, 0, 7).is_one()
-
-
-def test_root_of_unity_group_law():
+    r = character(ctx, F(6, 4), 1)  # 6/4 = 1/2 mod 1
+    assert r == RootOfUnity(ctx, 1, 1)
+    assert character(ctx, F(8, 8), 3) == RootOfUnity(ctx, 0, 0)
+    assert character(ctx, F(-7, 12), 2) == RootOfUnity(ctx, 1, 1)  # -7/6 = 1/2 mod Z_2
     rng = random.Random(7)
     for p in (2, 3, 5):
         ctx = PrimeContext(p)
         for _ in range(200):
-            a = RootOfUnity.make(ctx, rng.randint(0, 3), rng.randint(0, 80))
-            b = RootOfUnity.make(ctx, rng.randint(0, 3), rng.randint(0, 80))
-            prod = a.mul(b)
-            s = a.exponent() + b.exponent()
-            assert prod.exponent() == s - int(s)  # exponents add mod 1
-            conj = a.mul(a.conjugate())
-            assert conj.is_one()
+            r = character(ctx, F(rng.randint(-80, 80), rng.randint(1, 80)), rng.randint(-9, 9))
+            assert 0 <= r.k < p**r.n and (r.k % p != 0 if r.n else r.k == 0)
 
 
 def test_character_frozen_values():
@@ -156,7 +148,8 @@ def test_character_frozen_values():
     assert (r.n, r.k) == (1, 1)  # e^{pi i} = -1
     r = character(ctx, F(1, 4), 3)
     assert (r.n, r.k) == (2, 3)  # e^{2 pi i 3/4} = -i
-    assert character(ctx, F(1, 4), 4).is_one()
+    r = character(ctx, F(1, 4), 4)
+    assert (r.n, r.k) == (0, 0)
 
 
 def test_character_is_multiplicative_in_x():
@@ -168,8 +161,9 @@ def test_character_is_multiplicative_in_x():
             x = F(rng.randint(-40, 40), rng.randint(1, 40))
             y = F(rng.randint(-40, 40), rng.randint(1, 40))
             lhs = character(ctx, xi, x + y)
-            rhs = character(ctx, xi, x).mul(character(ctx, xi, y))
-            assert lhs == rhs
+            a, b = character(ctx, xi, x), character(ctx, xi, y)
+            f = (F(a.k, p**a.n) + F(b.k, p**b.n)) % 1  # exponents add mod 1
+            assert (p**lhs.n, lhs.k) == (f.denominator, f.numerator)
 
 
 def test_character_numeric_agrees_with_cmath():
@@ -180,7 +174,7 @@ def test_character_numeric_agrees_with_cmath():
         x = F(rng.randint(-30, 30), rng.randint(1, 30))
         r = character(ctx, xi, x)
         f = ctx.frac_part(xi * x)
-        assert abs(r.numeric() - cmath.exp(2j * math.pi * float(f))) < 1e-12
+        assert abs(cmath.exp(2j * math.pi * r.k / 3**r.n) - cmath.exp(2j * math.pi * float(f))) < 1e-12
 
 
 def test_ball_canonical_form():
