@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PrimeContext, _check_exp, _check_q
+from .padic import Ball, PrimeContext, _check_exp, _check_q, _int_valuation
 
 __all__ = [
     "EmptySet",
@@ -177,9 +177,6 @@ class ScaledCyclotomic:
     def context(self) -> PrimeContext:
         return self.sum.context
 
-    def is_zero(self) -> bool:
-        return self.sum.is_zero()
-
     def value_if_rational(self) -> Fraction | None:
         r = self.sum.value_if_integer()
         if r is None:
@@ -236,12 +233,8 @@ def local_constancy_parameter(omega: CompactOpenSet) -> int:
     1̂_Ω is then constant on every ball of radius p**ℓ, which is what window
     verifications use to pick representatives.
     """
-    ctx = omega.context
-    out = None
-    for c in omega.digits:
-        e = omega.v + omega.M if c == 0 else omega.v + ctx.valuation(c)
-        out = e if out is None else min(out, e)
-    return out
+    p, v, M = omega.context.p, omega.v, omega.M
+    return min((v + (M if c == 0 else _int_valuation(p, c)) for c in omega.digits), default=None)
 
 
 def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int] | None:

@@ -4,7 +4,14 @@ A sum is stored against a declared order p**n; the zero test never consults
 floating point.  For prime-power order the integer relations among the roots
 are spanned by the "full coset" sums (each coset of the index-p subgroup adds
 to zero), so vanishing is equivalent to the coefficient function being
-constant on every such coset.  That criterion is applied verbatim.
+constant on every such coset.  vanishes() applies that criterion verbatim.
+
+A level fold reads it from sums of squares instead.  For the p lifts a_0..a_{p-1}
+of one class mod p**(n-1), Lagrange's identity p * sum a_t**2 - (sum a_t)**2 =
+sum_{s<t} (a_s - a_t)**2 holds (expand the right side: each a_t**2 occurs p - 1
+times, each 2 a_s a_t once with a minus).  Summed over the classes, p * (sum of
+the squared counts mod p**n) - (sum of the squared counts mod p**(n-1)) is a sum
+of squares, zero iff every class has equal lifts: one integer comparison per order.
 """
 
 from __future__ import annotations
@@ -73,11 +80,16 @@ def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
 
 def _zero_orders(p: int, m: int, residues: Iterable[int]) -> frozenset[int]:
     """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over the residues
-    vanishes: one fold of their counts from p**m down, one zero test per order."""
-    zero = []
-    for j, counts in enumerate(_level_counts(p, m, residues)):
-        if vanishes(p, m - j, counts):
-            zero.append(m - j)
+    vanishes, from one fold of their counts from p**m down.  With S_n the sum of the squared
+    counts mod p**n, order n >= 1 vanishes iff p * S_n = S_(n-1): by Lagrange's identity
+    p * sum a_t**2 - (sum a_t)**2 = sum_{s<t} (a_s - a_t)**2 over the p lifts a_t of each class
+    mod p**(n-1), that holds iff every class has equal lifts, the coset criterion of vanishes().
+    Order 0 vanishes iff there are no residues."""
+    # squares[j] is S_(m - j)
+    squares = [sum([k * k for k in counts.values()]) for counts in _level_counts(p, m, residues)]
+    zero = {m - j for j in range(m) if p * squares[j] == squares[j + 1]}
+    if not squares[m]:
+        zero.add(0)
     return frozenset(zero)
 
 
@@ -85,7 +97,7 @@ class CyclotomicSum:
     """sum_j a_j * w**j with w = exp(2*pi*i / p**n) and integer a_j.
 
     Exponents live in Z/p**n; construction merges duplicates and drops zero
-    coefficients but keeps the declared order (normalize() minimizes it).
+    coefficients but keeps the declared order.
     Because the zero value has many reduced representations, __eq__ is
     semantic: a - b is tested for zero.
     """
@@ -134,17 +146,6 @@ class CyclotomicSum:
             j = r.k * p ** (n - r.n)
             acc[j] = acc.get(j, 0) + 1
         return cls(context, n, {j: a for j, a in acc.items() if a != 0})
-
-    def normalize(self) -> "CyclotomicSum":
-        """Equal sum at the least order: divide exponents by p while possible."""
-        n, coeffs = self.n, self.coeffs
-        if not coeffs:
-            return CyclotomicSum(self.context, 0, {})
-        p = self.context.p
-        while n >= 1 and all(j % p == 0 for j in coeffs):
-            n -= 1
-            coeffs = {j // p: a for j, a in coeffs.items()}
-        return CyclotomicSum(self.context, n, dict(coeffs))
 
     def is_zero(self) -> bool:
         """Exact zero test: the coset criterion of vanishes() at the declared order."""

@@ -108,13 +108,15 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     return len(counts) == q and all(n == 1 for n in counts.values())
 
 
-def _occurring_levels(p: int, M: int, C, lam) -> Iterator[tuple[int, dict[int, int]]]:
+@lru_cache(maxsize=1)
+def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> tuple[tuple[int, dict[int, int]], ...]:
     """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M):
-    j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction."""
+    j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
+    The exact recheck and the numeric guard ask this of one pair in turn; neither changes a count."""
     sizes = [len({x % w for x in lam}) for w in [p**i for i in range(M + 1)]] + [len(lam)]
     occurring = {j for j in range(M + 1) if sizes[j + 1] > sizes[j]}
     levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
-    return ((j, counts) for j, counts in levels if j in occurring)
+    return tuple((j, counts) for j, counts in levels if j in occurring)
 
 
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
@@ -127,7 +129,8 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     """
     if len(set(lam)) != len(lam) or len(lam) != len(C):
         return False
-    return all(vanishes(context.p, M - j, counts) for j, counts in _occurring_levels(context.p, M, C, lam))
+    levels = _occurring_levels(context.p, M, tuple(C), tuple(lam))
+    return all(vanishes(context.p, M - j, counts) for j, counts in levels)
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
@@ -137,7 +140,7 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     at u*p^j for the units u in {1, -1, 1 + p}, with fsum over the counts of C mod p^(M-j).
     """
     worst = 0.0
-    for j, counts in _occurring_levels(p, M, C, lam):
+    for j, counts in _occurring_levels(p, M, tuple(C), tuple(lam)):
         n = p ** (M - j)
         step = 2j * cmath.pi / n
         for u in {v % n for v in (1, -1, 1 + p)}:

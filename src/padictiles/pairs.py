@@ -274,8 +274,7 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     _check_exp(p, depth, f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
     res = e.residues(w, depth)
     zero = _zero_orders(p, depth, res)
-    shells = [w - _int_valuation(p, r) if r else w - depth for r in res]
-    first = -w if 0 in e.numerators else min(shells)
+    first = -w if 0 in e.numerators else w - max(_int_valuation(p, r) if r else depth for r in res)
     out = {}
     for n in levels:
         if n > w:
@@ -284,7 +283,7 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
         inside = k1 <= w and w - n in zero
         if not inside and k1 < w:  # the first truncation from k1 on where the sum is nonzero
             k = next(k for k in range(k1, w + 1) if not vanishes(
-                p, w - n, residue_counts(p, w - n, [r for r, s in zip(res, shells) if s <= k])))
+                p, w - n, residue_counts(p, w - n, [r for r in res if not r % p ** (w - k)])))
             if k > k1:
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
                                                  f"back nonzero at p**{k}")
@@ -358,28 +357,23 @@ def verify_tiling_pair(
     q = p**m2
     base = omega.digits_in_frame(v2, m2)
     step = p ** max(0, -window_exp - v2)
-    targets = range(0, q, step)
-    counts = dict.fromkeys(targets, 0)
+    counts = [0] * (q // step)  # counts[i] is the coverage of the window's cell i * step
+    by_offset: dict[int, list[int]] = {}  # d + shift is a target iff d = -shift mod step
+    for d in base:
+        by_offset.setdefault(d % step, []).append(d)
     cut, top = p ** (w - need), p ** (w + s_res)
     for r in t_set.residues(w, w + s_res):
         if r % cut:
             continue
         shift = r * q // top
-        for d in base:
-            cell = (d + shift) % q
-            if cell in counts:
-                counts[cell] += 1
-    failure = None
-    for cell in targets:
-        if counts[cell] != 1:
-            failure = Failure(
-                xi=cell * ctx.pow(v2), lhs=Fraction(counts[cell]), rhs=Fraction(1)
-            )
-            break
+        for d in by_offset.get(-shift % step, ()):
+            counts[(d + shift) % q // step] += 1
+    i = next((i for i, k in enumerate(counts) if k != 1), None)  # the first failing cell
+    failure = None if i is None else Failure(i * step * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
     return PairReport(
         kind="tiling",
         verified_window=Ball.make(ctx, -window_exp, 0, 0),
-        checked_points=len(targets),
+        checked_points=len(counts),
         failure=failure,
     )
 
@@ -422,9 +416,13 @@ def verify_spectral_pair(
     qm = p**omega.M
     overlaps = Counter((a - b) % qm for a in omega.digits for b in omega.digits)
     failure = None
+    passed: set[frozenset] = set()  # the identity reads only diffs: a multiset seen to pass passes again
     for t in reps:
         s = t * step
         diffs = Counter((s - r) % q for r in by_class.get(s % cut, ()))
+        key = frozenset(diffs.items())
+        if key in passed:
+            continue
         n = max((e - _int_valuation(p, d) for d in diffs if d), default=0)
         qn, lift = p**n, p ** (e - n)
         acc = {0: -target}
@@ -439,6 +437,7 @@ def verify_spectral_pair(
             failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total),
                               rhs=omega.measure() ** 2)
             break
+        passed.add(key)
     return PairReport(
         kind="spectral",
         verified_window=Ball.make(ctx, -window_exp, 0, 0),

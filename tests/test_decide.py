@@ -512,6 +512,21 @@ def test_recheck_per_valuation_equals_all_differences(p, m):
     assert positives and pairs > 100
 
 
+def test_the_memoised_recheck_follows_each_witness_of_one_set():
+    # one C, asked about good, bad, good Λ in turn, then Λ as a list (JSON witnesses are lists)
+    ctx = PrimeContext(2)
+    c = (0, 1, 4, 5)
+    good = spectrum_from_homogeneity(DigitSet.make(ctx, 3, c), frame_branching_set(2, 3, c)).elements
+    bad = (0, 1, 2, 3)
+    assert verify_spectrum_witness(ctx, 3, c, good)
+    assert not verify_spectrum_witness(ctx, 3, c, bad)
+    assert spectrum_orthogonality_defect(2, 3, c, bad) > 1
+    assert verify_spectrum_witness(ctx, 3, c, good)
+    assert spectrum_orthogonality_defect(2, 3, c, good) < 1e-9
+    assert verify_spectrum_witness(ctx, 3, list(c), list(good))
+    assert not verify_spectrum_witness(ctx, 3, list(c), list(bad))
+
+
 def _no_pool(max_workers):
     raise AssertionError("a worker pool was started")
 

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padictiles.copen import (
@@ -720,8 +720,28 @@ def _pairs_case(draw):
     return om, UniformDiscreteSet.make(ctx, w, elems), elems
 
 
+def _example_case(p, v, M, digits, window_exp, elems):
+    ctx = PrimeContext(p)
+    return CompactOpenSet.make(ctx, v, M, digits), UniformDiscreteSet.make(ctx, window_exp, elems), elems
+
+
+# Λ misses 1/32: the representatives ξ = 0 and 1/4 see one difference multiset, which
+# passes once and is then skipped, and ξ = 1/2 fails
+_SHARED_MULTISET = _example_case(2, -1, 2, (0, 1), 5, [F(x) for x in ("0", "1/16", "3/32", "1/4", "9/32",
+                                                                      "5/16", "11/32")])
+# 9/4 = 1/4 + 2 repeats 1/4 modulo p**v Z_p: ξ = 0 passes and ξ = 1/4 fails on the same
+# set of differences, seen once and twice, so a key must hold the multiplicities
+_REPEATED_DIFFERENCE = _example_case(2, -1, 2, (1,), 3, [F(0), F(1, 8), F(1, 4), F(3, 8), F(9, 4)])
+# cells of the tiling check are 2 apart (step 2); moving the translate 3/2 to 5/2 leaves
+# cell 0 bare and covers cell 2 twice
+_STEP_TWO_GAP = _example_case(2, -1, 2, (1,), 3, [F(j, 8) for j in range(16) if j != 12] + [F(5, 2)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_pairs_case(), st.integers(-2, 2), st.sampled_from((0, 1, 2)))
+@example(case=_SHARED_MULTISET, radius=0, window=2)
+@example(case=_REPEATED_DIFFERENCE, radius=0, window=2)
+@example(case=_STEP_TWO_GAP, radius=1, window=0)
 def test_numerator_checks_equal_the_fraction_references(case, radius, window):
     om, e, elems = case
     p = e.context.p
