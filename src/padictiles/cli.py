@@ -87,32 +87,28 @@ def _load_json(text: str, flag: str):
         raise ValueError(f"{flag}: JSON nested too deeply to read")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    text = text.strip()
-    if text.startswith("["):
-        return [_int_field(v, f"{flag}[{i}]") for i, v in enumerate(_load_json(text, flag))]
+def _int_or_text(entry: str):
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as e:
-        raise ValueError(f"{flag}: cannot parse {text!r} as a comma list or JSON array of integers ({e})")
+        return int(entry)
+    except ValueError:
+        return entry.strip()
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
+def _parse_fraction(value, flag: str) -> Fraction:
+    text = str(value)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"{flag}: cannot parse {text!r} as a rational a/b ({e})")
 
 
-def _parse_fraction_list(text: str, flag: str) -> list[Fraction]:
+def _parse_list(text: str, flag: str, item) -> list:
+    """A comma list or a JSON array, element i read by item(value, f"{flag}[i]"): a comma entry
+    as an int when it reads as one and as its text otherwise, so _int_field refuses the text."""
     text = text.strip()
     if text.startswith("["):
-        return [_parse_fraction(str(v), f"{flag}[{i}]") for i, v in enumerate(_load_json(text, flag))]
-    return [
-        _parse_fraction(part, f"{flag}[{i}]")
-        for i, part in enumerate(text.split(","))
-        if part.strip() != ""
-    ]
+        return [item(v, f"{flag}[{i}]") for i, v in enumerate(_load_json(text, flag))]
+    return [item(_int_or_text(part), f"{flag}[{i}]") for i, part in enumerate(text.split(",")) if part.strip()]
 
 
 def _parse_levels(text: str, flag: str) -> list[int]:
@@ -127,7 +123,7 @@ def _parse_levels(text: str, flag: str) -> list[int]:
         if hi - lo + 1 > _MAX_Q:
             raise ScopeTooLarge(f"{flag}: a range is limited to {_MAX_Q} levels: {text!r} has {hi - lo + 1}")
         return list(range(lo, hi + 1))
-    return _parse_int_list(text, flag)
+    return _parse_list(text, flag, _int_field)
 
 
 def _infer_depth(p: int, digits: list[int]) -> int:
@@ -138,45 +134,37 @@ def _infer_depth(p: int, digits: list[int]) -> int:
     return m
 
 
-def _omega_from_args(args) -> CompactOpenSet:
-    if getattr(args, "stdin", False):
-        doc = _load_json(sys.stdin.read(), "--stdin")
-        return CompactOpenSet.from_json_dict(
-            doc, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr)
-        )
-    if args.set is None:
-        raise ValueError("--set is required (or pass a JSON document with --stdin)")
-    ctx = PrimeContext(args.p)
-    digits = _parse_int_list(args.set, "--set")
-    if not digits:
-        raise EmptySet("--set: digit list is empty")
-    m = args.M if args.M is not None else _infer_depth(args.p, digits)
-    return CompactOpenSet.make(ctx, args.v, m, digits)
-
-
-def _digitset_from_args(args) -> DigitSet:
-    ctx = PrimeContext(args.p)
+def _set_from_args(args, make):
+    """make(context, M, digits) from --p, --set ('-' reads stdin) and --M (default: _infer_depth)."""
+    if args.p is None:
+        raise ValueError("--p is required")
     if args.set is None:
         raise ValueError("--set is required")
-    digits = _parse_int_list(sys.stdin.read() if args.set == "-" else args.set, "--set")
+    ctx = PrimeContext(args.p)
+    digits = _parse_list(sys.stdin.read() if args.set == "-" else args.set, "--set", _int_field)
     if not digits:
-        raise ValueError("--set: digit list is empty")
-    m = args.M if args.M is not None else _infer_depth(args.p, digits)
-    return DigitSet.make(ctx, m, digits)
+        raise EmptySet("--set: digit list is empty")
+    return make(ctx, args.M if args.M is not None else _infer_depth(args.p, digits), digits)
+
+
+def _omega_from_args(args) -> CompactOpenSet:
+    if args.stdin:
+        doc = _load_json(sys.stdin.read(), "--stdin")
+        return CompactOpenSet.from_json_dict(doc, warn=lambda msg: print(f"warning: {msg}", file=sys.stderr))
+    return _set_from_args(args, lambda ctx, M, digits: CompactOpenSet.make(ctx, args.v, M, digits))
 
 
 def _declared_frame(args) -> tuple[DigitSet, frozenset[int] | None]:
     """The digit set of --set on its declared frame (v=0, --M) and its branching levels."""
-    ds = _digitset_from_args(args)
+    ds = _set_from_args(args, DigitSet.make)
     _check_exp(ds.context.p, ds.M, "a declared frame", "M")
     return ds, frame_branching_set(ds.context.p, ds.M, ds.C)
 
 
-def _eset_from_args(args, ctx: PrimeContext, flag="--elements") -> UniformDiscreteSet:
+def _eset_from_args(args, ctx: PrimeContext) -> UniformDiscreteSet:
     if args.elements is None or args.window is None:
-        raise ValueError(f"{flag} and --window are both required")
-    elems = _parse_fraction_list(args.elements, flag)
-    return UniformDiscreteSet.make(ctx, args.window, elems)
+        raise ValueError("--elements and --window are both required")
+    return UniformDiscreteSet.make(ctx, args.window, _parse_list(args.elements, "--elements", _parse_fraction))
 
 
 def _add_omega_flags(sp):
@@ -190,11 +178,6 @@ def _add_omega_flags(sp):
                     help="read the set as a JSON document {p, v, M, digits} from stdin")
 
 
-def _require_p(args) -> None:
-    if not getattr(args, "stdin", False) and args.p is None:
-        raise ValueError("--p is required")
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -205,21 +188,19 @@ def cmd_normalize(args) -> int:
         if not isinstance(balls, list) or not all(isinstance(b, dict) for b in balls):
             raise ValueError("--stdin: expected a JSON object {p, balls: [{v, M, c}, ...]}")
         ctx = PrimeContext(_int_field(doc.get("p"), "p"))
-        balls = [
-            Ball.make(ctx, *(_int_field(b.get(k), f"balls[{i}].{k}") for k in ("v", "M", "c")))
-            for i, b in enumerate(balls)
+        triples = [
+            [_int_field(b.get(k), f"balls[{i}].{k}") for k in ("v", "M", "c")] for i, b in enumerate(balls)
         ]
     else:
         if args.p is None or args.balls is None:
             raise ValueError("--p and --balls are required (or use --stdin)")
         ctx = PrimeContext(args.p)
-        balls = []
+        triples = []
         for i, part in enumerate(args.balls.split(";")):
-            trip = _parse_int_list(part, f"--balls[{i}]")
-            if len(trip) != 3:
+            triples.append(_parse_list(part, f"--balls[{i}]", _int_field))
+            if len(triples[-1]) != 3:
                 raise ValueError(f"--balls[{i}]: expected v,M,c — got {part!r}")
-            balls.append(Ball.make(ctx, *trip))
-    omega = normalize_set(ctx, balls)
+    omega = normalize_set(ctx, [Ball.make(ctx, *trip) for trip in triples])
     _emit(
         args,
         omega.to_json_dict(),
@@ -229,7 +210,6 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _require_p(args)
     omega = _omega_from_args(args)
     mu = omega.measure()
     _emit(args, {"measure": _rat(mu)}, _rat(mu))
@@ -237,7 +217,6 @@ def cmd_measure(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    _require_p(args)
     omega = _omega_from_args(args)
     xi = _parse_fraction(args.xi, "--xi")
     val = indicator_fourier(omega, xi)
@@ -258,7 +237,6 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_autocorr(args) -> int:
-    _require_p(args)
     omega = _omega_from_args(args)
     xi = _parse_fraction(args.xi, "--xi")
     val = autocorrelation(omega, xi)
@@ -267,7 +245,6 @@ def cmd_autocorr(args) -> int:
 
 
 def cmd_homogeneity(args) -> int:
-    _require_p(args)
     if args.declared_frame:
         if args.stdin:
             raise ValueError("--declared-frame answers on the frame of --set; it cannot read --stdin")
@@ -291,7 +268,7 @@ def cmd_homogeneity(args) -> int:
 
 
 def _decider_command(args, decider, key: str, no: str, yes: str) -> int:
-    w = decider(_digitset_from_args(args))
+    w = decider(_set_from_args(args, DigitSet.make))
     if w is None:
         _emit(args, {key: False, "witness": None}, no)
         return EXIT_FAILED
@@ -330,10 +307,6 @@ def cmd_make_complement(args) -> int:
     return _constructor_command(args, complement_from_homogeneity, "tiling complement")
 
 
-def _report_exit(report) -> int:
-    return EXIT_OK if report.failure is None else EXIT_FAILED
-
-
 def _report_human(report) -> str:
     if report.failure is None:
         return f"Verified on window B(0, p^{-report.verified_window.v}) ({report.checked_points} cells)"
@@ -344,31 +317,24 @@ def _report_human(report) -> str:
     )
 
 
-def cmd_verify_tiling(args) -> int:
-    _require_p(args)
+def _verify_command(args, verifier) -> int:
     omega = _omega_from_args(args)
-    tset = _eset_from_args(args, omega.context)
-    report = verify_tiling_pair(omega, tset, args.window_exp)
+    report = verifier(omega, _eset_from_args(args, omega.context), args.window_exp)
     _emit(args, report.to_json_dict(), _report_human(report))
-    return _report_exit(report)
+    return EXIT_OK if report.failure is None else EXIT_FAILED
+
+
+def cmd_verify_tiling(args) -> int:
+    return _verify_command(args, verify_tiling_pair)
 
 
 def cmd_verify_spectral(args) -> int:
-    _require_p(args)
-    omega = _omega_from_args(args)
-    lam = _eset_from_args(args, omega.context)
-    report = verify_spectral_pair(omega, lam, args.window_exp)
-    _emit(args, report.to_json_dict(), _report_human(report))
-    return _report_exit(report)
+    return _verify_command(args, verify_spectral_pair)
 
 
 def cmd_spectrum_to_tiling(args) -> int:
-    _require_p(args)
     omega = _omega_from_args(args)
-    if args.elements is not None:
-        lam = _eset_from_args(args, omega.context)
-    else:
-        lam = lifted_spectrum(omega, args.lift_exp)
+    lam = lifted_spectrum(omega, args.lift_exp) if args.elements is None else _eset_from_args(args, omega.context)
     u, report = spectrum_to_tiling_complement(omega, lam, args.window_exp)
     obj = {"U": list(u), "report": report.to_json_dict()}
     d = report.derived
@@ -377,7 +343,7 @@ def cmd_spectrum_to_tiling(args) -> int:
         f"{_report_human(report)}"
     )
     _emit(args, obj, human)
-    return _report_exit(report)
+    return EXIT_OK if report.failure is None else EXIT_FAILED
 
 
 def cmd_scan_zeros(args) -> int:
@@ -416,12 +382,12 @@ def cmd_density(args) -> int:
     ks = _parse_levels(args.k_range, "--k-range")
     rows = density(eset, x0, ks)
     obj: dict = {"densities": [[k, _rat(r)] for k, r in rows]}
-    lines = [f"k = {k}: Card/​p^k = {_rat(r)}" for k, r in rows]
+    lines = [f"k = {k}: Card/p^k = {_rat(r)}" for k, r in rows]
     code = EXIT_OK
     if args.probes is not None:
         if args.uniformity_n is None:
             raise ValueError("--probes needs --uniformity-n")
-        probes = _parse_fraction_list(args.probes, "--probes")
+        probes = _parse_list(args.probes, "--probes", _parse_fraction)
         ok = uniformity_check(eset, args.uniformity_n, probes)
         obj["uniform"] = ok
         lines.append(f"uniformity at n = {args.uniformity_n}: {'holds' if ok else 'FAILS'}")
@@ -619,39 +585,40 @@ def _build_parser() -> _Parser:
         sp.add_argument("--M", type=int, default=None,
                         help="group depth (default: smallest depth holding the largest digit)")
 
-    for name, fn in (("verify-tiling", cmd_verify_tiling), ("verify-spectral", cmd_verify_spectral)):
-        sp = new(name, fn, f"{name.replace('-', ' ')} on an explicit window")
+    for name, fn, help_text in (
+        ("verify-tiling", cmd_verify_tiling, "verify tiling on an explicit window"),
+        ("verify-spectral", cmd_verify_spectral, "verify spectral on an explicit window"),
+        ("spectrum-to-tiling", cmd_spectrum_to_tiling,
+         "derive a tiling complement from a spectrum (sphere classification)"),
+    ):
+        sp = new(name, fn, help_text)
         _add_omega_flags(sp)
-        sp.add_argument("--elements", help="translate/spectrum elements: comma list of rationals")
+        sp.add_argument("--elements", help="translate/spectrum elements: comma list of rationals "
+                                           "(spectrum-to-tiling: omit to lift the constructed spectrum)")
         sp.add_argument("--window", type=int, help="declared truncation exponent of the element list")
         sp.add_argument("--window-exp", type=int, default=3,
                         help="verification window exponent (default 3)")
+        if name == "spectrum-to-tiling":
+            sp.add_argument("--lift-exp", type=int, default=3,
+                            help="representative depth when lifting the constructed spectrum (default 3)")
 
-    sp = new("spectrum-to-tiling", cmd_spectrum_to_tiling,
-             "derive a tiling complement from a spectrum (sphere classification)")
-    _add_omega_flags(sp)
-    sp.add_argument("--elements", help="spectrum truncation; omit to lift the constructed one")
-    sp.add_argument("--window", type=int, help="declared truncation exponent")
-    sp.add_argument("--window-exp", type=int, default=3, help="verification window (default 3)")
-    sp.add_argument("--lift-exp", type=int, default=3,
-                    help="representative depth when lifting the constructed spectrum (default 3)")
-
-    sp = new("scan-zeros", cmd_scan_zeros, "classify spheres against the zero set of μ̂_E")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--elements", required=True, help="comma list of rationals")
-    sp.add_argument("--window", type=int, required=True)
-    sp.add_argument("--levels", help="sphere levels: 'a:b' inclusive range or comma list")
-    sp.add_argument("--bound", action="store_true",
-                    help="also check the zero-set bound (no zero sphere at radius ≥ p^(n_E+2))")
-
-    sp = new("density", cmd_density, "exact density ratios (and optional uniformity check)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--elements", required=True)
-    sp.add_argument("--window", type=int, required=True)
-    sp.add_argument("--x0", default="0", help="ball center (default 0)")
-    sp.add_argument("--k-range", required=True, help="'a:b' inclusive range or comma list")
-    sp.add_argument("--probes", help="probe centers for the uniformity check")
-    sp.add_argument("--uniformity-n", type=int, help="ball exponent for the uniformity check")
+    for name, fn, help_text in (
+        ("scan-zeros", cmd_scan_zeros, "classify spheres against the zero set of μ̂_E"),
+        ("density", cmd_density, "exact density ratios (and optional uniformity check)"),
+    ):
+        sp = new(name, fn, help_text)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--elements", required=True, help="comma list of rationals")
+        sp.add_argument("--window", type=int, required=True, help="declared truncation exponent")
+        if name == "scan-zeros":
+            sp.add_argument("--levels", help="sphere levels: 'a:b' inclusive range or comma list")
+            sp.add_argument("--bound", action="store_true",
+                            help="also check the zero-set bound (no zero sphere at radius ≥ p^(n_E+2))")
+        else:
+            sp.add_argument("--x0", default="0", help="ball center (default 0)")
+            sp.add_argument("--k-range", required=True, help="'a:b' inclusive range or comma list")
+            sp.add_argument("--probes", help="probe centers for the uniformity check")
+            sp.add_argument("--uniformity-n", type=int, help="ball exponent for the uniformity check")
 
     sp = new("classify", cmd_classify, "census over nonempty subsets of Z/p^M")
     sp.add_argument("--p", type=int, required=True)

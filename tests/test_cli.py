@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import padictiles
-from padictiles import cli
+from padictiles import cli, decide
 from padictiles.cli import main
 from padictiles.decide import CensusRow, classify_all
 
@@ -157,6 +157,35 @@ def test_measure_bad_digit_list(capsys):
     code, _, err = run(capsys, "measure", "--p", "2", "--set", "0,x", "--M", "2")
     assert code == 1
     assert "--set" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--p", "2", "--M", "2"],
+    ["fourier", "--p", "2", "--M", "2", "--xi", "1/4"],
+    ["homogeneity", "--p", "2", "--M", "2"],
+    ["homogeneity", "--p", "2", "--M", "2", "--declared-frame"],
+    ["verify-spectral", "--p", "2", "--M", "2", "--elements", "0,1/8,1/2,5/8", "--window", "3", "--window-exp", "2"],
+    ["spectrum-to-tiling", "--p", "2", "--M", "2"],
+])
+def test_set_dash_reads_stdin_on_every_set_command(capsys, monkeypatch, argv):
+    # measure --set - exited 1, as the compact-open-set commands read the dash as a digit list
+    for flags in ([], ["--json"]):
+        want = run(capsys, *argv, "--set", "0,3", *flags)
+        monkeypatch.setattr("sys.stdin", io.StringIO("0,3\n"))
+        assert run(capsys, *argv, "--set", "-", *flags) == want
+        assert want[0] == 0 and want[1] != "" and want[2] == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["measure", "--p", "2", "--set", "0,1,x"], "--set[2]"),
+    (["is-tile", "--p", "2", "--set", "0,,1.5"], "--set[2]"),
+    (["scan-zeros", "--p", "2", "--elements", "0", "--window", "0", "--levels", "0,y"], "--levels[1]"),
+    (["normalize", "--p", "2", "--balls", "0,1,0;0,z,1"], "--balls[1][1]"),
+])
+def test_a_bad_comma_list_entry_is_named(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -385,6 +414,10 @@ def test_density(capsys):
         "--window", "2", "--k-range", "0", "--probes", "0",
     )
     assert code == 1 and "--uniformity-n" in err
+    # each human line carried a zero-width space after "Card/"
+    code, out, _ = run(capsys, "density", "--p", "2", "--elements", "0,1", "--window", "2", "--k-range=-1:0")
+    assert code == 0 and out == "k = -1: Card/p^k = 2/1\nk = 0: Card/p^k = 2/1\n"
+    assert "\u200b" not in out
 
 
 def test_classify_exhaustive(capsys):
@@ -504,6 +537,34 @@ def test_classify_sample_and_errors(capsys):
     assert code == 1 and "p=2, M=19" in err and "262144" in err and "Traceback" not in err
     code, _, err = run(capsys, "is-tile", "--p", "3", "--M", "12", "--set", "0")
     assert code == 1 and "p=3, M=12" in err and "262144" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", [["--exhaustive"], ["--sample", "1"]])
+def test_classify_refuses_a_negative_depth(tmp_path, capsys, mode):
+    # both modes passed their scope checks and ended in a TypeError from 1 << 2**-1
+    out = tmp_path / "rows.jsonl"
+    code, stdout, err = run(capsys, "classify", "--p", "2", "--M=-1", *mode, "--out", str(out))
+    assert code == 1 and stdout == "" and "M=-1" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _positive(ds):
+    return decide.Witness(decide.WitnessKind.TILING_COMPLEMENT, ds.context.p, ds.M, (0,))
+
+
+@pytest.mark.parametrize("patches, message", [
+    ({"is_spectral_zmod": lambda ds: None}, "flags disagree on p=2, M=2, C=(0,)"),
+    ({"homogeneous_census_size": lambda p, M, levels, size=decide.homogeneous_census_size: size(p, M, levels) + 1},
+     "branching-set census mismatch at I=()"),
+    ({"is_tile_zmod": _positive, "is_spectral_zmod": _positive, "frame_branching_set": lambda p, M, C: frozenset()},
+     "positive set with non-p-power size: C=(0, 1, 2)"),
+])
+def test_a_failed_census_cross_check_exits_2(capsys, monkeypatch, patches, message):
+    for name, fn in patches.items():
+        monkeypatch.setattr(decide, name, fn)
+    code, out, err = run(capsys, "classify", "--p", "2", "--M", "2", "--exhaustive")
+    assert code == 2 and out == ""
+    assert message in err and "Traceback" not in err
 
 
 def test_a_sample_past_the_mask_bit_limit_exits_1_before_drawing(cli_child, tmp_path):

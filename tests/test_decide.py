@@ -410,6 +410,13 @@ def test_classify_scope_guard():
         classify_all(2, 2, "nonsense")
 
 
+@pytest.mark.parametrize("mode, sample_size", [("exhaustive", None), ("sample", 1)])
+def test_a_census_refuses_a_negative_depth(mode, sample_size):
+    # 1 << p**M raised a TypeError on the float 2**-1
+    with pytest.raises(ValueError, match="M=-1"):
+        classify_all(2, -1, mode, sample_size)
+
+
 def test_witness_json_shape():
     ctx = PrimeContext(2)
     w = is_tile_zmod(DigitSet.make(ctx, 2, (0, 3)))
