@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PrimeContext, _check_exp, _check_q, _int_valuation
+from .padic import Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation, _reduce_frame
 
 __all__ = [
     "EmptySet",
@@ -49,13 +49,7 @@ class CompactOpenSet:
     def make(
         cls, context: PrimeContext, v: int, M: int, digits: Iterable[int]
     ) -> "CompactOpenSet":
-        """Validate and reduce to the canonical frame.
-
-        Two reductions run to a fixpoint: merge a level when every digit
-        class mod p**(M-1) is present with all p children or none, and shift
-        the scale when every digit is divisible by p.  p**|v| and p**|v+M|
-        are bounded first (ScopeTooLarge).
-        """
+        """Validate, bound p**|v| and p**|v+M| (ScopeTooLarge), and reduce (padic._reduce_frame)."""
         if M < 0:
             raise ValueError("frame depth M must be >= 0")
         p = context.p
@@ -70,22 +64,7 @@ class CompactOpenSet:
             ds.add(d)
         if not ds:
             raise EmptySet("a compact open set needs at least one digit")
-        while M >= 1:
-            q = p ** (M - 1)
-            groups: dict[int, int] = {}
-            for d in ds:
-                groups[d % q] = groups.get(d % q, 0) + 1
-            if all(n == p for n in groups.values()):
-                ds = set(groups)
-                M -= 1
-                continue
-            if all(d % p == 0 for d in ds):
-                ds = {d // p for d in ds}
-                v += 1
-                M -= 1
-                continue
-            break
-        return cls(context, v, M, tuple(sorted(ds)))
+        return cls(context, *_reduce_frame(p, v, M, ds))
 
     def measure(self) -> Fraction:
         return len(self.digits) * self.context.pow(-(self.v + self.M))
@@ -98,16 +77,12 @@ class CompactOpenSet:
         return ctx.residue(r, self.M) in self.digits
 
     def digits_in_frame(self, v2: int, M2: int) -> tuple[int, ...]:
-        """The same set written with frame (v2, M2); must be a refinement."""
+        """The same set in the finer frame (v2, M2); ScopeTooLarge past _MAX_Q digits per digit."""
         if v2 > self.v or v2 + M2 < self.v + self.M:
             raise ValueError("target frame does not refine the canonical frame")
-        p = self.context.p
-        f = p ** (self.v - v2)
-        tail = p ** ((v2 + M2) - (self.v + self.M))
-        step = f * p**self.M
-        return tuple(
-            sorted(c * f + t * step for c in self.digits for t in range(tail))
-        )
+        f = self.context.p ** (self.v - v2)
+        tail = _digit_lattice(self.context.p, range(self.v - v2 + self.M, M2))
+        return tuple(sorted(c * f + t for c in self.digits for t in tail))
 
     def balls(self) -> list[Ball]:
         """The digit cells as canonical balls (pairwise disjoint, union = set)."""

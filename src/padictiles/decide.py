@@ -23,12 +23,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple
 
 from .copen import frame_branching_set
 from .cyclotomic import _level_counts, _zero_orders, vanishes
-from .padic import PrimeContext, ScopeTooLarge, _check_q
+from .padic import PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice
 
 __all__ = [
     "DigitSet",
@@ -101,8 +101,18 @@ class Witness:
         }
 
 
+def _require_ints(stop: int | None = None, **lists) -> None:
+    """ValueError naming the first element of a list that is not an int (in range(stop), if given)."""
+    for name, xs in lists.items():
+        for x in xs:
+            if not (isinstance(x, int) and (stop is None or 0 <= x < stop)):
+                within = "" if stop is None else f" in range(M) = range({stop})"
+                raise ValueError(f"element {x!r} of {name} is not an int{within}")
+
+
 def verify_tiling_witness(p: int, M: int, C, T) -> bool:
-    """Direct coverage count: every element of Z/p^M hit exactly once by C + T."""
+    """Direct coverage count: every element of Z/p^M hit exactly once by C + T (ints, else ValueError)."""
+    _require_ints(C=C, T=T)
     q = p**M
     counts = Counter((c + t) % q for c in C for t in T)
     return len(counts) == q and all(n == 1 for n in counts.values())
@@ -125,8 +135,11 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     For d = u*p^j with u a unit, the sum over C of exp(2 pi i d c / p^M) is the
     image of level j of C (roots of order p^(M-j) at exponents c) under the Galois
     automorphism zeta -> zeta^u, which fixes 0.  So the level sum of each valuation
-    among the differences decides them all, in O(M*(|C| + |lam|)).
+    among the differences decides them all, in O(M*(|C| + |lam|)).  p**M is
+    bounded as an exponent (ScopeTooLarge), and C and lam must hold ints (ValueError).
     """
+    _check_exp(context.p, M, "a spectrum check", "M")
+    _require_ints(C=C, lam=lam)
     if len(set(lam)) != len(lam) or len(lam) != len(C):
         return False
     levels = _occurring_levels(context.p, M, tuple(C), tuple(lam))
@@ -229,25 +242,15 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     return spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
 
 
-def _digit_lattice(p: int, exponents: list[int]) -> list[int]:
-    """All sums of a_j * p^j over distinct exponents j with digits a_j in [0, p), sorted;
-    ScopeTooLarge past _MAX_Q sums, before any is built."""
-    _check_q(p, len(exponents), "a digit lattice", name="levels")
-    out = [0]
-    for j in exponents:
-        w = p**j
-        out = [x + a * w for x in out for a in range(p)]
-    return sorted(out)
-
-
 def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Spectrum for a homogeneous digit set from its branching levels.
 
     Candidate: all sums of a_i * p^(M-1-i) over branching levels i with
     digits a_i in [0, p).  Verified exactly before return; a failure raises
-    rather than patching.
+    rather than patching; a level not an int in range(M) is a ValueError.
     """
     ctx, M, p = C.context, C.M, C.context.p
+    _require_ints(stop=M, levels=levels)
     lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
     if len(lam) != len(C.C) or not verify_spectrum_witness(ctx, M, C.C, lam):
         raise ConstructionFailed(
@@ -259,8 +262,9 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 
 def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
-    """Tiling complement for a homogeneous digit set: digits on non-branching levels."""
+    """Tiling complement: digits on the levels of range(M) outside `levels` (ints, else ValueError)."""
     M, p = C.M, C.context.p
+    _require_ints(stop=M, levels=levels)
     t = tuple(_digit_lattice(p, [j for j in range(M) if j not in set(levels)]))
     if not verify_tiling_witness(p, M, C.C, t):
         raise ConstructionFailed(
@@ -339,10 +343,6 @@ def _row_from_mask(context: PrimeContext, M: int, mask: int) -> CensusRow:
     )
 
 
-def _rows_for_masks(context: PrimeContext, M: int, masks) -> list[CensusRow]:
-    return [_row_from_mask(context, M, m) for m in masks]
-
-
 def _all_branching_sets(M: int):
     return sorted(tuple(i for i in range(M) if s >> i & 1) for s in range(1 << M))
 
@@ -388,11 +388,9 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
 def _rows(context: PrimeContext, M: int, masks, jobs: int) -> Iterator[CensusRow]:
     if jobs > 1 and len(masks) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here only: it loads multiprocessing
-        chunk = max(1, len(masks) // (jobs * 8))
-        parts = [masks[i : i + chunk] for i in range(0, len(masks), chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_rows_for_masks, [context] * len(parts), [M] * len(parts), parts):
-                yield from part
+            yield from pool.map(partial(_row_from_mask, context, M), masks,
+                                chunksize=max(1, len(masks) // (jobs * 8)))
     else:
         for m in masks:
             yield _row_from_mask(context, M, m)

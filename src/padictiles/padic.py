@@ -59,6 +59,31 @@ def _check_exp(p: int, e: int, what: str, name: str) -> None:
                             f"p={p}, {name}={e}")
 
 
+def _reduce_frame(p: int, v: int, M: int, ds: set[int]) -> tuple[int, int, tuple[int, ...]]:
+    """The canonical (v, M, sorted digits) of p**v * (ds + p**M Z_p), ds in [0, p**M): merge the
+    bottom level while every class mod p**(M-1) holds all p children, then shift the scale while p
+    divides every digit.  A shift keeps the classes of the bottom level, so no merge can follow it."""
+    while M > 0:
+        q = p ** (M - 1)
+        if len(ds) != p * len(classes := {d % q for d in ds}):
+            break
+        ds, M = classes, M - 1
+    while M > 0 and all(d % p == 0 for d in ds):
+        ds, v, M = {d // p for d in ds}, v + 1, M - 1
+    return v, M, tuple(sorted(ds))
+
+
+def _digit_lattice(p: int, exponents) -> list[int]:
+    """All sums of a_j * p^j over distinct exponents j with digits a_j in [0, p), sorted;
+    ScopeTooLarge past _MAX_Q sums, before any is built."""
+    _check_q(p, len(exponents), "a digit lattice", name="levels")
+    out = [0]
+    for j in exponents:
+        w = p**j
+        out = [x + a * w for x in out for a in range(p)]
+    return sorted(out)
+
+
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
@@ -201,16 +226,8 @@ class Ball:
     def make(cls, context: PrimeContext, v: int, M: int, c: int) -> "Ball":
         if M < 0:
             raise ValueError("ball depth M must be >= 0")
-        p = context.p
-        _check_exp(p, M, "a ball", "M")
-        c %= p**M
-        while c != 0 and c % p == 0:
-            c //= p
-            v += 1
-            M -= 1
-        if c == 0:
-            v += M
-            M = 0
+        _check_exp(context.p, M, "a ball", "M")
+        v, M, (c,) = _reduce_frame(context.p, v, M, {c % context.p**M})
         return cls(context, v, M, c)
 
     @classmethod

@@ -28,11 +28,10 @@ from .cyclotomic import CyclotomicSum, _zero_orders, residue_counts, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
-    _digit_lattice,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _check_exp, _check_q, _int_valuation
+from .padic import Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -178,12 +177,11 @@ def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
 
     This is the depth-k truncation of the standard complete representative
     set of Q_p/Z_p (every coset with a representative of absolute value
-    <= p**k appears exactly once; 0 represents Z_p itself).
+    <= p**k appears exactly once; 0 represents Z_p itself).  ScopeTooLarge past p**k = _MAX_Q.
     """
     if k < 0:
         raise ValueError("truncation depth must be >= 0")
-    q = context.p**k
-    return tuple(Fraction(j, q) for j in range(q))
+    return _lattice_truncation(context, [0], k, k).elements
 
 
 @dataclass(frozen=True, slots=True)

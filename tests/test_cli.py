@@ -272,6 +272,13 @@ def test_homogeneity(capsys):
     assert code == 0 and obj["I"] == [1]
 
 
+def test_homogeneity_takes_a_canonical_frame_past_the_exponent_limit(capsys):
+    # v = -2047 and v + M = 2047 are within the 2048-bit limit and M = 4094 is not: the branching
+    # set of a canonical frame may not bound M as an exponent
+    code, obj, err = run_json(capsys, "homogeneity", "--p", "2", "--v=-2047", "--M", "4094", "--set", "1")
+    assert code == 0 and err == "" and obj["is_homogeneous"] and obj["I"] == []
+
+
 def test_declared_frame_refuses_stdin(capsys, monkeypatch):
     # it read --set with p = None and ended in a TypeError from PrimeContext(None)
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"p": 2, "v": 0, "M": 2, "digits": [0, 3]})))
@@ -446,6 +453,16 @@ def test_classify_out_file_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 7
+
+
+def test_classify_with_two_jobs_writes_the_frozen_census(tmp_path, capsys, monkeypatch):
+    # the worker pool maps rows in chunks; two workers are allowed on a one-CPU host too
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    out = tmp_path / "c.jsonl"
+    assert main(["classify", "--p", "2", "--M", "4", "--exhaustive", "--jobs", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "15204d667b57faf469b84dea8e3dde09c2f1acb74c94417e7e4e8d176fa63fca"
 
 
 @pytest.mark.parametrize("argv,kwargs", [

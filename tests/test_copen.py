@@ -23,7 +23,7 @@ from padictiles.copen import (
     normalize_set,
 )
 from padictiles.cyclotomic import CyclotomicSum
-from padictiles.padic import Ball, PrimeContext
+from padictiles.padic import Ball, PrimeContext, ScopeTooLarge, _reduce_frame
 
 
 def _random_set(rng, p, max_m=3):
@@ -77,6 +77,83 @@ def test_digits_in_frame_refinement():
     for f in fine:
         assert om.member(f * ctx.pow(-1))
     assert om.digits_in_frame(0, 2) == (0, 3)
+
+
+def _reference_canonical_frame(p, v, M, digits):
+    """The fixpoint loop CompactOpenSet.make ran before the frame reducer: merge a level when
+    every class mod p**(M-1) has all p children, else shift when p divides every digit."""
+    ds = set(digits)
+    while M >= 1:
+        q = p ** (M - 1)
+        groups = {}
+        for d in ds:
+            groups[d % q] = groups.get(d % q, 0) + 1
+        if all(n == p for n in groups.values()):
+            ds = set(groups)
+            M -= 1
+            continue
+        if all(d % p == 0 for d in ds):
+            ds = {d // p for d in ds}
+            v += 1
+            M -= 1
+            continue
+        break
+    return v, M, tuple(sorted(ds))
+
+
+def _reference_ball(p, v, M, c):
+    """The loop Ball.make ran before the frame reducer."""
+    c %= p**M
+    while c != 0 and c % p == 0:
+        c //= p
+        v += 1
+        M -= 1
+    if c == 0:
+        v += M
+        M = 0
+    return v, M, c
+
+
+@st.composite
+def _frames(draw):
+    """(p, v, M, digits): a random set of the top M - s - k levels, each digit grown into the full
+    subtree of the next k levels, then scaled by p**s, and now and then one more random digit."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    M = draw(st.integers(0, 4 if p < 5 else 3))
+    s = draw(st.integers(0, M))
+    k = draw(st.integers(0, M - s))
+    top = draw(st.lists(st.integers(0, p ** (M - s - k) - 1), min_size=1, max_size=12, unique=True))
+    digits = {(b + t * p ** (M - s - k)) * p**s for b in top for t in range(p**k)}
+    if draw(st.booleans()):
+        digits.add(draw(st.integers(0, p**M - 1)))
+    return p, draw(st.integers(-3, 3)), M, sorted(digits)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_frames(), st.data())
+def test_reduce_frame_equals_the_fixpoint_loop(frame, data):
+    p, v, M, digits = frame
+    ctx = PrimeContext(p)
+    want = _reference_canonical_frame(p, v, M, digits)
+    assert _reduce_frame(p, v, M, set(digits)) == want
+    om = CompactOpenSet.make(ctx, v, M, digits)
+    assert (om.v, om.M, om.digits) == want
+    c = data.draw(st.sampled_from(digits))
+    b = Ball.make(ctx, v, M, c)
+    assert (b.v, b.M, b.c) == _reference_ball(p, v, M, c)
+    # the comprehension digits_in_frame ran before it read the digit lattice
+    v2 = om.v - data.draw(st.integers(0, 2))
+    M2 = om.v + om.M - v2 + data.draw(st.integers(0, 2))
+    f, step = p ** (om.v - v2), p ** (om.v - v2 + om.M)
+    tail = p ** (v2 + M2 - om.v - om.M)
+    assert om.digits_in_frame(v2, M2) == tuple(sorted(c * f + t * step for c in om.digits for t in range(tail)))
+
+
+def test_digits_in_frame_is_bounded_by_the_lattice_limit():
+    om = CompactOpenSet.make(PrimeContext(2), 0, 1, [1])
+    assert len(om.digits_in_frame(0, 19)) == 2**18
+    with pytest.raises(ScopeTooLarge, match="p=2, levels=19, q = 2\\^19 > 262144"):
+        om.digits_in_frame(0, 20)
 
 
 def test_balls_partition_the_set():
