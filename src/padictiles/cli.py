@@ -652,7 +652,7 @@ def main(argv=None) -> int:
     except (ConstructionFailed, EquivalenceViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILED
-    except (ScopeTooLarge, EmptySet, ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

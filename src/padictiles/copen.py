@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation, _reduce_frame
+from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_q,
+                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame)
 
 __all__ = [
     "EmptySet",
@@ -32,10 +33,6 @@ __all__ = [
 ]
 
 
-class EmptySet(ValueError):
-    """Raised when an operation needs a nonempty union of balls."""
-
-
 @dataclass(frozen=True, slots=True)
 class CompactOpenSet:
     """p**v * (c + p**M Z_p) over the digit set, in canonical frame form."""
@@ -46,25 +43,12 @@ class CompactOpenSet:
     digits: tuple[int, ...]
 
     @classmethod
-    def make(
-        cls, context: PrimeContext, v: int, M: int, digits: Iterable[int]
-    ) -> "CompactOpenSet":
-        """Validate, bound p**|v| and p**|v+M| (ScopeTooLarge), and reduce (padic._reduce_frame)."""
-        if M < 0:
-            raise ValueError("frame depth M must be >= 0")
+    def make(cls, context: PrimeContext, v: int, M: int, digits: Iterable[int]) -> "CompactOpenSet":
+        """Bound p**|v| and p**|v+M| (ScopeTooLarge), then read (padic._frame_digits) and reduce."""
         p = context.p
         _check_exp(p, v, "a compact open set", "v")
         _check_exp(p, v + M, "a compact open set", "v + M")
-        q = p**M
-        ds = set()
-        for d in digits:
-            d = int(d)
-            if not 0 <= d < q:
-                raise ValueError(f"digit {d} outside [0, p**M)")
-            ds.add(d)
-        if not ds:
-            raise EmptySet("a compact open set needs at least one digit")
-        return cls(context, *_reduce_frame(p, v, M, ds))
+        return cls(context, *_reduce_frame(p, v, M, _frame_digits(p, M, digits)))
 
     def measure(self) -> Fraction:
         return len(self.digits) * self.context.pow(-(self.v + self.M))
@@ -77,11 +61,12 @@ class CompactOpenSet:
         return ctx.residue(r, self.M) in self.digits
 
     def digits_in_frame(self, v2: int, M2: int) -> tuple[int, ...]:
-        """The same set in the finer frame (v2, M2); ScopeTooLarge past _MAX_Q digits per digit."""
+        """The same set in the finer frame (v2, M2); ScopeTooLarge past _MAX_Q digits per digit, or p^|v2|."""
         if v2 > self.v or v2 + M2 < self.v + self.M:
             raise ValueError("target frame does not refine the canonical frame")
-        f = self.context.p ** (self.v - v2)
         tail = _digit_lattice(self.context.p, range(self.v - v2 + self.M, M2))
+        _check_exp(self.context.p, v2, "a refined frame", "v2")
+        f = self.context.p ** (self.v - v2)
         return tuple(sorted(c * f + t for c in self.digits for t in tail))
 
     def balls(self) -> list[Ball]:
@@ -123,8 +108,9 @@ def _int_field(value, field: str) -> int:
 
 
 def normalize_set(context: PrimeContext, balls: Iterable[Ball]) -> CompactOpenSet:
-    """Union of balls -> canonical compact open set; ScopeTooLarge when a ball would
-    expand to more than _MAX_Q digits of the common frame, before any digit is built."""
+    """Union of balls -> canonical compact open set; ScopeTooLarge when one ball, or all, would expand to more
+    than _MAX_Q digits of the common frame, before the digits that pass it are built.  Balls expand from
+    the largest down; two are nested or disjoint, so a ball whose smallest digit is built is skipped."""
     balls = list(balls)
     if not balls:
         raise EmptySet("empty union of balls")
@@ -136,7 +122,12 @@ def normalize_set(context: PrimeContext, balls: Iterable[Ball]) -> CompactOpenSe
     _check_q(context.p, v + M - min(b.v + b.M for b in balls), "normalizing a union of balls",
              name="levels below a ball")
     ds: set[int] = set()
-    for b in balls:  # a ball is the one-digit frame (b.v, b.M, {b.c})
+    for b in sorted(balls, key=lambda b: b.v + b.M):  # a ball is the one-digit frame (b.v, b.M, {b.c})
+        if b.c * context.p ** (b.v - v) in ds:
+            continue
+        if len(ds) + (n := context.p ** (v + M - b.v - b.M)) > _MAX_Q:
+            raise ScopeTooLarge(f"normalizing a union of balls is limited to {_MAX_Q} digits in all: "
+                                f"p={context.p}, {len(ds)} digits and then a ball of {n}")
         ds.update(CompactOpenSet(context, b.v, b.M, (b.c,)).digits_in_frame(v, M))
     return CompactOpenSet.make(context, v, M, ds)
 
@@ -220,9 +211,12 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
     one.  Anything else disqualifies the set.  Each residue has 1 to p
     children, so comparing the counts of residues mod p**i and p**(i+1) decides.
     They are folded from the leaves (residues mod p**M) up; a homogeneous tree has
-    p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.
+    p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.  ScopeTooLarge for
+    M < 0 or p**M past _MAX_TREE_BITS (tested on M first), which a canonical frame's p**M never passes.
     """
-    q = p**M
+    if not 0 <= M < _MAX_TREE_BITS or (q := p**M) >> _MAX_TREE_BITS:
+        raise ScopeTooLarge(f"a digit-tree test takes M >= 0 and p^M of at most {_MAX_TREE_BITS} bits: "
+                            f"p={p}, M={M}")
     nodes = {d % q for d in digits}
     if not nodes or q % len(nodes):
         return None

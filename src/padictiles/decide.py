@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .copen import frame_branching_set
 from .cyclotomic import _level_counts, _zero_orders, vanishes
-from .padic import PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice
+from .padic import PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice, _frame_digits, _require_ints
 
 __all__ = [
     "DigitSet",
@@ -74,15 +74,8 @@ class DigitSet:
 
     @classmethod
     def make(cls, context: PrimeContext, M: int, elements) -> "DigitSet":
-        if M < 0:
-            raise ValueError("M must be >= 0")
-        elems = sorted({int(c) for c in elements})
-        if not elems:
-            raise ValueError("digit set must be nonempty")
-        # p**M is formed only when the largest element has more than M bits, so a huge M costs nothing
-        if elems[0] < 0 or elems[-1].bit_length() > M and elems[-1] >= context.p**M:
-            raise ValueError(f"elements outside [0, p**M) = [0, {context.p**M})")
-        return cls(context, M, tuple(elems))
+        """The sorted distinct elements, read by padic._frame_digits (ints in [0, p**M), at least one)."""
+        return cls(context, M, _frame_digits(context.p, M, elements))
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,17 +94,10 @@ class Witness:
         }
 
 
-def _require_ints(stop: int | None = None, **lists) -> None:
-    """ValueError naming the first element of a list that is not an int (in range(stop), if given)."""
-    for name, xs in lists.items():
-        for x in xs:
-            if not (isinstance(x, int) and (stop is None or 0 <= x < stop)):
-                within = "" if stop is None else f" in range(M) = range({stop})"
-                raise ValueError(f"element {x!r} of {name} is not an int{within}")
-
-
 def verify_tiling_witness(p: int, M: int, C, T) -> bool:
-    """Direct coverage count: every element of Z/p^M hit exactly once by C + T (ints, else ValueError)."""
+    """Direct coverage count: every element of Z/p^M hit exactly once by C + T (ints, else ValueError);
+    p**M is bounded as an exponent (ScopeTooLarge)."""
+    _check_exp(p, M, "a tiling check", "M")
     _require_ints(C=C, T=T)
     q = p**M
     counts = Counter((c + t) % q for c in C for t in T)
@@ -123,7 +109,7 @@ def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> tuple[tuple[int, 
     """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M):
     j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
     The exact recheck and the numeric guard ask this of one pair in turn; neither changes a count."""
-    sizes = [len({x % w for x in lam}) for w in [p**i for i in range(M + 1)]] + [len(lam)]
+    sizes = [len(counts) for counts in _level_counts(p, M, lam)][::-1] + [len(lam)]
     occurring = {j for j in range(M + 1) if sizes[j + 1] > sizes[j]}
     levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
     return tuple((j, counts) for j, counts in levels if j in occurring)
@@ -152,6 +138,7 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
     at u*p^j for the units u in {1, -1, 1 + p}, with fsum over the counts of C mod p^(M-j).
     """
+    _check_exp(p, M, "a spectrum check", "M")
     worst = 0.0
     for j, counts in _occurring_levels(p, M, tuple(C), tuple(lam)):
         n = p ** (M - j)
@@ -252,7 +239,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     ctx, M, p = C.context, C.M, C.context.p
     _require_ints(stop=M, levels=levels)
     lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
-    if len(lam) != len(C.C) or not verify_spectrum_witness(ctx, M, C.C, lam):
+    if not verify_spectrum_witness(ctx, M, C.C, lam):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )
@@ -265,6 +252,7 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Tiling complement: digits on the levels of range(M) outside `levels` (ints, else ValueError)."""
     M, p = C.M, C.context.p
     _require_ints(stop=M, levels=levels)
+    _check_q(p, M - len(set(levels)), "a digit lattice", name="levels")
     t = tuple(_digit_lattice(p, [j for j in range(M) if j not in set(levels)]))
     if not verify_tiling_witness(p, M, C.C, t):
         raise ConstructionFailed(
@@ -275,6 +263,7 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 def homogeneous_census_size(p: int, M: int, levels) -> int:
     """Closed form: number of homogeneous sets with branching set exactly `levels`."""
+    _check_q(p, M, "a census size")
     I = set(levels)
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 

@@ -32,6 +32,10 @@ class ScopeTooLarge(ValueError):
     """A set, window or sample requested beyond the supported scope."""
 
 
+class EmptySet(ValueError):
+    """Raised when an operation needs a nonempty union of balls."""
+
+
 # Largest q = p^M of any group, frame, lattice or window the library builds: spectral on all
 # of Z/2^18, the slowest decision there, takes 2.7-3.5 s (2-core Xeon, Python 3.11.7; 2^19: 5.6 s).
 _MAX_Q = 2**18
@@ -49,6 +53,7 @@ def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None
 # ball or a declared frame, a window, a scan depth): at the limit the slowest command found takes
 # 0.4 s (README, Limits), and every rational printed stays under Python's 4,300-digit limit.
 _MAX_EXP_BITS = 2048
+_MAX_TREE_BITS = 2 * _MAX_EXP_BITS  # of p^M in a frame: |v| and |v + M| each within _MAX_EXP_BITS
 
 
 def _check_exp(p: int, e: int, what: str, name: str) -> None:
@@ -59,7 +64,27 @@ def _check_exp(p: int, e: int, what: str, name: str) -> None:
                             f"p={p}, {name}={e}")
 
 
-def _reduce_frame(p: int, v: int, M: int, ds: set[int]) -> tuple[int, int, tuple[int, ...]]:
+def _require_ints(stop: int | None = None, **lists) -> None:
+    """ValueError naming the first element of a list that is not an int (in range(stop), if given)."""
+    for name, xs in lists.items():
+        for x in xs:
+            if not (isinstance(x, int) and (stop is None or 0 <= x < stop)):
+                within = "" if stop is None else f" in range(M) = range({stop})"
+                raise ValueError(f"element {x!r} of {name} is not an int{within}")
+
+
+def _frame_digits(p: int, M: int, digits) -> tuple[int, ...]:
+    """The sorted distinct digits of a frame of depth M >= 0: ints in [0, p**M), with p**M formed only
+    when the largest has more than M bits (ValueError naming p and M), and at least one (EmptySet)."""
+    _require_ints(digits=(ds := list(digits)))
+    if not (ds := sorted(set(ds))):
+        raise EmptySet("a frame needs at least one digit")
+    if M < 0 or ds[0] < 0 or ds[-1].bit_length() > M and ds[-1] >= p**M:
+        raise ValueError(f"elements outside [0, p**M), or M < 0: p={p}, M={M}")
+    return tuple(ds)
+
+
+def _reduce_frame(p: int, v: int, M: int, ds) -> tuple[int, int, tuple[int, ...]]:
     """The canonical (v, M, sorted digits) of p**v * (ds + p**M Z_p), ds in [0, p**M): merge the
     bottom level while every class mod p**(M-1) holds all p children, then shift the scale while p
     divides every digit.  A shift keeps the classes of the bottom level, so no merge can follow it."""
@@ -116,12 +141,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _int_valuation(p: int, n: int) -> int:
-    """Exponent of p in a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    """Exponent of p in a nonzero integer: twice that of p**2, plus 1 if p divides the rest (log2 v steps)."""
+    if n % p:
+        return 0
+    v = 2 * _int_valuation(p * p, n)
+    return v + (n // p**v % p == 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,8 +248,8 @@ class Ball:
 
     @classmethod
     def make(cls, context: PrimeContext, v: int, M: int, c: int) -> "Ball":
-        if M < 0:
-            raise ValueError("ball depth M must be >= 0")
+        if M < 0 or not isinstance(c, int):
+            raise ValueError(f"a ball takes M >= 0 and an int c: M={M}, c={c!r}")
         _check_exp(context.p, M, "a ball", "M")
         v, M, (c,) = _reduce_frame(context.p, v, M, {c % context.p**M})
         return cls(context, v, M, c)
@@ -239,6 +263,7 @@ class Ball:
             return cls.make(context, vm, 0, 0)
         # x = p**xv * unit; digits of the unit below the radius cutoff survive
         M = vm - xv
+        _check_exp(context.p, M, "a ball", "M")
         return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
 
     def center(self) -> Fraction:

@@ -179,8 +179,6 @@ def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
     set of Q_p/Z_p (every coset with a representative of absolute value
     <= p**k appears exactly once; 0 represents Z_p itself).  ScopeTooLarge past p**k = _MAX_Q.
     """
-    if k < 0:
-        raise ValueError("truncation depth must be >= 0")
     return _lattice_truncation(context, [0], k, k).elements
 
 
@@ -217,14 +215,8 @@ class PairReport:
 
     def to_json_dict(self) -> dict:
         win = self.verified_window
-        derived = {}
-        for key, val in sorted(self.derived.items()):
-            if isinstance(val, Fraction):
-                derived[key] = _rat(val)
-            elif isinstance(val, (list, tuple)):
-                derived[key] = list(val)
-            else:
-                derived[key] = val
+        derived = {key: _rat(val) if isinstance(val, Fraction) else val
+                   for key, val in sorted(self.derived.items())}
         return {
             "kind": self.kind,
             "verified_window": {"v": win.v, "M": win.M, "c": win.c},
@@ -241,13 +233,13 @@ def n_f_of(omega: CompactOpenSet) -> int:
     It is positive at ξ iff ξ is in Ω - Ω = p**v * ((D - D) + p**M Z_p), so
     levels n < v fail, n >= v+M pass, and in between n passes iff every
     multiple of p**(n-v) mod p**M is a digit difference.  The scan starts
-    below any possible answer (min of -(v+M)-1 and ℓ) and walks up.
+    at v and walks up.
     """
     p, v, vm = omega.context.p, omega.v, omega.v + omega.M
     q = p**omega.M
     diffs = {(a - b) % q for a in omega.digits for b in omega.digits}
-    n = min(-vm - 1, local_constancy_parameter(omega))
-    while n < v or (n < vm and not all(t in diffs for t in range(0, q, p ** (n - v)))):
+    n = v
+    while n < vm and not all(t in diffs for t in range(0, q, p ** (n - v))):
         n += 1
     return n
 
@@ -432,7 +424,7 @@ def verify_spectral_pair(
         if not vanishes(p, n, acc):
             acc[0] += target
             total = CyclotomicSum(ctx, n, {j: a for j, a in acc.items() if a})
-            failure = Failure(xi=t * ctx.pow(-window_exp), lhs=ScaledCyclotomic(-2 * vm, total),
+            failure = Failure(xi=s * ctx.pow(-w), lhs=ScaledCyclotomic(-2 * vm, total),
                               rhs=omega.measure() ** 2)
             break
         passed.add(key)

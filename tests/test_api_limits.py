@@ -1,55 +1,35 @@
 """Size and type limits of the library's public calls, checked without the CLI.
 
-A call that once ran until it was killed is run in a fresh child process that
-is killed after 10 s: neither a Hypothesis deadline nor signal.alarm
-interrupts one long big-int operation in-process.
+A call that once ran until it was killed is run in the long-lived child process
+of the api_child fixture (conftest.py), which is killed after 10 s.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import padictiles
 from padictiles import (
+    Ball,
+    CompactOpenSet,
     DigitSet,
+    EmptySet,
     PrimeContext,
     ScopeTooLarge,
+    ball_member,
     complement_from_homogeneity,
+    copen,
+    frame_branching_set,
+    normalize_set,
+    padic,
     spectrum_from_homogeneity,
     verify_spectrum_witness,
     verify_tiling_witness,
 )
-
-_CHILD = """
-import json, sys, time
-import padictiles
-start = time.perf_counter()
-try:
-    eval(sys.argv[1], vars(padictiles))
-    out = ["returned", ""]
-except Exception as exc:
-    out = [type(exc).__name__, str(exc)]
-print(json.dumps(out + [time.perf_counter() - start]))
-"""
-
-
-def _in_child(call: str) -> tuple[str, str, float]:
-    """(exception name or "returned", message, seconds) of evaluating call against the names of
-    padictiles in a child process; a child still running after 10 s is killed and fails the test."""
-    src = str(Path(padictiles.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    try:
-        done = subprocess.run([sys.executable, "-c", _CHILD, call], capture_output=True, text=True,
-                              timeout=10, env={**os.environ, "PYTHONPATH": path})
-    except subprocess.TimeoutExpired:
-        pytest.fail(f"{call} still ran after 10 s")
-    return tuple(json.loads(done.stdout))
 
 
 @pytest.mark.parametrize("call, names", [
@@ -60,10 +40,29 @@ def _in_child(call: str) -> tuple[str, str, float]:
                  "of at most 2048 bits: p=2, M=100000", id="verify_spectrum_witness"),
     pytest.param("vanishing_level_set(PrimeContext(2), [0, 1], range(-10**6, 0, 10**5))",
                  "of at most 2048 bits: p=2, depth=1000000", id="vanishing_level_set"),
+    pytest.param("frame_branching_set(2, 10**6, [0, 1])",
+                 "a digit-tree test takes M >= 0 and p^M of at most 4096 bits: p=2, M=1000000",
+                 id="frame_branching_set"),
+    pytest.param("verify_tiling_witness(3, 10**8, [0], [0])",
+                 "a tiling check is limited to p^|M| of at most 2048 bits: p=3, M=100000000",
+                 id="verify_tiling_witness"),
+    pytest.param("CompactOpenSet.make(PrimeContext(3), 0, 1, [1]).digits_in_frame(-10**8, 10**8 + 1)",
+                 "a refined frame is limited to p^|v2| of at most 2048 bits: p=3, v2=-100000000",
+                 id="digits_in_frame_far_above"),
+    pytest.param("homogeneous_census_size(2, 40, range(39))",
+                 "a census size is limited to q <= 262144: p=2, M=40", id="homogeneous_census_size"),
+    pytest.param("Ball.around(PrimeContext(2), 1, -10**9)",
+                 "a ball is limited to p^|M| of at most 2048 bits: p=2, M=1000000000", id="Ball.around"),
+    pytest.param("spectrum_orthogonality_defect(2, 10**9, [0, 1], [0, 1])",
+                 "a spectrum check is limited to p^|M| of at most 2048 bits: p=2, M=1000000000",
+                 id="spectrum_orthogonality_defect"),
+    pytest.param("complement_from_homogeneity(DigitSet.make(PrimeContext(2), 10**9, [0]), [])",
+                 "a digit lattice is limited to q <= 262144: p=2, levels=1000000000",
+                 id="complement_from_homogeneity"),
 ])
-def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(call, names):
+def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
     # each was still running when a 5 s timeout ended it
-    name, message, seconds = _in_child(call)
+    name, message, seconds = api_child.run(call)
     assert name == "ScopeTooLarge" and names in message and seconds < 1
 
 
@@ -107,3 +106,146 @@ def test_the_complement_constructor_refuses_a_negative_level():
     with pytest.raises(ValueError, match=r"element -50 of levels is not an int in range\(M\) = range\(2\)"):
         complement_from_homogeneity(C, {-50})
     assert complement_from_homogeneity(C, {0}).elements == (0, 2)
+
+
+def test_a_failed_spectral_check_far_below_its_window_returns_at_once(api_child):
+    # ran until killed: the report named its failing xi as t * p**-window_exp, forming 2**(10**9) for t = 0
+    call = ("verify_spectral_pair(CompactOpenSet.make(PrimeContext(2), 0, 2, [0, 1]), "
+            "UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]), -10**9)")
+    name, _, seconds = api_child.run(call)
+    assert name == "returned" and seconds < 1
+    report = eval(call, vars(padictiles))
+    assert report.status == "FailedAt" and report.failure.xi == 0
+
+
+def test_a_valuation_in_the_thousands_of_digits_takes_no_time(api_child):
+    # p was divided out one at a time: 2.9 s for each element of valuation 10**5, so four ran until killed
+    name, _, seconds = api_child.run("vanishing_level_set(PrimeContext(2), [2**100000, 3 * 2**99999, "
+                                     "2**99998, 5 * 2**99997], [0])")
+    assert name == "returned" and seconds < 1
+    assert padic._int_valuation(3, 5 * 3**100000) == 100000 and padic._int_valuation(2, 7) == 0
+
+
+def test_the_digit_readers_refuse_a_digit_that_is_not_an_int():
+    # each read a digit through int(): the first set was {0, 1, 2, 3}, a tile and spectral, the second
+    # DigitSet had C == (1, 3), the CompactOpenSet had digits (0, 1), and the ball had c = 1.5 and held 1.5
+    ctx = PrimeContext(2)
+    with pytest.raises(ValueError, match=r"element 0\.5 of digits is not an int"):
+        DigitSet.make(ctx, 2, [0.5, 1.7, 2, 3])
+    with pytest.raises(ValueError, match="element '3' of digits is not an int"):
+        DigitSet.make(ctx, 2, ["3", 1.9])
+    with pytest.raises(ValueError, match=r"element 0\.9 of digits is not an int"):
+        CompactOpenSet.make(ctx, 0, 2, [0.9, 1.2])
+    with pytest.raises(ValueError, match=r"a ball takes M >= 0 and an int c: M=2, c=1\.5"):
+        Ball.make(ctx, 0, 2, 1.5)
+    # 1.0 == 1, so a set of the digits would keep the int and drop the float unread
+    with pytest.raises(ValueError, match=r"element 1\.0 of digits is not an int"):
+        DigitSet.make(ctx, 2, [1, 1.0])
+    assert DigitSet.make(ctx, 2, (d for d in [3, 1, 3])).C == (1, 3)
+    assert ball_member(5, Ball.make(ctx, 0, 2, 5)) and Ball.make(ctx, 0, 2, 5).c == 1
+
+
+def test_a_digit_past_a_huge_depth_names_p_and_m():
+    # the message printed p**M: "Exceeds the limit (4300 digits) for integer string conversion"
+    with pytest.raises(ValueError, match=r"elements outside \[0, p\*\*M\), or M < 0: p=2, M=100000$"):
+        DigitSet.make(PrimeContext(2), 10**5, [2**200000])
+    with pytest.raises(ValueError, match=r"elements outside \[0, p\*\*M\), or M < 0: p=3, M=-1$"):
+        CompactOpenSet.make(PrimeContext(3), 0, -1, [0])
+
+
+def test_an_empty_digit_list_is_an_empty_set():
+    # DigitSet.make raised a plain ValueError; EmptySet is one, defined once
+    assert padictiles.EmptySet is copen.EmptySet is padic.EmptySet
+    with pytest.raises(EmptySet, match="a frame needs at least one digit"):
+        DigitSet.make(PrimeContext(2), 2, [])
+    with pytest.raises(EmptySet):
+        CompactOpenSet.make(PrimeContext(2), 0, 2, iter([]))
+
+
+@pytest.mark.parametrize("p, deepest", [(2, 4095), (3, 2584)])
+def test_the_digit_tree_test_takes_every_depth_a_canonical_frame_may_have(p, deepest):
+    # |v| and |v + M| of a canonical frame each fit in 2048 bits, so M reaches 4094 for p = 2, 2584 for p = 3
+    start = time.perf_counter()
+    assert frame_branching_set(p, deepest, range(p)) == frozenset({0})
+    assert time.perf_counter() - start < 1
+    for M in (deepest + 1, -1):
+        with pytest.raises(ScopeTooLarge, match=f"of at most 4096 bits: p={p}, M={M}$"):
+            frame_branching_set(p, M, [0, 1])
+
+
+def test_a_union_refines_to_the_frame_of_its_lowest_v():
+    # the frame (-10, 2050) holds a digit of 2,050 bits; v2 = -10 is within the exponent limit
+    ctx = PrimeContext(2)
+    om = normalize_set(ctx, [Ball.make(ctx, -10, 2047, 1), Ball.make(ctx, 2040, 0, 0)])
+    assert (om.v, om.M, len(om.digits)) == (-10, 2050, 9)
+
+
+
+# A hostile size for a depth, a scale v or a window: small, at or just past a limit for p = 2 or 3,
+# or anything up to 10^9 in size
+_SIZE = st.one_of(st.integers(-4, 24), st.sampled_from([1292, 1293, 2047, 2048, 2584, 2585, 4094, 4095, 4096]),
+                  st.integers(-10**9, 10**9)).map(str)
+# A digit as an expression: small, or a power of 2 of up to 10^5 bits give or take one; a digit list
+# holds ints only, or may hold something else too
+_DIGIT = st.one_of(st.integers(-2, 64).map(str), st.builds("2**{}+{}".format, st.integers(0, 10**5),
+                                                           st.integers(-1, 1)))
+_DIGITS = st.one_of(st.lists(_DIGIT, min_size=1, max_size=6),
+                    st.lists(st.one_of(_DIGIT, st.sampled_from(["0.5", "'3'", "True"])), max_size=6),
+                    ).map(lambda ds: f"[{', '.join(ds)}]")
+_LEVELS = st.lists(_SIZE, max_size=4).map(lambda ls: f"[{', '.join(ls)}]")
+
+# Every public call that takes a depth, a frame, a window or a digit list; {S}, {O} and {E} are the
+# digit set, compact open set and truncation built from the drawn p, v, M and C
+_CALLS = [
+    "DigitSet.make(PrimeContext({p}), {M}, {C})",
+    "CompactOpenSet.make(PrimeContext({p}), {v}, {M}, {C})",
+    "{O}.digits_in_frame({v2}, {M2})",
+    "Ball.make(PrimeContext({p}), {v}, {M}, {c})",
+    "Ball.around(PrimeContext({p}), {c}, {v})",
+    "normalize_set(PrimeContext({p}), [Ball.make(PrimeContext({p}), {v}, {M}, {c}), "
+    "Ball.make(PrimeContext({p}), {v2}, {M2}, 1)])",
+    "frame_branching_set({p}, {M}, {C})",
+    "is_p_homogeneous({O})",
+    "n_f_of({O})",
+    "verify_tiling_witness({p}, {M}, {C}, {T})",
+    "verify_spectrum_witness(PrimeContext({p}), {M}, {C}, {T})",
+    "spectrum_orthogonality_defect({p}, {M}, {C}, {T})",
+    "is_tile_zmod({S})",
+    "is_spectral_zmod({S})",
+    "spectrum_from_homogeneity({S}, {L})",
+    "complement_from_homogeneity({S}, {L})",
+    "homogeneous_census_size({p}, {M}, {L})",
+    "classify_all({p}, {M}, 'sample', 1)",
+    "l_truncation(PrimeContext({p}), {M})",
+    "vanishing_level_set(PrimeContext({p}), {C}, {L})",
+    "UniformDiscreteSet.make(PrimeContext({p}), {v}, {C})",
+    "zero_sphere_scan({E}, {L})",
+    "density({E}, 0, {L})",
+    "verify_tiling_pair({O}, {E}, {v2})",
+    "verify_spectral_pair({O}, {E}, {v2})",
+    "spectrum_to_tiling_complement({O}, {E}, {v2})",
+    "lifted_spectrum({O}, {M2})",
+    "lifted_tiling_complement({O}, {M2})",
+]
+
+
+@st.composite
+def _api_call(draw):
+    sizes = {k: draw(_SIZE) for k in ("v", "M", "v2", "M2")}
+    args = dict(p=draw(st.sampled_from(["2", "3", "5"])), C=draw(_DIGITS), T=draw(_DIGITS), c=draw(_DIGIT),
+                L=draw(_LEVELS), **sizes)
+    args.update(S="DigitSet.make(PrimeContext({p}), {M}, {C})".format(**args),
+                O="CompactOpenSet.make(PrimeContext({p}), {v}, {M}, {C})".format(**args),
+                E="UniformDiscreteSet.make(PrimeContext({p}), {v2}, {T})".format(**args))
+    return draw(st.sampled_from(_CALLS)).format(**args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=_api_call())
+@example(call="frame_branching_set(2, 10**6, [0, 1])")
+@example(call="homogeneous_census_size(2, 10**9, [])")
+@example(call="vanishing_level_set(PrimeContext(2), [2**100000, 2**99999, 2**99998, 2**99997], [0])")
+def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
+    # a call still running after 10 s fails by name in api_child.run
+    name, message, _ = api_child.run(call)
+    assert name not in ("MemoryError", "RecursionError", "SystemError"), (call, message)

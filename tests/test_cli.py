@@ -5,8 +5,6 @@ import hashlib
 import io
 import json
 import os
-import select
-import subprocess
 import sys
 import time
 import tracemalloc
@@ -18,7 +16,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import padictiles
 from padictiles import cli, decide
 from padictiles.cli import main
 from padictiles.decide import CensusRow, classify_all
@@ -28,71 +25,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-_CHILD = """
-import io, json, sys, time, traceback
-from contextlib import redirect_stderr, redirect_stdout
-from padictiles.cli import main
-commands, sys.stdin = sys.stdin, io.StringIO()  # a command reading stdin must not take the next one
-for line in commands:
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(json.loads(line))
-        except Exception:
-            code = None
-            traceback.print_exc()
-    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]), flush=True)
-"""
-
-
-class CliChild:
-    """Runs cli.main on each argv in one long-lived child process, fed over a pipe.  A command
-    still running after `timeout` seconds kills the child (the next command starts a new one) and
-    fails the test that sent it: neither a Hypothesis deadline nor signal.alarm interrupts one
-    long big-int operation in-process."""
-
-    timeout = 10
-
-    def __init__(self):
-        self.proc = None
-
-    def run(self, *argv):
-        """(code, out, err, seconds in main); an exception in main comes back as code None
-        with its traceback in err."""
-        if self.proc is None:
-            src = str(Path(padictiles.__file__).parents[1])
-            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-            self.proc = subprocess.Popen([sys.executable, "-c", _CHILD], stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE, text=True,
-                                         env={**os.environ, "PYTHONPATH": path})
-        self.proc.stdin.write(json.dumps(argv) + "\n")
-        self.proc.stdin.flush()
-        if not select.select([self.proc.stdout], [], [], self.timeout)[0]:
-            self.close()
-            pytest.fail(f"{list(argv)} still ran after {self.timeout} s")
-        line = self.proc.stdout.readline()
-        if not line:
-            self.close()
-            pytest.fail(f"the child running {list(argv)} exited")
-        return tuple(json.loads(line))
-
-    def close(self):
-        if self.proc is not None:
-            self.proc.kill()
-            self.proc.wait()
-            self.proc.stdin.close()
-            self.proc.stdout.close()
-            self.proc = None
-
-
-@pytest.fixture(scope="module")
-def cli_child():
-    child = CliChild()
-    yield child
-    child.close()
 
 
 def run_json(capsys, *argv):
@@ -215,6 +147,36 @@ def test_normalize_bounds_the_frame_depth_before_expanding(capsys):
     assert code == 0 and out.strip() == "p=2 v=0 M=0 digits=0"
     code, out, _ = run(capsys, "normalize", "--p", "2", "--balls", "0,40,5")
     assert code == 0 and out.strip() == "p=2 v=0 M=40 digits=5"
+
+
+# 40 copies of all of Z_2, each of which expanded to 2^18 digits again, then a ball inside them
+_NESTED_BALLS = ";".join(["0,0,0"] * 40 + ["0,18,1"])
+# 15 disjoint balls of radius 1/2 (v = 0 down to -3, c odd), 2^17 digits each, and one inside them
+_DISJOINT_BALLS = ";".join([f"{v},{1 - v},{c}" for v in range(0, -4, -1) for c in range(1, 2 ** (1 - v), 2)]
+                           + ["0,18,1"])
+
+
+def test_normalize_skips_a_ball_inside_one_already_expanded(cli_child):
+    # took 12.3 s
+    code, out, _, seconds = cli_child.run("normalize", "--p", "2", "--balls", _NESTED_BALLS)
+    assert code == 0 and out.strip() == "p=2 v=0 M=0 digits=0" and seconds < 1
+
+
+def test_normalize_bounds_the_digits_of_all_balls_together(cli_child, capsys):
+    # took 3.0 s and 313 MB of RSS to print 56 bytes, about 20 MB per ball
+    code, out, err, seconds = cli_child.run("normalize", "--p", "2", "--balls", _DISJOINT_BALLS)
+    assert code == 1 and out == "" and "Traceback" not in err and seconds < 1
+    assert "limited to 262144 digits in all: p=2, 262144 digits and then a ball of 131072" in err
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "normalize", "--p", "2", "--balls", _DISJOINT_BALLS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 40_000_000  # 22 MB: the 2^18 digits of the first two balls
+    # two balls at both limits: 2^18 digits, then one more
+    code, out, err, _ = cli_child.run("normalize", "--p", "2", "--balls", "0,2047,1;2029,0,0")
+    assert code == 1 and out == "" and "262144 digits and then a ball of 1" in err
 
 
 def test_normalize_stdin(capsys, monkeypatch):
