@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .padic import PrimeContext, RootOfUnity, _check_exp
+from .padic import PrimeContext, RootOfUnity, _check_exp, _require_ints
 
 __all__ = [
     "CyclotomicSum",
@@ -251,10 +251,12 @@ def vanishing_level_set(
     element and u_c = c * p**-V in Z_p, chi(p**i * c) is the root at exponent
     u_c mod p**m of order p**m, m = max(0, -(i + V)); so one residue per
     element, folded level by level, serves every level; the zero test is exact.
-    p**depth is bounded as an exponent (ScopeTooLarge), as in pairs.zero_sphere_scan.
+    p**depth is bounded as an exponent (ScopeTooLarge), as in pairs.zero_sphere_scan, and
+    the levels must be ints (ValueError).
     """
     p = context.p
     elems = [Fraction(e) for e in elements]
+    _require_ints(levels=(levels := list(levels)))
     levels = sorted(set(levels))
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])

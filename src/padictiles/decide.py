@@ -20,7 +20,6 @@ import cmath
 import math
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
@@ -95,13 +94,14 @@ class Witness:
 
 
 def verify_tiling_witness(p: int, M: int, C, T) -> bool:
-    """Direct coverage count: every element of Z/p^M hit exactly once by C + T (ints, else ValueError);
-    p**M is bounded as an exponent (ScopeTooLarge)."""
+    """Direct coverage count: |C|·|T| = p^M, checked before any sum, and the sums c + t cover Z/p^M
+    (C and T ints, else ValueError); p**M is bounded as an exponent (ScopeTooLarge)."""
     _check_exp(p, M, "a tiling check", "M")
     _require_ints(C=C, T=T)
     q = p**M
-    counts = Counter((c + t) % q for c in C for t in T)
-    return len(counts) == q and all(n == 1 for n in counts.values())
+    if len(C) * len(T) != q:
+        return False
+    return len({(c + t) % q for c in C for t in T}) == q
 
 
 @lru_cache(maxsize=1)
@@ -137,8 +137,10 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
 
     Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
     at u*p^j for the units u in {1, -1, 1 + p}, with fsum over the counts of C mod p^(M-j).
+    C and lam must hold ints (ValueError), as in the exact recheck.
     """
     _check_exp(p, M, "a spectrum check", "M")
+    _require_ints(C=C, lam=lam)
     worst = 0.0
     for j, counts in _occurring_levels(p, M, tuple(C), tuple(lam)):
         n = p ** (M - j)
@@ -189,18 +191,22 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     if levels is None:
         return None
     q = p**M
-    # weight p^i -> (class mod p^i -> the digit i its translates share)
-    digit_of = {p ** (M - 1 - j): {} for j in levels}
+    # (weight p^i, class mod p^i -> the digit i its translates share)
+    digit_of = [(p ** (M - 1 - j), {}) for j in levels]
     covered = bytearray(q)
     chosen: list[int] = []
     x = 0
     while x != -1:
-        for t in sorted((x - c) % q for c in C.C):
-            if all(d.get(t % w, t // w % p) == t // w % p for w, d in digit_of.items()):
+        for t in sorted([(x - c) % q for c in C.C]):
+            for w, d in digit_of:
+                a = t // w % p
+                if d.get(t % w, a) != a:
+                    break
+            else:
                 break
         else:
             raise ConstructionFailed(f"tile search found no allowed translate: C={C.C}, T so far={chosen}")
-        for w, d in digit_of.items():
+        for w, d in digit_of:
             d[t % w] = t // w % p
         for c in C.C:
             covered[(c + t) % q] = 1
@@ -262,8 +268,10 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 
 def homogeneous_census_size(p: int, M: int, levels) -> int:
-    """Closed form: number of homogeneous sets with branching set exactly `levels`."""
+    """Closed form: number of homogeneous sets with branching set exactly `levels`
+    (ints in range(M), else ValueError)."""
     _check_q(p, M, "a census size")
+    _require_ints(stop=M, levels=(levels := list(levels)))
     I = set(levels)
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 

@@ -56,12 +56,11 @@ _MAX_EXP_BITS = 2048
 _MAX_TREE_BITS = 2 * _MAX_EXP_BITS  # of p^M in a frame: |v| and |v + M| each within _MAX_EXP_BITS
 
 
-def _check_exp(p: int, e: int, what: str, name: str) -> None:
-    """ScopeTooLarge when p^|e| has more than _MAX_EXP_BITS bits, naming the input that sets e,
+def _check_exp(p: int, e: int, what: str, name: str, bits: int = _MAX_EXP_BITS) -> None:
+    """ScopeTooLarge when p^|e| has more than `bits` bits, naming the input that sets e,
     without forming p^|e| when 2^|e| alone passes the limit."""
-    if abs(e) >= _MAX_EXP_BITS or (p ** abs(e)).bit_length() > _MAX_EXP_BITS:
-        raise ScopeTooLarge(f"{what} is limited to p^|{name}| of at most {_MAX_EXP_BITS} bits: "
-                            f"p={p}, {name}={e}")
+    if abs(e) >= bits or (p ** abs(e)).bit_length() > bits:
+        raise ScopeTooLarge(f"{what} is limited to p^|{name}| of at most {bits} bits: p={p}, {name}={e}")
 
 
 def _require_ints(stop: int | None = None, **lists) -> None:
@@ -238,7 +237,8 @@ class Ball:
     Canonical form: 0 <= c < p**M, and p does not divide c unless c == 0;
     when c == 0 the depth M is 0 (a ball around 0 is determined by its
     radius alone).  make() reduces any triple to this form, so equality of
-    canonical balls is equality of the sets.
+    canonical balls is equality of the sets; it bounds M and v as exponents
+    (ScopeTooLarge), so no method forms a power past the limit.
     """
 
     context: PrimeContext
@@ -251,6 +251,7 @@ class Ball:
         if M < 0 or not isinstance(c, int):
             raise ValueError(f"a ball takes M >= 0 and an int c: M={M}, c={c!r}")
         _check_exp(context.p, M, "a ball", "M")
+        _check_exp(context.p, v, "a ball", "v")
         v, M, (c,) = _reduce_frame(context.p, v, M, {c % context.p**M})
         return cls(context, v, M, c)
 
@@ -267,7 +268,8 @@ class Ball:
         return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
 
     def center(self) -> Fraction:
-        return self.c * self.context.pow(self.v)
+        """c * p**v; a ball about 0 (c == 0) forms no power of p."""
+        return self.c * self.context.pow(self.v) if self.c else Fraction(0)
 
     def radius_exp(self) -> int:
         """Exponent r with radius = p**r."""

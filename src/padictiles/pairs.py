@@ -31,7 +31,7 @@ from .decide import (
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation
+from .padic import _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation
 
 __all__ = [
     "WindowTooSmall",
@@ -52,6 +52,11 @@ __all__ = [
     "lifted_spectrum",
     "lifted_tiling_complement",
 ]
+
+
+# Largest p^m, in bits, that a residue list reduces by: the pair checks ask for depths up to a window
+# plus a frame's scale (each within _MAX_EXP_BITS) plus the at most 2^18 cells below the frame.
+_MAX_RESIDUE_BITS = 2 * _MAX_EXP_BITS + _MAX_Q.bit_length()
 
 
 class WindowTooSmall(ValueError):
@@ -122,9 +127,15 @@ class UniformDiscreteSet:
 
     def residues(self, w: int, m: int) -> list[int]:
         """x * p**w mod p**m for each element x, for w >= window_exp: n * p**(w - W) / unit,
-        with one modular inverse when unit > 1."""
-        q = self.context.p**m
-        f = self.context.p ** (w - self.window_exp)
+        with one modular inverse when unit > 1.  p**(w - W) is bounded as an exponent and p**m
+        by _MAX_RESIDUE_BITS (ScopeTooLarge)."""
+        p = self.context.p
+        if w < self.window_exp:
+            raise ValueError(f"residues need w >= window_exp: w={w}, window_exp={self.window_exp}")
+        _check_exp(p, w - self.window_exp, "a residue scale", "w - window_exp")
+        _check_exp(p, m, "a residue list", "m", _MAX_RESIDUE_BITS)
+        q = p**m
+        f = p ** (w - self.window_exp)
         if self.unit > 1:
             f *= pow(self.unit, -1, q)
         return [n * f % q for n in self.numerators]
@@ -147,9 +158,15 @@ class UniformDiscreteSet:
 
     def count_in_ball(self, center, radius_exp: int) -> int:
         """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
-        mod p**(w - radius_exp), for a scale w making both p-adic integers."""
+        mod p**(w - radius_exp), for a scale w making both p-adic integers.  About 0 that
+        is w = W and the numerators divisible by p**(W - radius_exp) (unit is prime to p)."""
         ctx, c = self.context, Fraction(center)
-        w = self.window_exp if c == 0 else max(self.window_exp, -ctx.valuation(c))
+        if c == 0:
+            m = max(self.window_exp - radius_exp, 0)
+            _check_exp(ctx.p, m, "a ball count", "m", _MAX_RESIDUE_BITS)
+            q = ctx.p**m
+            return sum([n % q == 0 for n in self.numerators])
+        w = max(self.window_exp, -ctx.valuation(c))
         m = max(w - radius_exp, 0)
         return self.residues(w, m).count(ctx.residue(c * ctx.pow(w), m))
 
@@ -362,7 +379,7 @@ def verify_tiling_pair(
     failure = None if i is None else Failure(i * step * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
     return PairReport(
         kind="tiling",
-        verified_window=Ball.make(ctx, -window_exp, 0, 0),
+        verified_window=Ball(ctx, -window_exp, 0, 0),  # canonical; make would bound v, not every window
         checked_points=len(counts),
         failure=failure,
     )
@@ -430,7 +447,7 @@ def verify_spectral_pair(
         passed.add(key)
     return PairReport(
         kind="spectral",
-        verified_window=Ball.make(ctx, -window_exp, 0, 0),
+        verified_window=Ball(ctx, -window_exp, 0, 0),  # canonical; make would bound v, not every window
         checked_points=len(reps),
         failure=failure,
         derived={"density": len(lam.numerators) * ctx.pow(-lam.window_exp)},

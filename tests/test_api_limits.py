@@ -15,19 +15,26 @@ from hypothesis import strategies as st
 import padictiles
 from padictiles import (
     Ball,
+    BallRelation,
     CompactOpenSet,
     DigitSet,
     EmptySet,
     PrimeContext,
     ScopeTooLarge,
+    UniformDiscreteSet,
     ball_member,
+    ball_relation,
     complement_from_homogeneity,
     copen,
     frame_branching_set,
+    homogeneous_census_size,
     normalize_set,
     padic,
     spectrum_from_homogeneity,
+    spectrum_orthogonality_defect,
+    vanishing_level_set,
     verify_spectrum_witness,
+    verify_tiling_pair,
     verify_tiling_witness,
 )
 
@@ -59,6 +66,22 @@ from padictiles import (
     pytest.param("complement_from_homogeneity(DigitSet.make(PrimeContext(2), 10**9, [0]), [])",
                  "a digit lattice is limited to q <= 262144: p=2, levels=1000000000",
                  id="complement_from_homogeneity"),
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).residues(2, 10**9)",
+                 "a residue list is limited to p^|m| of at most 4115 bits: p=2, m=1000000000",
+                 id="residues_deep"),
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).residues(10**9, 2)",
+                 "a residue scale is limited to p^|w - window_exp| of at most 2048 bits: p=2, "
+                 "w - window_exp=999999998", id="residues_far_scale"),
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball(0, -10**9)",
+                 "a ball count is limited to p^|m| of at most 4115 bits: p=2, m=1000000002",
+                 id="count_in_ball"),
+    pytest.param("Ball.make(PrimeContext(2), 10**9, 0, 0).center()",
+                 "a ball is limited to p^|v| of at most 2048 bits: p=2, v=1000000000", id="Ball.center"),
+    pytest.param("Ball.make(PrimeContext(3), 10**9, 0, 0).measure()",
+                 "a ball is limited to p^|v| of at most 2048 bits: p=3, v=1000000000", id="Ball.measure"),
+    pytest.param("ball_relation(Ball.make(PrimeContext(2), 10**9, 0, 0), "
+                 "Ball.make(PrimeContext(2), -10**9, 0, 0))",
+                 "a ball is limited to p^|v| of at most 2048 bits: p=2, v=1000000000", id="ball_relation"),
 ])
 def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
     # each was still running when a 5 s timeout ended it
@@ -116,6 +139,51 @@ def test_a_failed_spectral_check_far_below_its_window_returns_at_once(api_child)
     assert name == "returned" and seconds < 1
     report = eval(call, vars(padictiles))
     assert report.status == "FailedAt" and report.failure.xi == 0
+
+
+def test_the_numeric_guard_refuses_a_float_or_a_string():
+    # returned 0.0, read as "orthogonal", for the float; the string ended in a TypeError
+    with pytest.raises(ValueError, match=r"element 0\.5 of lam is not an int"):
+        spectrum_orthogonality_defect(2, 2, [0, 1], [0, 0.5])
+    with pytest.raises(ValueError, match="element '1' of C is not an int"):
+        spectrum_orthogonality_defect(2, 2, [0, "1"], [0, 2])
+    assert spectrum_orthogonality_defect(2, 2, [0, 1], [0, 2]) < 1e-9
+
+
+def test_the_vanishing_level_scan_refuses_a_level_that_is_not_an_int():
+    # returned frozenset({-1}), the float level dropped unread
+    with pytest.raises(ValueError, match=r"element -0\.5 of levels is not an int"):
+        vanishing_level_set(PrimeContext(2), [0, 1], [-0.5, -1])
+    assert vanishing_level_set(PrimeContext(2), [0, 1], iter([-1, 0])) == frozenset({-1})
+
+
+def test_the_census_size_refuses_a_level_that_is_not_an_int():
+    # returned 32
+    with pytest.raises(ValueError, match=r"element 0\.5 of levels is not an int in range\(M\) = range\(3\)"):
+        homogeneous_census_size(2, 3, [0.5])
+    with pytest.raises(ValueError, match=r"element -1 of levels is not an int in range\(M\)"):
+        homogeneous_census_size(2, 3, [-1])
+    assert homogeneous_census_size(2, 3, (j for j in [1])) == homogeneous_census_size(2, 3, {1}) == 8
+
+
+def test_the_residue_bound_takes_every_depth_a_tiling_check_asks_for():
+    # the translates at window 2047 are reduced mod 2^(2047 + 2065) for a check 18 levels below a ball
+    # of scale 2047; one level more is refused by the cell count, before any residue
+    ctx = PrimeContext(2)
+    omega, translates = CompactOpenSet.make(ctx, 2047, 0, [0]), UniformDiscreteSet.make(ctx, 2047, [0])
+    assert verify_tiling_pair(omega, translates, -2065).status == "Verified"
+    with pytest.raises(ScopeTooLarge, match="p=2, cell depth=19"):
+        verify_tiling_pair(omega, translates, -2066)
+
+
+def test_a_ball_takes_v_up_to_the_exponent_limit():
+    # 2^2047 has 2048 bits; the far balls of test_a_call_that_ran_until_killed_... are refused the same way
+    ctx = PrimeContext(2)
+    with pytest.raises(ScopeTooLarge, match=r"a ball is limited to p\^\|v\| of .* bits: p=2, v=-2048$"):
+        Ball.make(ctx, -2048, 0, 0)
+    deepest = Ball.make(ctx, 2047, 2047, 1)
+    assert deepest.measure() == ctx.pow(-4094) and ball_member(deepest.center(), deepest)
+    assert ball_relation(deepest, Ball.make(ctx, -2047, 0, 0)) is BallRelation.FIRST_INSIDE_SECOND
 
 
 def test_a_valuation_in_the_thousands_of_digits_takes_no_time(api_child):
@@ -226,6 +294,11 @@ _CALLS = [
     "spectrum_to_tiling_complement({O}, {E}, {v2})",
     "lifted_spectrum({O}, {M2})",
     "lifted_tiling_complement({O}, {M2})",
+    "{E}.residues({v}, {M})",
+    "{E}.count_in_ball({c}, {v})",
+    "Ball.make(PrimeContext({p}), {v}, {M}, {c}).center()",
+    "Ball.make(PrimeContext({p}), {v}, {M}, {c}).measure()",
+    "ball_relation(Ball.make(PrimeContext({p}), {v}, {M}, {c}), Ball.make(PrimeContext({p}), {v2}, {M2}, 1))",
 ]
 
 
@@ -245,6 +318,9 @@ def _api_call(draw):
 @example(call="frame_branching_set(2, 10**6, [0, 1])")
 @example(call="homogeneous_census_size(2, 10**9, [])")
 @example(call="vanishing_level_set(PrimeContext(2), [2**100000, 2**99999, 2**99998, 2**99997], [0])")
+@example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).residues(2, 10**9)")
+@example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).count_in_ball(0, -10**9)")
+@example(call="Ball.make(PrimeContext(3), 10**9, 0, 0).measure()")
 def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
     # a call still running after 10 s fails by name in api_child.run
     name, message, _ = api_child.run(call)

@@ -55,6 +55,24 @@ def test_witness_verifiers_frozen():
     assert spectrum_orthogonality_defect(2, 2, (0, 3), (0, 1)) > 0.5
 
 
+def test_the_coverage_recount_refuses_a_wrong_size_before_any_sum():
+    # the recount once built all 4096 * 4096 sums before it compared their number with 2^4
+    big = tuple(range(4096))
+    start = time.perf_counter()
+    assert not verify_tiling_witness(2, 4, big, big)
+    assert time.perf_counter() - start < 0.1
+    assert not verify_tiling_witness(2, 2, (0, 1), (0,))
+
+
+def test_the_coverage_recount_refuses_a_repeated_element_of_the_right_size():
+    # |C|·|T| = p^M, but a repeat leaves some class bare and covers another twice
+    assert not verify_tiling_witness(2, 2, (0, 0), (0, 2))
+    assert not verify_tiling_witness(2, 2, (0, 1), (0, 0))
+    assert not verify_tiling_witness(3, 2, (0, 1, 1), (0, 3, 6))
+    assert not verify_tiling_witness(2, 2, (0, 4), (0, 2))  # 0 and 4 are one class mod 4
+    assert verify_tiling_witness(2, 2, (0, 5), (0, 2)) and verify_tiling_witness(3, 2, (0, 1, 2), (0, 3, 6))
+
+
 def test_is_tile_frozen_cases():
     ctx = PrimeContext(2)
     w = is_tile_zmod(DigitSet.make(ctx, 2, (0, 3)))

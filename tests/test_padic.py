@@ -15,6 +15,7 @@ from padictiles.padic import (
     PrimeContext,
     RootOfUnity,
     _is_prime,
+    _require_ints,
     ball_member,
     ball_relation,
     character,
@@ -259,3 +260,23 @@ def test_context_mixing_is_rejected():
     c2, c3 = PrimeContext(2), PrimeContext(3)
     with pytest.raises(ValueError):
         ball_relation(Ball.make(c2, 0, 0, 0), Ball.make(c3, 0, 0, 0))
+
+
+def test_the_int_check_names_the_first_bad_element():
+    with pytest.raises(ValueError, match=r"element 0\.5 of T is not an int$"):
+        _require_ints(C=[0, 1], T=[0, 2, 0.5, "x"])
+    with pytest.raises(ValueError, match=r"element 3 of levels is not an int in range\(M\) = range\(3\)$"):
+        _require_ints(stop=3, levels=[0, 2, 3, 1.5])
+    # True is an int, as isinstance says
+    _require_ints(C=[True, 2], T=(False,))
+    _require_ints(stop=2, levels={True, 0})
+
+
+def test_the_int_check_reads_a_one_shot_iterable_once():
+    good = iter([0, 1, 2])
+    _require_ints(xs=good)
+    assert list(good) == []
+    with pytest.raises(ValueError, match=r"element -1 of xs is not an int in range\(M\) = range\(4\)$"):
+        _require_ints(stop=4, xs=(x for x in [1, 2, -1, 5]))
+    with pytest.raises(ValueError, match="element '2' of xs is not an int$"):
+        _require_ints(xs=iter([1, "2", 3.0]))
