@@ -61,12 +61,16 @@ class CompactOpenSet:
         return ctx.residue(r, self.M) in self.digits
 
     def digits_in_frame(self, v2: int, M2: int) -> tuple[int, ...]:
-        """The same set in the finer frame (v2, M2); ScopeTooLarge past _MAX_Q digits per digit, or p^|v2|."""
+        """The same set in the finer frame (v2, M2); ScopeTooLarge, before any digit is built, past p^|v2|
+        or past _MAX_Q digits in all when it adds levels (|D|·p^levels)."""
+        p = self.context.p
         if v2 > self.v or v2 + M2 < self.v + self.M:
             raise ValueError("target frame does not refine the canonical frame")
-        tail = _digit_lattice(self.context.p, range(self.v - v2 + self.M, M2))
-        _check_exp(self.context.p, v2, "a refined frame", "v2")
-        f = self.context.p ** (self.v - v2)
+        if levels := v2 + M2 - self.v - self.M:
+            _check_q(p, levels, "a refined frame", len(self.digits), "levels")
+        _check_exp(p, v2, "a refined frame", "v2")
+        tail = _digit_lattice(p, range(self.v - v2 + self.M, M2))
+        f = p ** (self.v - v2)
         return tuple(sorted(c * f + t for c in self.digits for t in tail))
 
     def balls(self) -> list[Ball]:

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .padic import PrimeContext, RootOfUnity, _check_exp, _require_ints
+from .padic import _MAX_TREE_BITS, PrimeContext, RootOfUnity, _check_exp, _require_ints
 
 __all__ = [
     "CyclotomicSum",
@@ -78,15 +78,22 @@ def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
         yield counts
 
 
-def _zero_orders(p: int, m: int, residues: Iterable[int]) -> frozenset[int]:
-    """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over the residues
-    vanishes, from one fold of their counts from p**m down.  With S_n the sum of the squared
-    counts mod p**n, order n >= 1 vanishes iff p * S_n = S_(n-1): by Lagrange's identity
-    p * sum a_t**2 - (sum a_t)**2 = sum_{s<t} (a_s - a_t)**2 over the p lifts a_t of each class
-    mod p**(n-1), that holds iff every class has equal lifts, the coset criterion of vanishes().
-    Order 0 vanishes iff there are no residues."""
-    # squares[j] is S_(m - j)
-    squares = [sum([k * k for k in counts.values()]) for counts in _level_counts(p, m, residues)]
+def _zero_orders(p: int, m: int, residues: Iterable[int], visit=None) -> frozenset[int]:
+    """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over the residues vanishes,
+    from one fold of their counts from p**m down: n >= 1 iff p * S_n = S_(n-1), S_n the sum of the
+    squared counts mod p**n (Lagrange's identity, module docstring), and 0 iff there are no residues.
+    visit(n, counts), if given, sees the counts mod p**n of each order n >= 1 whose sum does not
+    vanish, once the fold has made the counts mod p**(n-1); no earlier counts are kept."""
+    fold = _level_counts(p, m, residues)
+    if visit is None:  # the deciders' path: a comprehension, which ran frontier passes faster than the loop
+        squares = [sum([k * k for k in counts.values()]) for counts in fold]  # squares[j] is S_(m - j)
+    else:
+        squares = []
+        for j, counts in enumerate(fold):
+            squares.append(sum([k * k for k in counts.values()]))
+            if j and p * squares[j - 1] != squares[j]:
+                visit(m - j + 1, last)
+            last = counts
     zero = {m - j for j in range(m) if p * squares[j] == squares[j + 1]}
     if not squares[m]:
         zero.add(0)
@@ -119,6 +126,7 @@ class CyclotomicSum:
     ) -> "CyclotomicSum":
         if n < 0:
             raise ValueError("order exponent must be >= 0")
+        _check_exp(context.p, n, "a cyclotomic sum", "n", _MAX_TREE_BITS)  # a spectral failure's n <= W - v fits
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         q = context.p**n
         acc: dict[int, int] = {}
@@ -256,8 +264,7 @@ def vanishing_level_set(
     """
     p = context.p
     elems = [Fraction(e) for e in elements]
-    _require_ints(levels=(levels := list(levels)))
-    levels = sorted(set(levels))
+    levels = sorted(set(*_require_ints(levels=levels)))
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])
     _check_exp(p, depth, "a vanishing-level scan", "depth")

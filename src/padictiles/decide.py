@@ -97,7 +97,7 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     """Direct coverage count: |C|·|T| = p^M, checked before any sum, and the sums c + t cover Z/p^M
     (C and T ints, else ValueError); p**M is bounded as an exponent (ScopeTooLarge)."""
     _check_exp(p, M, "a tiling check", "M")
-    _require_ints(C=C, T=T)
+    C, T = _require_ints(C=C, T=T)
     q = p**M
     if len(C) * len(T) != q:
         return False
@@ -125,10 +125,10 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     bounded as an exponent (ScopeTooLarge), and C and lam must hold ints (ValueError).
     """
     _check_exp(context.p, M, "a spectrum check", "M")
-    _require_ints(C=C, lam=lam)
+    C, lam = _require_ints(C=C, lam=lam)
     if len(set(lam)) != len(lam) or len(lam) != len(C):
         return False
-    levels = _occurring_levels(context.p, M, tuple(C), tuple(lam))
+    levels = _occurring_levels(context.p, M, C, lam)
     return all(vanishes(context.p, M - j, counts) for j, counts in levels)
 
 
@@ -140,9 +140,9 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     C and lam must hold ints (ValueError), as in the exact recheck.
     """
     _check_exp(p, M, "a spectrum check", "M")
-    _require_ints(C=C, lam=lam)
+    C, lam = _require_ints(C=C, lam=lam)
     worst = 0.0
-    for j, counts in _occurring_levels(p, M, tuple(C), tuple(lam)):
+    for j, counts in _occurring_levels(p, M, C, lam):
         n = p ** (M - j)
         step = 2j * cmath.pi / n
         for u in {v % n for v in (1, -1, 1 + p)}:
@@ -243,7 +243,7 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     rather than patching; a level not an int in range(M) is a ValueError.
     """
     ctx, M, p = C.context, C.M, C.context.p
-    _require_ints(stop=M, levels=levels)
+    [levels] = _require_ints(stop=M, levels=levels)
     lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
     if not verify_spectrum_witness(ctx, M, C.C, lam):
         raise ConstructionFailed(
@@ -257,9 +257,9 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Tiling complement: digits on the levels of range(M) outside `levels` (ints, else ValueError)."""
     M, p = C.M, C.context.p
-    _require_ints(stop=M, levels=levels)
-    _check_q(p, M - len(set(levels)), "a digit lattice", name="levels")
-    t = tuple(_digit_lattice(p, [j for j in range(M) if j not in set(levels)]))
+    levels = set(*_require_ints(stop=M, levels=levels))
+    _check_q(p, M - len(levels), "a digit lattice", name="levels")
+    t = tuple(_digit_lattice(p, [j for j in range(M) if j not in levels]))
     if not verify_tiling_witness(p, M, C.C, t):
         raise ConstructionFailed(
             f"homogeneity complement formula failed for C={C.C}, levels={sorted(levels)}"
@@ -271,8 +271,7 @@ def homogeneous_census_size(p: int, M: int, levels) -> int:
     """Closed form: number of homogeneous sets with branching set exactly `levels`
     (ints in range(M), else ValueError)."""
     _check_q(p, M, "a census size")
-    _require_ints(stop=M, levels=(levels := list(levels)))
-    I = set(levels)
+    I = set(*_require_ints(stop=M, levels=levels))
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 
 

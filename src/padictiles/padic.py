@@ -63,21 +63,27 @@ def _check_exp(p: int, e: int, what: str, name: str, bits: int = _MAX_EXP_BITS) 
         raise ScopeTooLarge(f"{what} is limited to p^|{name}| of at most {bits} bits: p={p}, {name}={e}")
 
 
-def _require_ints(stop: int | None = None, **lists) -> None:
-    """ValueError naming the first element of a list that is not an int (in range(stop), if given)."""
+def _require_ints(stop: int | None = None, **lists) -> list[tuple]:
+    """Each list read once into a tuple, in order; ValueError naming the first element of a list
+    that is not an int (in range(stop), if given)."""
+    out = []
     for name, xs in lists.items():
+        xs = tuple(xs)
         for x in xs:
             if not (isinstance(x, int) and (stop is None or 0 <= x < stop)):
                 within = "" if stop is None else f" in range(M) = range({stop})"
                 raise ValueError(f"element {x!r} of {name} is not an int{within}")
+        out.append(xs)
+    return out
 
 
 def _frame_digits(p: int, M: int, digits) -> tuple[int, ...]:
     """The sorted distinct digits of a frame of depth M >= 0: ints in [0, p**M), with p**M formed only
     when the largest has more than M bits (ValueError naming p and M), and at least one (EmptySet)."""
-    _require_ints(digits=(ds := list(digits)))
+    [ds] = _require_ints(digits=digits)
     if not (ds := sorted(set(ds))):
         raise EmptySet("a frame needs at least one digit")
+    ds[:2] = map(int, ds[:2])  # a bool (printed as true) is 0 or 1, so among the first two; stored as an int
     if M < 0 or ds[0] < 0 or ds[-1].bit_length() > M and ds[-1] >= p**M:
         raise ValueError(f"elements outside [0, p**M), or M < 0: p={p}, M={M}")
     return tuple(ds)
@@ -276,7 +282,9 @@ class Ball:
         return -(self.v + self.M)
 
     def measure(self) -> Fraction:
-        """Haar measure, normalized so Z_p has measure 1."""
+        """Haar measure, normalized so Z_p has measure 1.  p**|v + M| is bounded at _MAX_TREE_BITS
+        (ScopeTooLarge): a made ball is within it, a ball built directly (a pair report's window) need not be."""
+        _check_exp(self.context.p, self.v + self.M, "a ball's measure", "v + M", _MAX_TREE_BITS)
         return self.context.pow(-(self.v + self.M))
 
 

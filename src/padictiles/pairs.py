@@ -24,14 +24,15 @@ from .copen import (
     frame_branching_set,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum, _zero_orders, residue_counts, vanishes
+from .cyclotomic import CyclotomicSum, _zero_orders, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from .padic import _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, _check_exp, _check_q, _digit_lattice, _int_valuation
+from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice,
+                    _int_valuation)
 
 __all__ = [
     "WindowTooSmall",
@@ -57,6 +58,22 @@ __all__ = [
 # Largest p^m, in bits, that a residue list reduces by: the pair checks ask for depths up to a window
 # plus a frame's scale (each within _MAX_EXP_BITS) plus the at most 2^18 cells below the frame.
 _MAX_RESIDUE_BITS = 2 * _MAX_EXP_BITS + _MAX_Q.bit_length()
+
+# n_f_of and verify_spectral_pair build all |D|^2 digit differences, up to p^M of them distinct ints of b bits:
+# the work |D|^2 + min(|D|^2, p^M)·(8 + b // 128) is bounded at that of 1,024 digits of 2,048 bits.  At or
+# just past the bound, 5,120 digits of 12 bits took 1.0 s and 1.5 s, 1,706 of 64 bits 1.6 s and 2.3 s and
+# 383 MB, and 1,045 of 2,047 bits 1.3 s and 1.7 s and 378 MB (2-core Xeon, Python 3.11.7), within the slowest
+# decision (padic._MAX_Q).
+_MAX_DIFF_WORK = 2**20 * (1 + 8 + 2048 // 128)
+
+
+def _check_differences(omega: CompactOpenSet, what: str) -> None:
+    """ScopeTooLarge naming |D| past _MAX_DIFF_WORK, before any difference is built."""
+    pairs, q = len(omega.digits) ** 2, omega.context.p**omega.M
+    if pairs + min(pairs, q) * (8 + q.bit_length() // 128) > _MAX_DIFF_WORK:
+        raise ScopeTooLarge(f"{what} is limited to {_MAX_DIFF_WORK} units of digit-difference work "
+                            f"(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = {len(omega.digits)}, "
+                            f"p={omega.context.p}, M={omega.M}")
 
 
 class WindowTooSmall(ValueError):
@@ -250,8 +267,9 @@ def n_f_of(omega: CompactOpenSet) -> int:
     It is positive at ξ iff ξ is in Ω - Ω = p**v * ((D - D) + p**M Z_p), so
     levels n < v fail, n >= v+M pass, and in between n passes iff every
     multiple of p**(n-v) mod p**M is a digit difference.  The scan starts
-    at v and walks up.
+    at v and walks up.  ScopeTooLarge past _MAX_DIFF_WORK.
     """
+    _check_differences(omega, "n_f_of")
     p, v, vm = omega.context.p, omega.v, omega.v + omega.M
     q = p**omega.M
     diffs = {(a - b) % q for a in omega.digits for b in omega.digits}
@@ -264,37 +282,37 @@ def n_f_of(omega: CompactOpenSet) -> int:
 def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, SphereStatus]:
     """Classify each sphere S(0, p**-n) against the zero set of the measure's transform.
 
-    One representative ξ = p**n per sphere suffices (unit scaling permutes
-    exponents of each truncated sum without changing vanishing).  Element x
-    enters as r = x * p**W mod p**depth, at exponent r mod p**(W-n) at level
-    n, in the truncations p**k from its shell k = W - v_p(r) on.  Past n + 1
-    the truncations where a sum vanishes form a prefix: shell k >= n + 2 adds
-    exponents of valuation W - k < W - n - 1, which no coset of the zero test
-    mixes with another.  So a status is the whole sum's (one shared fold), and
-    NotASpectrumEvidence arises iff the whole sum is nonzero but the sum at
-    k1 = max(n + 1, first nonempty) vanishes; only then is the walk run.
+    One representative ξ = p**n per sphere suffices (unit scaling permutes exponents of each truncated
+    sum without changing vanishing).  Element x enters as r = x * p**W mod p**depth, in the truncations
+    p**k from its shell k = W - v_p(r) on, so one fold of the residues holds every sum: at level n and
+    truncation k, its classes mod p**(W-n) divisible by p**(W-k).  Past n + 1 the truncations where a
+    sum vanishes form a prefix: shell k >= n + 2 adds exponents of valuation W - k < W - n - 1, which
+    no coset of the zero test mixes with another.  So a status is the whole sum's, and NotASpectrumEvidence
+    arises iff the whole sum is nonzero but the sum at k1 = max(n + 1, first nonempty) vanishes.
     """
     p, w = e.context.p, e.window_exp
     levels = sorted(set(levels))
     lowest = min([0] + levels)
     depth = max(0, w - lowest)
     _check_exp(p, depth, f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
-    res = e.residues(w, depth)
-    zero = _zero_orders(p, depth, res)
-    first = -w if 0 in e.numerators else w - max(_int_valuation(p, r) if r else depth for r in res)
-    out = {}
-    for n in levels:
-        if n > w:
-            raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
-        k1 = max(n + 1, first)
-        inside = k1 <= w and w - n in zero
-        if not inside and k1 < w:  # the first truncation from k1 on where the sum is nonzero
+    res, out = e.residues(w, depth), dict.fromkeys(levels)  # first: W minus the deepest order holding class 0
+    first = -w if 0 in e.numerators else w - bisect_left(
+        range(1, depth + 1), True, key=lambda t: all(r % p**t for r in res))
+
+    def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level W - j is nonzero
+        n, k1 = w - j, max(w - j + 1, first)
+        if n in out and k1 < w:  # the first truncation from k1 on where the sum is nonzero
             k = next(k for k in range(k1, w + 1) if not vanishes(
-                p, w - n, residue_counts(p, w - n, [r for r in res if not r % p ** (w - k)])))
+                p, j, {r: a for r, a in counts.items() if not r % p ** (w - k)}))
             if k > k1:
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
                                                  f"back nonzero at p**{k}")
-        out[n] = SphereStatus.IN_ZERO_SET if inside else SphereStatus.NOT_IN_ZERO_SET
+
+    zero = _zero_orders(p, depth, res, walk)
+    for n in levels:
+        if n > w:
+            raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
+        out[n] = SphereStatus.IN_ZERO_SET if first <= w and w - n in zero else SphereStatus.NOT_IN_ZERO_SET
     return out
 
 
@@ -401,7 +419,7 @@ def verify_spectral_pair(
     |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M): each ξ counts the λ of its
     class per distinct d, takes the largest order p**n among the d, adds
     count · N(δ) at exponent -(d / p**(W-v-n)) δ mod p**n, and one zero test
-    against Card(digits)² decides.
+    against Card(digits)² decides.  ScopeTooLarge past _MAX_DIFF_WORK.
     """
     ctx, p = omega.context, omega.context.p
     vm = omega.v + omega.M
@@ -412,6 +430,7 @@ def verify_spectral_pair(
         raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
     _check_q(p, max(window_exp - ell, 0), f"a spectral check at window_exp={window_exp}",
              name="window_exp - ℓ")
+    _check_differences(omega, f"a spectral check at window_exp={window_exp}")
     e = w - omega.v
     q, cut = p**e, p ** (w - vm)
     by_class: dict[int, list[int]] = {}

@@ -6,6 +6,7 @@ of the api_child fixture (conftest.py), which is killed after 10 s.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -82,11 +83,57 @@ from padictiles import (
     pytest.param("ball_relation(Ball.make(PrimeContext(2), 10**9, 0, 0), "
                  "Ball.make(PrimeContext(2), -10**9, 0, 0))",
                  "a ball is limited to p^|v| of at most 2048 bits: p=2, v=1000000000", id="ball_relation"),
+    pytest.param("verify_spectral_pair(CompactOpenSet.make(PrimeContext(3), 0, 1, [0]), "
+                 "UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]), -10**9).verified_window.measure()",
+                 "a ball's measure is limited to p^|v + M| of at most 4096 bits: p=3, v + M=1000000000",
+                 id="report_window_measure"),
+    pytest.param("CyclotomicSum.make(PrimeContext(2), 10**9, {1: 1})",
+                 "a cyclotomic sum is limited to p^|n| of at most 4096 bits: p=2, n=1000000000",
+                 id="CyclotomicSum.make"),
+    pytest.param("n_f_of(CompactOpenSet.make(PrimeContext(2), 0, 16, range(0, 2**16, 3)))",
+                 "n_f_of is limited to 26214400 units of digit-difference work "
+                 "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16", id="n_f_of_dense"),
+    pytest.param("verify_spectral_pair(CompactOpenSet.make(PrimeContext(2), 0, 16, range(0, 2**16, 3)), "
+                 "UniformDiscreteSet.make(PrimeContext(2), 16, [0]), 0)",
+                 "a spectral check at window_exp=0 is limited to 26214400 units of digit-difference work "
+                 "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16",
+                 id="verify_spectral_pair_dense"),
 ])
 def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
     # each was still running when a 5 s timeout ended it
     name, message, seconds = api_child.run(call)
     assert name == "ScopeTooLarge" and names in message and seconds < 1
+
+
+def test_each_argument_is_read_once():
+    # each case read its argument twice, so a one-shot iterable was used up by the int check: the tiling
+    # check raised TypeError on a tiling of Z/2, as did the spectrum check on a spectrum, the numeric guard
+    # read C as empty (0.0, against 1.0 for the list), and the constructors failed with "levels=[]"
+    ctx = PrimeContext(2)
+    assert verify_tiling_witness(2, 1, (x for x in [0]), [0, 1])
+    assert verify_spectrum_witness(ctx, 1, (x for x in [0, 1]), [0, 1])
+    assert spectrum_orthogonality_defect(2, 1, (x for x in [0]), [0, 1]) == 1.0
+    assert spectrum_orthogonality_defect(2, 1, [0], [0, 1]) == 1.0
+    C = DigitSet.make(ctx, 2, [0, 1])
+    assert complement_from_homogeneity(C, (x for x in [0])).elements == (0, 2)
+    assert spectrum_from_homogeneity(C, (x for x in [0])).elements == (0, 2)
+    # a bool digit was stored as it came and printed as true, which from_json_dict refuses
+    om = CompactOpenSet.make(ctx, 0, 2, [True, 2])
+    assert json.dumps(om.to_json_dict()["digits"]) == "[1, 2]"
+    assert CompactOpenSet.from_json_dict(json.loads(json.dumps(om.to_json_dict()))) == om
+    assert DigitSet.make(ctx, 2, [True, 2]).C == (1, 2) and type(DigitSet.make(ctx, 2, [True]).C[0]) is int
+
+
+def test_a_refined_frame_bounds_the_digits_it_builds_in_all():
+    # each digit was bounded alone: 4 digits refined by 17 levels built 524,288 digits, twice the limit
+    ctx = PrimeContext(2)
+    om = CompactOpenSet.make(ctx, 0, 3, [0, 1, 2, 5])
+    with pytest.raises(ScopeTooLarge, match=r"a refined frame is limited to q <= 262144: p=2, levels=17, "
+                                            r"q = 4·2\^17 > 262144"):
+        om.digits_in_frame(0, 20)
+    assert len(om.digits_in_frame(0, 19)) == 2**18
+    # a refinement that adds no level only rescales the digits
+    assert CompactOpenSet.make(ctx, 1, 2, [1, 3]).digits_in_frame(-1, 4) == (4, 12)
 
 
 def test_the_spectrum_check_takes_every_depth_a_frame_may_have():
@@ -261,9 +308,11 @@ _DIGITS = st.one_of(st.lists(_DIGIT, min_size=1, max_size=6),
                     st.lists(st.one_of(_DIGIT, st.sampled_from(["0.5", "'3'", "True"])), max_size=6),
                     ).map(lambda ds: f"[{', '.join(ds)}]")
 _LEVELS = st.lists(_SIZE, max_size=4).map(lambda ls: f"[{', '.join(ls)}]")
+_RANGE = st.builds("range({}, 2**{}, {})".format, st.integers(0, 3), st.integers(0, 17), st.integers(1, 5))
 
 # Every public call that takes a depth, a frame, a window or a digit list; {S}, {O} and {E} are the
-# digit set, compact open set and truncation built from the drawn p, v, M and C
+# digit set, compact open set and truncation built from the drawn p, v, M and C, and {R} a range of up
+# to 2^17 digits
 _CALLS = [
     "DigitSet.make(PrimeContext({p}), {M}, {C})",
     "CompactOpenSet.make(PrimeContext({p}), {v}, {M}, {C})",
@@ -299,6 +348,9 @@ _CALLS = [
     "Ball.make(PrimeContext({p}), {v}, {M}, {c}).center()",
     "Ball.make(PrimeContext({p}), {v}, {M}, {c}).measure()",
     "ball_relation(Ball.make(PrimeContext({p}), {v}, {M}, {c}), Ball.make(PrimeContext({p}), {v2}, {M2}, 1))",
+    "verify_spectral_pair({O}, {E}, {v2}).verified_window.measure()",
+    "CyclotomicSum.make(PrimeContext({p}), {M}, {{{c}: 1}})",
+    "n_f_of(CompactOpenSet.make(PrimeContext({p}), 0, 40, {R}))",
 ]
 
 
@@ -306,7 +358,7 @@ _CALLS = [
 def _api_call(draw):
     sizes = {k: draw(_SIZE) for k in ("v", "M", "v2", "M2")}
     args = dict(p=draw(st.sampled_from(["2", "3", "5"])), C=draw(_DIGITS), T=draw(_DIGITS), c=draw(_DIGIT),
-                L=draw(_LEVELS), **sizes)
+                L=draw(_LEVELS), R=draw(_RANGE), **sizes)
     args.update(S="DigitSet.make(PrimeContext({p}), {M}, {C})".format(**args),
                 O="CompactOpenSet.make(PrimeContext({p}), {v}, {M}, {C})".format(**args),
                 E="UniformDiscreteSet.make(PrimeContext({p}), {v2}, {T})".format(**args))
@@ -321,6 +373,7 @@ def _api_call(draw):
 @example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).residues(2, 10**9)")
 @example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).count_in_ball(0, -10**9)")
 @example(call="Ball.make(PrimeContext(3), 10**9, 0, 0).measure()")
+@example(call="n_f_of(CompactOpenSet.make(PrimeContext(2), 0, 16, range(0, 2**16, 3)))")
 def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
     # a call still running after 10 s fails by name in api_child.run
     name, message, _ = api_child.run(call)

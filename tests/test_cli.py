@@ -573,6 +573,16 @@ def test_is_spectral_reads_a_large_set_from_stdin(capsys, monkeypatch):
     assert code == 0 and obj["witness"]["elements"] == [0, 2]
 
 
+@pytest.mark.parametrize("command", ["verify-spectral", "spectrum-to-tiling"])
+def test_a_dense_set_exits_1_before_its_digit_differences(cli_child, command):
+    # 2^16 digits make 2^32 differences: at the rate of 2,048 digits, about 6 and 10 minutes
+    digits = ",".join(map(str, range(0, 3 * 2**16, 3)))
+    code, out, err, seconds = cli_child.run(command, "--p", "2", "--M", "18", "--set", digits,
+                                            "--elements", "0", "--window", "18", "--window-exp", "0")
+    assert code == 1 and out == "" and "|D| = 65536" in err and "Traceback" not in err
+    assert seconds < 1
+
+
 @pytest.mark.parametrize("argv, names", [
     (["spectrum-to-tiling", "--p", "2", "--set", "0,3", "--lift-exp", "18"], "k=18, q = 2·2^18"),
     (["verify-tiling", "--p", "2", "--set", "0", "--elements", "0", "--window", "19",

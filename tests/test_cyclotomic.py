@@ -251,5 +251,8 @@ def test_zero_orders_equal_one_zero_test_per_order(data):
         residues += [r + t * p ** (n - 1) + lift * p**n for t in range(p)] * k
     want = {n for n in range(m + 1) if vanishes(p, n, residue_counts(p, n, residues))}
     assert _zero_orders(p, m, residues) == want
+    seen = []  # the visitor sees the counts of each order n >= 1 whose sum does not vanish, once, from m down
+    assert _zero_orders(p, m, residues, lambda n, counts: seen.append((n, counts))) == want
+    assert seen == [(n, residue_counts(p, n, residues)) for n in range(m, 0, -1) if n not in want]
     assert _zero_orders(p, m, []) == set(range(m + 1))
     assert _zero_orders(2, 3, [0, 4]) == {3} and _zero_orders(2, 2, range(4)) == {1, 2}

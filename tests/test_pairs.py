@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
@@ -18,7 +19,8 @@ from padictiles.copen import (
     indicator_fourier,
     local_constancy_parameter,
 )
-from padictiles.cyclotomic import CyclotomicSum, vanishes
+from padictiles import cyclotomic, pairs
+from padictiles.cyclotomic import CyclotomicSum, residue_counts, vanishes
 from padictiles.decide import (
     ConstructionFailed,
     DigitSet,
@@ -576,6 +578,51 @@ def test_scan_starts_at_the_shell_of_zero():
     e = UniformDiscreteSet.make(PrimeContext(2), 2, [0, 8, 16])
     assert zero_sphere_scan(e, [-5]) == _reference_zero_sphere_scan(e, [-5])
     assert zero_sphere_scan(e, [-5])[-5] is SphereStatus.NOT_IN_ZERO_SET
+
+
+def test_the_scan_reads_every_sum_from_its_one_fold(monkeypatch):
+    # one fold per scan, with no recount of a truncation and no valuation per residue; at level -3
+    # the sum over {12, 16} (shell -2 and below) vanishes at p**-2 and p**-1, and 7 revives it at p**0
+    ctx = PrimeContext(2)
+    walked, passing = UniformDiscreteSet.make(ctx, 0, [7, 12, 16]), UniformDiscreteSet.make(ctx, 2, [0, 8, 16])
+    folds, valuations = [], []
+    level_counts, int_valuation = cyclotomic._level_counts, pairs._int_valuation
+    monkeypatch.setattr(cyclotomic, "_level_counts", lambda *args: folds.append(args) or level_counts(*args))
+    monkeypatch.setattr(pairs, "_int_valuation", lambda *args: valuations.append(args) or int_valuation(*args))
+    with pytest.raises(NotASpectrumEvidence) as exc:
+        zero_sphere_scan(walked, [-3])
+    assert (exc.value.level, exc.value.truncation) == (-3, 0)
+    assert zero_sphere_scan(passing, [-5, -1, 0]) == _reference_zero_sphere_scan(passing, [-5, -1, 0])
+    assert len(folds) == 2 and not valuations
+    assert not hasattr(pairs, "residue_counts")
+
+
+def test_a_deep_scan_holds_the_counts_of_one_level_at_a_time():
+    # a scan holds O(|E|) counts at any depth: the fold passes 196 levels of up to 999 residues each
+    # before the walk names level 95, and holding every level's counts would take about 90 count maps
+    w = 100
+    e = UniformDiscreteSet.make(PrimeContext(2), w, [F(a, 2**w) for a in range(1, 1000)])
+    tracemalloc.start()
+    try:
+        residue_counts(2, 2 * w, e.residues(w, 2 * w))
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(NotASpectrumEvidence) as exc:
+            zero_sphere_scan(e, range(-w, w + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.level, exc.value.truncation) == (95, 98)
+    assert peak < 8 * one
+
+
+def test_a_dense_set_within_the_difference_work_is_decided():
+    # 2,048 digits of Z/2^12 have at most 2^12 distinct differences, so the work of their |D|^2
+    # differences is within the bound: about 0.4 s and 0.7 s
+    ctx = PrimeContext(2)
+    omega = CompactOpenSet.make(ctx, 0, 12, random.Random(12).sample(range(2**12), 2048))
+    assert len(omega.digits) == 2048 and n_f_of(omega) == 0
+    assert verify_spectral_pair(omega, UniformDiscreteSet.make(ctx, 12, [0]), 0).failure is None
 
 
 def test_ball_counts_and_n_e_equal_the_fraction_reference():
