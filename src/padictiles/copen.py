@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_q,
+from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_fold,
                     _digit_lattice, _frame_digits, _int_valuation, _reduce_frame)
 
 __all__ = [
@@ -62,16 +62,13 @@ class CompactOpenSet:
 
     def digits_in_frame(self, v2: int, M2: int) -> tuple[int, ...]:
         """The same set in the finer frame (v2, M2); ScopeTooLarge, before any digit is built, past p^|v2|
-        or past _MAX_Q digits in all when it adds levels (|D|·p^levels)."""
+        or past _MAX_Q digits in all when it adds levels (|D|·p^levels, padic._digit_lattice)."""
         p = self.context.p
         if v2 > self.v or v2 + M2 < self.v + self.M:
             raise ValueError("target frame does not refine the canonical frame")
-        if levels := v2 + M2 - self.v - self.M:
-            _check_q(p, levels, "a refined frame", len(self.digits), "levels")
         _check_exp(p, v2, "a refined frame", "v2")
-        tail = _digit_lattice(p, range(self.v - v2 + self.M, M2))
-        f = p ** (self.v - v2)
-        return tuple(sorted(c * f + t for c in self.digits for t in tail))
+        shift = self.v - v2
+        return tuple(_digit_lattice(p, range(shift + self.M, M2), self.digits, shift, "a refined frame"))
 
     def balls(self) -> list[Ball]:
         """The digit cells as canonical balls (pairwise disjoint, union = set)."""
@@ -114,25 +111,25 @@ def _int_field(value, field: str) -> int:
 def normalize_set(context: PrimeContext, balls: Iterable[Ball]) -> CompactOpenSet:
     """Union of balls -> canonical compact open set; ScopeTooLarge when one ball, or all, would expand to more
     than _MAX_Q digits of the common frame, before the digits that pass it are built.  Balls expand from
-    the largest down; two are nested or disjoint, so a ball whose smallest digit is built is skipped."""
+    the largest down, so padic._digit_lattice bounds the first alone and the count in all bounds the rest;
+    two are nested or disjoint, so a ball whose smallest digit is built is skipped."""
     balls = list(balls)
     if not balls:
         raise EmptySet("empty union of balls")
     for b in balls:
         if b.context != context:
             raise ValueError("ball context differs")
-    v = min(b.v for b in balls)
+    p, v = context.p, min(b.v for b in balls)
     M = max(b.v + b.M for b in balls) - v
-    _check_q(context.p, v + M - min(b.v + b.M for b in balls), "normalizing a union of balls",
-             name="levels below a ball")
     ds: set[int] = set()
     for b in sorted(balls, key=lambda b: b.v + b.M):  # a ball is the one-digit frame (b.v, b.M, {b.c})
-        if b.c * context.p ** (b.v - v) in ds:
+        if b.c * p ** (b.v - v) in ds:
             continue
-        if len(ds) + (n := context.p ** (v + M - b.v - b.M)) > _MAX_Q:
+        if ds and len(ds) + (n := p ** (v + M - b.v - b.M)) > _MAX_Q:
             raise ScopeTooLarge(f"normalizing a union of balls is limited to {_MAX_Q} digits in all: "
-                                f"p={context.p}, {len(ds)} digits and then a ball of {n}")
-        ds.update(CompactOpenSet(context, b.v, b.M, (b.c,)).digits_in_frame(v, M))
+                                f"p={p}, {len(ds)} digits and then a ball of {n}")
+        ds.update(_digit_lattice(p, range(b.v - v + b.M, M), (b.c,), b.v - v, "normalizing a union of balls",
+                                 "levels below a ball"))
     return CompactOpenSet.make(context, v, M, ds)
 
 
@@ -216,7 +213,8 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
     children, so comparing the counts of residues mod p**i and p**(i+1) decides.
     They are folded from the leaves (residues mod p**M) up; a homogeneous tree has
     p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.  ScopeTooLarge for
-    M < 0 or p**M past _MAX_TREE_BITS (tested on M first), which a canonical frame's p**M never passes.
+    M < 0 or p**M past _MAX_TREE_BITS (tested on M first), which a canonical frame's p**M never passes,
+    and for a fold past padic._MAX_FOLD.
     """
     if not 0 <= M < _MAX_TREE_BITS or (q := p**M) >> _MAX_TREE_BITS:
         raise ScopeTooLarge(f"a digit-tree test takes M >= 0 and p^M of at most {_MAX_TREE_BITS} bits: "
@@ -224,6 +222,7 @@ def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int]
     nodes = {d % q for d in digits}
     if not nodes or q % len(nodes):
         return None
+    _check_fold(p, len(nodes), M, "a digit-tree test")
     levels = set()
     for i in range(M - 1, -1, -1):
         w = p**i

@@ -19,9 +19,10 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
-from .padic import _MAX_TREE_BITS, PrimeContext, RootOfUnity, _check_exp, _require_ints
+from .padic import _MAX_TREE_BITS, PrimeContext, RootOfUnity, _check_exp, _check_fold, _require_ints
 
 __all__ = [
     "CyclotomicSum",
@@ -66,8 +67,10 @@ def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
 
 
 def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
-    """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last."""
+    """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last; ScopeTooLarge
+    past padic._MAX_FOLD, checked on the first."""
     counts = residue_counts(p, M, C)
+    _check_fold(p, len(counts), M, "a level fold")
     yield counts
     for w in [p**n for n in range(M - 1, -1, -1)]:
         folded: dict[int, int] = {}
@@ -84,16 +87,12 @@ def _zero_orders(p: int, m: int, residues: Iterable[int], visit=None) -> frozens
     squared counts mod p**n (Lagrange's identity, module docstring), and 0 iff there are no residues.
     visit(n, counts), if given, sees the counts mod p**n of each order n >= 1 whose sum does not
     vanish, once the fold has made the counts mod p**(n-1); no earlier counts are kept."""
-    fold = _level_counts(p, m, residues)
-    if visit is None:  # the deciders' path: a comprehension, which ran frontier passes faster than the loop
-        squares = [sum([k * k for k in counts.values()]) for counts in fold]  # squares[j] is S_(m - j)
-    else:
-        squares = []
-        for j, counts in enumerate(fold):
-            squares.append(sum([k * k for k in counts.values()]))
-            if j and p * squares[j - 1] != squares[j]:
-                visit(m - j + 1, last)
-            last = counts
+    squares = []  # squares[j] is S_(m - j)
+    for j, counts in enumerate(_level_counts(p, m, residues)):
+        squares.append(sum(map(mul, counts.values(), counts.values())))
+        if visit and j and p * squares[j - 1] != squares[j]:
+            visit(m - j + 1, last)
+        last = counts
     zero = {m - j for j in range(m) if p * squares[j] == squares[j + 1]}
     if not squares[m]:
         zero.add(0)

@@ -49,6 +49,23 @@ def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None
         raise ScopeTooLarge(f"{what} is limited to q <= {_MAX_Q}: p={p}, {name}={M}, q = {q} > {_MAX_Q}")
 
 
+# Largest work of a level fold, in classes kept: count distinct residues mod p^levels fall into at most
+# min(count, p^n) classes mod p^n, so with p^e <= count < p^(e+1) the maps mod p^n for n > e keep at most
+# count·(levels - e) and the rest fewer than 2·count.  Every fold at q <= _MAX_Q keeps at most _MAX_Q, as
+# does the scan of a lifted spectrum of 2^18 elements at window 19.  At the limit the slowest fold found, the
+# scan of 1,278 residues at depth 800 for p = 5, took 1.25 s (2-core Xeon, Python 3.11.7; _MAX_Q: 3.5 s).
+_MAX_FOLD = 2**20
+
+
+def _check_fold(p: int, count: int, levels: int, what: str) -> None:
+    """ScopeTooLarge naming count and levels when count·(levels - e) passes _MAX_FOLD, before any fold step."""
+    if count * levels > _MAX_FOLD:  # else e need not be sought
+        e = next(e for e in range(count.bit_length()) if p ** (e + 1) > count)
+        if count * (levels - e) > _MAX_FOLD:
+            raise ScopeTooLarge(f"{what} is limited to {_MAX_FOLD} classes (count·(levels - e), p^e <= count "
+                                f"< p^(e+1)): p={p}, count={count}, levels={levels}")
+
+
 # Largest size in bits of a power p^|e| asked for by an exponent (v and v + M of a frame, M of a
 # ball or a declared frame, a window, a scan depth): at the limit the slowest command found takes
 # 0.4 s (README, Limits), and every rational printed stays under Python's 4,300-digit limit.
@@ -103,15 +120,17 @@ def _reduce_frame(p: int, v: int, M: int, ds) -> tuple[int, int, tuple[int, ...]
     return v, M, tuple(sorted(ds))
 
 
-def _digit_lattice(p: int, exponents) -> list[int]:
-    """All sums of a_j * p^j over distinct exponents j with digits a_j in [0, p), sorted;
-    ScopeTooLarge past _MAX_Q sums, before any is built."""
-    _check_q(p, len(exponents), "a digit lattice", name="levels")
-    out = [0]
+def _digit_lattice(p: int, exponents, base=(0,), shift=0, what="a digit lattice", name="levels") -> list[int]:
+    """Sorted b * p^shift + t over b in base and t each sum of a_j * p^j, digits a_j in [0, p), over the distinct
+    exponents j; with exponents, ScopeTooLarge past |base|·p^len(exponents) = _MAX_Q before any is built."""
+    if exponents:
+        _check_q(p, len(exponents), what, len(base), name)
+    tail = [0]
     for j in exponents:
         w = p**j
-        out = [x + a * w for x in out for a in range(p)]
-    return sorted(out)
+        tail = [t + a for a in range(0, p * w, w) for t in tail]
+    f = p**shift
+    return sorted([b * f + t for b in base for t in tail])
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

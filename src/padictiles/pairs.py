@@ -196,14 +196,13 @@ class UniformDiscreteSet:
 
 
 def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
-    """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators
-    x * p**k + j over p**window: distinct and in the window, so make's checks are skipped."""
+    """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators x * p**k + j
+    over p**window (padic._digit_lattice): distinct and in the window, so make's checks are skipped."""
     if k < 0:
         raise ValueError(f"lift depth k must be >= 0, got {k}")
     ints = tuple(ints)
-    _check_q(ctx.p, k, f"a truncation of {len(ints)} integers at depth k", len(ints), "k")
-    pk = ctx.p**k
-    return UniformDiscreteSet(ctx, window, tuple(sorted(x * pk + j for x in ints for j in range(pk))))
+    return UniformDiscreteSet(ctx, window, tuple(_digit_lattice(
+        ctx.p, range(k), ints, k, f"a truncation of {len(ints)} integers at depth k", "k")))
 
 
 def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
@@ -302,8 +301,8 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level W - j is nonzero
         n, k1 = w - j, max(w - j + 1, first)
         if n in out and k1 < w:  # the first truncation from k1 on where the sum is nonzero
-            k = next(k for k in range(k1, w + 1) if not vanishes(
-                p, j, {r: a for r, a in counts.items() if not r % p ** (w - k)}))
+            k = next(k for k in range(k1, w + 1) for q in [p ** (w - k)] if not vanishes(
+                p, j, {r: a for r, a in counts.items() if not r % q}))
             if k > k1:
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
                                                  f"back nonzero at p**{k}")
@@ -514,7 +513,7 @@ def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[in
     levels = frame_branching_set(ctx.p, mf, digits_f)
     if levels is None:
         raise ConstructionFailed("set is not p-homogeneous; no closed-form witness to lift")
-    return DigitSet.make(ctx, mf, digits_f), levels
+    return DigitSet(ctx, mf, digits_f), levels  # digits_in_frame returns sorted distinct ints in [0, p**mf)
 
 
 def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscreteSet:

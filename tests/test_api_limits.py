@@ -22,6 +22,7 @@ from padictiles import (
     EmptySet,
     PrimeContext,
     ScopeTooLarge,
+    SphereStatus,
     UniformDiscreteSet,
     ball_member,
     ball_relation,
@@ -29,6 +30,8 @@ from padictiles import (
     copen,
     frame_branching_set,
     homogeneous_census_size,
+    is_p_homogeneous,
+    lifted_spectrum,
     normalize_set,
     padic,
     spectrum_from_homogeneity,
@@ -37,7 +40,15 @@ from padictiles import (
     verify_spectrum_witness,
     verify_tiling_pair,
     verify_tiling_witness,
+    zero_sphere_scan,
 )
+
+
+# Folds of many residues through many levels: each took 3 s to 12 s, or ran until killed after 8 s
+_DEEP_TREE = "is_p_homogeneous(CompactOpenSet.make(PrimeContext(2), -2047, 4094, range(0, 3 * 2**16, 3)))"
+_DEEP_SCAN = "zero_sphere_scan(UniformDiscreteSet(PrimeContext(2), 1000, tuple(range(4096))), range(-1000, 1001))"
+_DEEP_LEVELS = "vanishing_level_set(PrimeContext(2), range(1, 16385), [-2000])"
+_DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [x << 1980 for x in range(16384)])"
 
 
 @pytest.mark.parametrize("call, names", [
@@ -98,6 +109,12 @@ from padictiles import (
                  "a spectral check at window_exp=0 is limited to 26214400 units of digit-difference work "
                  "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16",
                  id="verify_spectral_pair_dense"),
+    pytest.param(_DEEP_TREE, "a digit-tree test is limited to 1048576 classes (count·(levels - e), "
+                 "p^e <= count < p^(e+1)): p=2, count=65536, levels=4094", id="is_p_homogeneous_deep"),
+    pytest.param(_DEEP_SCAN, "a level fold is limited to 1048576 classes (count·(levels - e), "
+                 "p^e <= count < p^(e+1)): p=2, count=4096, levels=2000", id="zero_sphere_scan_deep"),
+    pytest.param(_DEEP_LEVELS, "p=2, count=16384, levels=2000", id="vanishing_level_set_deep"),
+    pytest.param(_DEEP_SPECTRUM, "p=2, count=16384, levels=2000", id="verify_spectrum_witness_deep"),
 ])
 def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
     # each was still running when a 5 s timeout ended it
@@ -134,6 +151,37 @@ def test_a_refined_frame_bounds_the_digits_it_builds_in_all():
     assert len(om.digits_in_frame(0, 19)) == 2**18
     # a refinement that adds no level only rescales the digits
     assert CompactOpenSet.make(ctx, 1, 2, [1, 3]).digits_in_frame(-1, 4) == (4, 12)
+
+
+def test_a_refinement_that_adds_no_level_rescales_a_frame_of_any_size():
+    # the bound is on |D|·p^levels; with no level added there is no lattice tail, so none applies
+    ctx = PrimeContext(2)
+    om = CompactOpenSet.make(ctx, 3, 20, range(2**18 + 1))
+    assert len(om.digits) == 2**18 + 1
+    assert om.digits_in_frame(1, 22) == tuple(4 * d for d in range(2**18 + 1))
+
+
+def test_the_fold_bound_counts_the_levels_past_those_where_the_classes_must_merge():
+    # count·(levels - e) with p^e <= count < p^(e+1): 2^10 residues through 2^10 + 10 levels keep 2^20 classes
+    padic._check_fold(2, 2**10, 2**10 + 10, "a fold")
+    padic._check_fold(3, 3**12, 13, "a fold")  # 3^12 is at most p^levels
+    with pytest.raises(ScopeTooLarge, match=r"^a fold is limited to 1048576 classes .*: p=2, count=1024, "
+                                            r"levels=1035$"):
+        padic._check_fold(2, 2**10, 2**10 + 11, "a fold")
+    with pytest.raises(ScopeTooLarge, match=r"p=2, count=1025, levels=1034$"):
+        padic._check_fold(2, 2**10 + 1, 2**10 + 10, "a fold")
+
+
+def test_the_fold_bound_admits_every_fold_the_library_makes_within_its_other_limits():
+    # the scan of a lifted spectrum of 2^18 elements at window 19 (2^15 digits on a frame of depth 16), and the
+    # deepest canonical digit tree; T1 and the recheck on all of Z/2^18 are in tests/test_cli.py
+    ctx = PrimeContext(2)
+    lam = lifted_spectrum(CompactOpenSet.make(ctx, 0, 16, range(2**15)), 3)
+    assert (len(lam.numerators), lam.window_exp) == (2**18, 19)
+    statuses = zero_sphere_scan(lam, range(16))
+    # the branching levels 0..14 of the digit tree are the zero spheres, and level 15 is not
+    assert [n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET] == list(range(15))
+    assert is_p_homogeneous(CompactOpenSet.make(ctx, -2047, 4094, [1])) == (True, frozenset())
 
 
 def test_the_spectrum_check_takes_every_depth_a_frame_may_have():
@@ -312,7 +360,7 @@ _RANGE = st.builds("range({}, 2**{}, {})".format, st.integers(0, 3), st.integers
 
 # Every public call that takes a depth, a frame, a window or a digit list; {S}, {O} and {E} are the
 # digit set, compact open set and truncation built from the drawn p, v, M and C, and {R} a range of up
-# to 2^17 digits
+# to 2^17 digits, which also feeds the level folds at deep frames
 _CALLS = [
     "DigitSet.make(PrimeContext({p}), {M}, {C})",
     "CompactOpenSet.make(PrimeContext({p}), {v}, {M}, {C})",
@@ -351,6 +399,11 @@ _CALLS = [
     "verify_spectral_pair({O}, {E}, {v2}).verified_window.measure()",
     "CyclotomicSum.make(PrimeContext({p}), {M}, {{{c}: 1}})",
     "n_f_of(CompactOpenSet.make(PrimeContext({p}), 0, 40, {R}))",
+    "frame_branching_set({p}, 2584, {R})",
+    "is_p_homogeneous(CompactOpenSet.make(PrimeContext({p}), -1200, 2400, {R}))",
+    "vanishing_level_set(PrimeContext({p}), {R}, [-1290])",
+    "verify_spectrum_witness(PrimeContext({p}), 1290, {R}, {R})",
+    "zero_sphere_scan(UniformDiscreteSet.make(PrimeContext({p}), 640, {R}), range(-640, 641))",
 ]
 
 
@@ -374,6 +427,10 @@ def _api_call(draw):
 @example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).count_in_ball(0, -10**9)")
 @example(call="Ball.make(PrimeContext(3), 10**9, 0, 0).measure()")
 @example(call="n_f_of(CompactOpenSet.make(PrimeContext(2), 0, 16, range(0, 2**16, 3)))")
+@example(call=_DEEP_TREE)
+@example(call=_DEEP_SCAN)
+@example(call=_DEEP_LEVELS)
+@example(call=_DEEP_SPECTRUM)
 def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
     # a call still running after 10 s fails by name in api_child.run
     name, message, _ = api_child.run(call)

@@ -7,6 +7,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padictiles.padic import (
     Ball,
@@ -14,6 +16,8 @@ from padictiles.padic import (
     INF,
     PrimeContext,
     RootOfUnity,
+    ScopeTooLarge,
+    _digit_lattice,
     _is_prime,
     _require_ints,
     ball_member,
@@ -280,3 +284,31 @@ def test_the_int_check_reads_a_one_shot_iterable_once():
         _require_ints(stop=4, xs=(x for x in [1, 2, -1, 5]))
     with pytest.raises(ValueError, match="element '2' of xs is not an int$"):
         _require_ints(xs=iter([1, "2", 3.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([2, 3, 5]), exponents=st.sets(st.integers(0, 6), max_size=4).map(sorted),
+       base=st.sets(st.integers(0, 40), min_size=1, max_size=5).map(sorted), shift=st.integers(0, 8))
+def test_the_digit_lattice_is_the_product_of_a_base_and_a_tail(p, exponents, base, shift):
+    # every sum b * p^shift + sum of a_j * p^j over the exponents, with digits a_j in [0, p), in order
+    tails = [0]
+    for j in exponents:
+        tails = [t + a * p**j for t in tails for a in range(p)]
+    want = sorted(b * p**shift + t for b in base for t in tails)
+    assert _digit_lattice(p, exponents, base, shift) == want
+    assert _digit_lattice(p, exponents) == sorted(tails)
+
+
+def test_the_digit_lattice_bounds_its_base_times_its_tail():
+    assert _digit_lattice(3, []) == [0] and _digit_lattice(3, [], [4, 1], 2) == [9, 36]
+    assert _digit_lattice(2, [0, 2]) == [0, 1, 4, 5] and _digit_lattice(2, [2], [0, 1]) == [0, 1, 4, 5]
+    # |base|·p^levels is bounded as a whole, in the caller's words, before anything is built
+    assert len(_digit_lattice(2, range(16), range(4))) == 2**18
+    with pytest.raises(ScopeTooLarge, match=r"^a refined frame is limited to q <= 262144: p=2, levels=17, "
+                                            r"q = 4·2\^17 > 262144$"):
+        _digit_lattice(2, range(17), range(4), 0, "a refined frame")
+    with pytest.raises(ScopeTooLarge, match=r"^a digit lattice is limited to q <= 262144: p=5, levels=8, "
+                                            r"q = 5\^8"):
+        _digit_lattice(5, range(8))
+    # with no exponent the base is only rescaled, at any size
+    assert _digit_lattice(2, (), range(2**18 + 1), 1)[-1] == 2**19

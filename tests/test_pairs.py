@@ -19,7 +19,7 @@ from padictiles.copen import (
     indicator_fourier,
     local_constancy_parameter,
 )
-from padictiles import cyclotomic, pairs
+from padictiles import copen, cyclotomic, decide, padic, pairs
 from padictiles.cyclotomic import CyclotomicSum, residue_counts, vanishes
 from padictiles.decide import (
     ConstructionFailed,
@@ -345,6 +345,20 @@ def test_lifted_witnesses_across_homogeneous_family():
         nf = n_f_of(om)
         for n in range(nf, lam.window_exp + 1):
             assert lam.count_in_ball(0, n) == ctx.pow(n) * om.measure()
+
+
+def test_the_lifted_witnesses_read_the_frame_digits_of_a_made_set_no_more(monkeypatch):
+    # the digits of the full frame come sorted and distinct from digits_in_frame, and DigitSet.make read
+    # them again (padic._frame_digits) on every lift
+    om = CompactOpenSet.make(PrimeContext(2), 1, 3, (0, 1, 4, 5))
+    reads = []
+    for module in (padic, copen, decide):
+        read = module._frame_digits
+        monkeypatch.setattr(module, "_frame_digits", lambda *args, read=read: reads.append(args) or read(*args))
+    assert (om.v, om.M, om.digits) == (1, 2, (0, 1))  # {0, 2} + 8 Z_2 on the full frame
+    assert lifted_spectrum(om, 2).numerators == (0, 1, 2, 3, 8, 9, 10, 11)
+    assert lifted_tiling_complement(om, 2).numerators == (0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23)
+    assert not reads
 
 
 def test_lift_rejects_inhomogeneous_sets():
