@@ -21,9 +21,9 @@ from pathlib import Path
 from .copen import (
     CompactOpenSet,
     EmptySet,
+    _frame_branching_set,
     _int_field,
     autocorrelation,
-    frame_branching_set,
     indicator_fourier,
     is_p_homogeneous,
     normalize_set,
@@ -158,7 +158,7 @@ def _declared_frame(args) -> tuple[DigitSet, frozenset[int] | None]:
     """The digit set of --set on its declared frame (v=0, --M) and its branching levels."""
     ds = _set_from_args(args, DigitSet.make)
     _check_exp(ds.context.p, ds.M, "a declared frame", "M")
-    return ds, frame_branching_set(ds.context.p, ds.M, ds.C)
+    return ds, _frame_branching_set(ds.context.p, ds.M, ds.C)
 
 
 def _eset_from_args(args, ctx: PrimeContext) -> UniformDiscreteSet:

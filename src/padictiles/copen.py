@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
 from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_fold,
-                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame)
+                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame, _require_ints)
 
 __all__ = [
     "EmptySet",
@@ -205,7 +205,14 @@ def local_constancy_parameter(omega: CompactOpenSet) -> int:
 
 
 def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int] | None:
-    """Levels where the digit tree branches fully, or None if any level is mixed.
+    """Levels where the digit tree branches fully, or None if any level is mixed; the digits must be
+    ints (ValueError).  The library's callers already hold ints and call _frame_branching_set."""
+    [digits] = _require_ints(digits=digits)
+    return _frame_branching_set(p, M, digits)
+
+
+def _frame_branching_set(p: int, M: int, digits) -> frozenset[int] | None:
+    """frame_branching_set of int digits.
 
     Level i is branching when every residue mod p**i present extends to
     exactly p residues mod p**(i+1); unary when every one extends to exactly
@@ -241,5 +248,5 @@ def is_p_homogeneous(omega: CompactOpenSet) -> tuple[bool, frozenset[int] | None
     Returns (flag, branching levels); the levels refer to the canonical frame
     (a set equal to all of Z_p reduces to depth 0 with no levels at all).
     """
-    levels = frame_branching_set(omega.context.p, omega.M, omega.digits)
+    levels = _frame_branching_set(omega.context.p, omega.M, omega.digits)
     return (levels is not None, levels)

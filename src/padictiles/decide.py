@@ -16,18 +16,19 @@ census treats any disagreement among the three as a fatal finding.
 
 from __future__ import annotations
 
-import cmath
-import math
 import os
 import random
+from cmath import rect
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
+from math import fsum, tau
 from typing import Iterable, Iterator, NamedTuple
 
-from .copen import frame_branching_set
+from .copen import _frame_branching_set, frame_branching_set  # noqa: F401 (reached as decide.frame_branching_set)
 from .cyclotomic import _level_counts, _zero_orders, vanishes
-from .padic import PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice, _frame_digits, _require_ints
+from .padic import (PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice, _frame_digits,
+                    _require_ints)
 
 __all__ = [
     "DigitSet",
@@ -98,21 +99,50 @@ def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     (C and T ints, else ValueError); p**M is bounded as an exponent (ScopeTooLarge)."""
     _check_exp(p, M, "a tiling check", "M")
     C, T = _require_ints(C=C, T=T)
-    q = p**M
+    return _covers(p**M, C, T)
+
+
+def _covers(q: int, C: tuple, T: tuple) -> bool:
+    """verify_tiling_witness on int tuples whose q is bounded."""
     if len(C) * len(T) != q:
         return False
     return len({(c + t) % q for c in C for t in T}) == q
 
 
-@lru_cache(maxsize=1)
-def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> tuple[tuple[int, dict[int, int]], ...]:
-    """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M):
-    j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
-    The exact recheck and the numeric guard ask this of one pair in turn; neither changes a count."""
-    sizes = [len(counts) for counts in _level_counts(p, M, lam)][::-1] + [len(lam)]
-    occurring = {j for j in range(M + 1) if sizes[j + 1] > sizes[j]}
+def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> list[tuple[int, dict[int, int]]]:
+    """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M), C and lam
+    int tuples: j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
+    The classes of lam are folded as sets until one is left, and C's counts only down to the deepest j
+    that occurs; both folds are bounded by padic._check_fold before their first step (ScopeTooLarge)."""
+    w = p**M
+    classes = {x % w for x in lam}
+    _check_fold(p, len(classes), M, "a level fold")
+    sizes = [len(lam), len(classes)]  # sizes[i]: classes of lam mod p^(M+1-i)
+    while len(classes) > 1:
+        w //= p
+        classes = {x % w for x in classes}
+        sizes.append(len(classes))
+    sizes += [len(classes)] * (M + 2 - len(sizes))
+    occurring = {j for j in range(M + 1) if sizes[M - j] > sizes[M + 1 - j]}
     levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
-    return tuple((j, counts) for j, counts in levels if j in occurring)
+    return [(j, counts) for j, counts in levels if j in occurring]
+
+
+def _orthogonal(p: int, M: int, levels) -> bool:
+    """The exact recheck of verify_spectrum_witness on the occurring levels of its lam."""
+    return all(vanishes(p, M - j, counts) for j, counts in levels)
+
+
+def _defect(p: int, M: int, levels) -> float:
+    """The numeric guard of spectrum_orthogonality_defect on the occurring levels of its lam.  The angle
+    of each term is 2π times the int quotient (u·r mod n)/n, which Python rounds correctly for any n."""
+    worst = 0.0
+    for j, counts in levels:
+        n = p ** (M - j)
+        for u in {1 % n, -1 % n, (1 + p) % n}:
+            terms = [rect(k, tau * (u * r % n / n)) for r, k in counts.items()]
+            worst = max(worst, abs(complex(fsum([z.real for z in terms]), fsum([z.imag for z in terms]))))
+    return worst
 
 
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
@@ -126,10 +156,9 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     """
     _check_exp(context.p, M, "a spectrum check", "M")
     C, lam = _require_ints(C=C, lam=lam)
-    if len(set(lam)) != len(lam) or len(lam) != len(C):
+    if len(lam) != len(C):  # a repeated element of lam is a difference of valuation M, where the sum is |C|
         return False
-    levels = _occurring_levels(context.p, M, C, lam)
-    return all(vanishes(context.p, M - j, counts) for j, counts in levels)
+    return _orthogonal(context.p, M, _occurring_levels(context.p, M, C, lam))
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
@@ -141,15 +170,7 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     """
     _check_exp(p, M, "a spectrum check", "M")
     C, lam = _require_ints(C=C, lam=lam)
-    worst = 0.0
-    for j, counts in _occurring_levels(p, M, C, lam):
-        n = p ** (M - j)
-        step = 2j * cmath.pi / n
-        for u in {v % n for v in (1, -1, 1 + p)}:
-            terms = [k * cmath.exp(step * (u * r % n)) for r, k in counts.items()]
-            s = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
-            worst = max(worst, abs(s))
-    return worst
+    return _defect(p, M, _occurring_levels(p, M, C, lam))
 
 
 @lru_cache(maxsize=1)
@@ -213,7 +234,7 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
         chosen.append(t)
         x = covered.find(0, x)
     T = tuple(sorted(chosen))
-    if not verify_tiling_witness(p, M, C.C, T):
+    if not _covers(q, C.C, T):
         raise ConstructionFailed(f"tile search witness failed coverage recount: C={C.C}, T={T}")
     return Witness(WitnessKind.TILING_COMPLEMENT, p, M, T)
 
@@ -232,24 +253,31 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     levels = _t1_levels(C)
     if levels is None:
         return None
-    return spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
+    return _spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
 
 
 def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Spectrum for a homogeneous digit set from its branching levels.
 
     Candidate: all sums of a_i * p^(M-1-i) over branching levels i with
-    digits a_i in [0, p).  Verified exactly before return; a failure raises
-    rather than patching; a level not an int in range(M) is a ValueError.
+    digits a_i in [0, p).  Verified exactly and by the numeric guard, on one
+    pass over the occurring levels of Λ, before return; a failure raises
+    rather than patching; a level not an int in range(M) is a ValueError.  A
+    repeated level repeats elements, so the valuation M occurs and fails.
     """
-    ctx, M, p = C.context, C.M, C.context.p
-    [levels] = _require_ints(stop=M, levels=levels)
+    return _spectrum_from_homogeneity(C, *_require_ints(stop=C.M, levels=levels))
+
+
+def _spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
+    """spectrum_from_homogeneity of int levels in range(M), which the library's callers hold."""
+    M, p = C.M, C.context.p
     lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
-    if not verify_spectrum_witness(ctx, M, C.C, lam):
+    _check_exp(p, M, "a spectrum check", "M")
+    if len(lam) != len(C.C) or not _orthogonal(p, M, occurring := _occurring_levels(p, M, C.C, lam)):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )
-    if spectrum_orthogonality_defect(p, M, C.C, lam) >= 1e-9:
+    if _defect(p, M, occurring) >= 1e-9:
         raise ConstructionFailed(f"numeric guard failed for C={C.C}, levels={sorted(levels)}")
     return Witness(WitnessKind.SPECTRUM, p, M, lam)
 
@@ -318,7 +346,7 @@ def _row_from_mask(context: PrimeContext, M: int, mask: int) -> CensusRow:
     ds = DigitSet(context, M, C)
     wt = is_tile_zmod(ds)
     wl = is_spectral_zmod(ds)
-    levels = frame_branching_set(p, M, C)
+    levels = _frame_branching_set(p, M, C)
     flags = (wt is not None, wl is not None, levels is not None)
     if len(set(flags)) != 1:
         raise EquivalenceViolation(

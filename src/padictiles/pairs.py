@@ -21,15 +21,15 @@ from typing import Iterable
 from .copen import (
     CompactOpenSet,
     ScaledCyclotomic,
-    frame_branching_set,
+    _frame_branching_set,
     local_constancy_parameter,
 )
 from .cyclotomic import CyclotomicSum, _zero_orders, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
+    _spectrum_from_homogeneity,
     complement_from_homogeneity,
-    spectrum_from_homogeneity,
 )
 from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice,
                     _int_valuation)
@@ -296,7 +296,7 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     _check_exp(p, depth, f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
     res, out = e.residues(w, depth), dict.fromkeys(levels)  # first: W minus the deepest order holding class 0
     first = -w if 0 in e.numerators else w - bisect_left(
-        range(1, depth + 1), True, key=lambda t: all(r % p**t for r in res))
+        range(1, depth + 1), True, key=lambda t: all(r % q for q in [p**t] for r in res))
 
     def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level W - j is nonzero
         n, k1 = w - j, max(w - j + 1, first)
@@ -510,7 +510,7 @@ def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[in
     ctx = omega.context
     mf = omega.v + omega.M
     digits_f = omega.digits_in_frame(0, mf)
-    levels = frame_branching_set(ctx.p, mf, digits_f)
+    levels = _frame_branching_set(ctx.p, mf, digits_f)
     if levels is None:
         raise ConstructionFailed("set is not p-homogeneous; no closed-form witness to lift")
     return DigitSet(ctx, mf, digits_f), levels  # digits_in_frame returns sorted distinct ints in [0, p**mf)
@@ -525,7 +525,7 @@ def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscret
     window.
     """
     ds, levels = _full_frame_digit_set(omega)
-    w0 = spectrum_from_homogeneity(ds, levels)
+    w0 = _spectrum_from_homogeneity(ds, levels)
     return _lattice_truncation(omega.context, w0.elements, extra_exp, ds.M + extra_exp)
 
 

@@ -200,6 +200,13 @@ def test_the_spectrum_check_refuses_a_float_in_the_witness():
         verify_spectrum_witness(PrimeContext(2), 2, [0, 1.0], [0, 2])
 
 
+def test_the_digit_tree_test_refuses_a_float():
+    # returned frozenset({0}): the classes 0.5 and 1.5 mod 4 were read as two leaves first apart at level 0
+    with pytest.raises(ValueError, match=r"element 0\.5 of digits is not an int"):
+        frame_branching_set(2, 2, [0.5, 1.5])
+    assert frame_branching_set(2, 2, (x for x in [0, 3])) == frozenset({0})
+
+
 def test_the_tiling_check_refuses_a_float_in_the_witness():
     # returned True
     with pytest.raises(ValueError, match=r"element 0\.0 of T is not an int"):

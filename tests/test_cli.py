@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from padictiles import cli, decide
 from padictiles.cli import main
-from padictiles.decide import CensusRow, classify_all
+from padictiles.decide import CensusRow, classify_all, spectrum_orthogonality_defect
 
 
 def run(capsys, *argv):
@@ -528,7 +528,7 @@ def _positive(ds):
     ({"is_spectral_zmod": lambda ds: None}, "flags disagree on p=2, M=2, C=(0,)"),
     ({"homogeneous_census_size": lambda p, M, levels, size=decide.homogeneous_census_size: size(p, M, levels) + 1},
      "branching-set census mismatch at I=()"),
-    ({"is_tile_zmod": _positive, "is_spectral_zmod": _positive, "frame_branching_set": lambda p, M, C: frozenset()},
+    ({"is_tile_zmod": _positive, "is_spectral_zmod": _positive, "_frame_branching_set": lambda p, M, C: frozenset()},
      "positive set with non-p-power size: C=(0, 1, 2)"),
 ])
 def test_a_failed_census_cross_check_exits_2(capsys, monkeypatch, patches, message):
@@ -628,6 +628,15 @@ def test_huge_exponent_flags_exit_1_at_once(cli_child, argv, names):
     assert seconds < 1
     assert code == 1 and out == "" and names in err and "Traceback" not in err
     assert "262144" in err if argv[0] == "is-tile" else "of at most 2048 bits" in err
+
+
+def test_the_numeric_guard_takes_every_depth_the_exact_recheck_admits(cli_child):
+    # ended in an OverflowError traceback: the guard's angle step 2j * pi / n has no float past n = 2^1023
+    code, out, err, _ = cli_child.run("make-spectrum", "--p", "2", "--M", "1024", "--set", f"0,{2**1023}")
+    assert code == 0 and out == "spectrum = {0, 1} (I = [1023])\n" and "Traceback" not in err
+    assert spectrum_orthogonality_defect(2, 1024, [0, 2**1023], [0, 1]) < 1e-9
+    assert spectrum_orthogonality_defect(2, 2047, [0, 2**2046], [0, 1]) < 1e-9
+    assert spectrum_orthogonality_defect(2, 1024, [0, 2**1022], [0, 1]) == pytest.approx(2**0.5)
 
 
 def test_a_huge_negative_window_exp_needs_one_representative(capsys):
@@ -817,6 +826,7 @@ def _exponent_argv(draw):
 @example(argv=["autocorr", "--p", "2", "--set", "0", "--M", "100000", "--xi", "1"])
 @example(argv=["scan-zeros", "--p", "2", "--elements", "0,3", "--window", "0", "--levels=-20000:0"])
 @example(argv=["normalize", "--p", "3", "--balls", "0,100000000,1"])
+@example(argv=["make-spectrum", "--p", "2", "--M", "1024", "--set", f"0,{2**1023}"])
 def test_fuzz_exponent_flags_exit_cleanly(cli_child, argv):
     code, _, err, _ = cli_child.run(*argv)
     assert code in (0, 1, 2, 3)

@@ -10,14 +10,18 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from padictiles.cyclotomic import residue_counts, vanishes
+from padictiles.cyclotomic import _level_counts, residue_counts, vanishes
 from padictiles.decide import (
     Census,
     DigitSet,
     ScopeTooLarge,
     Witness,
     WitnessKind,
+    _defect,
+    _occurring_levels,
     classify_all,
     complement_from_homogeneity,
     homogeneous_census_size,
@@ -550,6 +554,60 @@ def test_the_memoised_recheck_follows_each_witness_of_one_set():
     assert spectrum_orthogonality_defect(2, 3, c, good) < 1e-9
     assert verify_spectrum_witness(ctx, 3, list(c), list(good))
     assert not verify_spectrum_witness(ctx, 3, list(c), list(bad))
+
+
+def _reference_occurring_levels(p, M, C, lam):
+    """The occurring levels by count-map folds of lam and C: (j, counts of C mod p^(M-j)) for each j with
+    more classes of lam mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction."""
+    sizes = [len(counts) for counts in _level_counts(p, M, lam)][::-1] + [len(lam)]
+    occurring = {j for j in range(M + 1) if sizes[j + 1] > sizes[j]}
+    levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
+    return [(j, counts) for j, counts in levels if j in occurring]
+
+
+def _reference_defect(p, M, levels):
+    """The numeric guard with the angle step 2πi/n as a float: an OverflowError once n passes 2^1023."""
+    worst = 0.0
+    for j, counts in levels:
+        n = p ** (M - j)
+        step = 2j * cmath.pi / n
+        for u in {v % n for v in (1, -1, 1 + p)}:
+            terms = [k * cmath.exp(step * (u * r % n)) for r, k in counts.items()]
+            s = complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
+            worst = max(worst, abs(s))
+    return worst
+
+
+@st.composite
+def _spectrum_pairs(draw, depth):
+    """(p, M, C, lam) as int tuples, with M up to depth[p]: lam's entries are a·p^e + s·p^M, so some are
+    equal mod p^M or repeated, some are >= p^M, and |lam| is drawn apart from |C|."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    M = draw(st.integers(0, depth[p]))
+    q = p**M
+    C = tuple(draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=12)))
+    entry = st.builds(lambda a, e, s: (a * p**e) % q + s * q, st.integers(0, q), st.integers(0, M), st.integers(0, 2))
+    return p, M, C, tuple(draw(st.lists(entry, min_size=1, max_size=12)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_spectrum_pairs({2: 9, 3: 6, 5: 4}))
+@example(case=(2, 0, (0,), (0, 1, 1)))
+@example(case=(3, 2, (0, 1, 2), (0, 3, 6, 9)))
+def test_the_set_fold_finds_the_occurring_levels_of_the_count_fold(case):
+    # the classes of lam folded as sets give the levels and C's counts of the count-map fold they replaced
+    assert _occurring_levels(*case) == _reference_occurring_levels(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_spectrum_pairs({2: 1023, 3: 645, 5: 440}))  # p^M <= 2^1023, where 2πi/p^M is a float
+@example(case=(2, 3, (0, 3), (0, 1)))  # |sum| 2cos(π/8) at the unit 3 and 2cos(3π/8) at 1 and -1
+@example(case=(2, 1023, (0, 2**1022), (0, 1)))
+def test_the_guard_agrees_with_the_float_step_wherever_that_step_is_finite(case):
+    p, M, C, lam = case
+    levels = _occurring_levels(p, M, C, lam)
+    assert _defect(p, M, levels) == pytest.approx(_reference_defect(p, M, levels), rel=0, abs=1e-12)
+    assert spectrum_orthogonality_defect(p, M, C, lam) == _defect(p, M, levels)
 
 
 def _no_pool(max_workers):
