@@ -36,6 +36,10 @@ class EmptySet(ValueError):
     """Raised when an operation needs a nonempty union of balls."""
 
 
+class WindowTooSmall(ValueError):
+    """The declared truncation window cannot support the requested computation."""
+
+
 # Largest q = p^M of any group, frame, lattice or window the library builds: spectral on all
 # of Z/2^18, the slowest decision there, takes 2.7-3.5 s (2-core Xeon, Python 3.11.7; 2^19: 5.6 s).
 _MAX_Q = 2**18
@@ -172,6 +176,43 @@ def _int_valuation(p: int, n: int) -> int:
     return v + (n // p**v % p == 0)
 
 
+def _capped_valuation(p: int, n: int, k: int) -> int:
+    """min(v_p(n), k) for an int n (k for n = 0), from gcd(n, p**k): linear in the bits of n, where a full
+    valuation is quadratic, once the caller has bounded p**k."""
+    return _int_valuation(p, math.gcd(n, p**k))
+
+
+def _clamped_valuation(p: int, x: Fraction, k: int) -> int:
+    """v_p(x) clamped to [-k, k] (k for x = 0), p**k bounded by the caller."""
+    if x.denominator % p:
+        return _capped_valuation(p, x.numerator, k)
+    return -_capped_valuation(p, x.denominator, k)
+
+
+def _read_elements(p: int, elements, top: int) -> tuple[int, int, list[int]]:
+    """(e, unit, numerators) of an element list, read once: element i is numerators[i] / (p**e * unit), repeats kept,
+    with unit prime to p and p**e the largest p-part of a denominator, read up to p**(max(top, 0) + 1) (bounded by
+    the caller).  An int passes as it is.  ValueError names the position and type of an element that is not an int or
+    a Fraction, WindowTooSmall the position of one outside B(0, p**top)."""
+    xs, e, unit, cap = list(elements), 0, 1, max(top, 0) + 1
+    for i, x in enumerate(xs):
+        if isinstance(x, int):
+            continue
+        if not isinstance(x, Fraction):
+            raise ValueError(f"element {i} is a {type(x).__name__}, not an int or a Fraction")
+        if (k := _capped_valuation(p, x.denominator, cap)) == cap:
+            raise WindowTooSmall(f"element {i} lies outside the window B(0, p**{top})")
+        e = max(e, k)
+        if (u := x.denominator // p**k) > 1:
+            unit = math.lcm(unit, u)
+    scale = p**e * unit
+    nums = [x.numerator * (scale // x.denominator) for x in xs]
+    for i, n in enumerate(nums if top < 0 else ()):  # then e = 0, and v_p(n) is that of element i
+        if n % p**-top:
+            raise WindowTooSmall(f"element {i} lies outside the window B(0, p**{top})")
+    return e, unit, nums
+
+
 @dataclass(frozen=True, slots=True)
 class PrimeContext:
     """The prime p that every object in a computation is pinned to.
@@ -282,14 +323,16 @@ class Ball:
 
     @classmethod
     def around(cls, context: PrimeContext, x: Fraction | int, radius_exp: int) -> "Ball":
-        """The ball of p-adic radius p**radius_exp around x."""
+        """The ball of p-adic radius p**radius_exp around x; v_p(x) is read clamped to ±_MAX_EXP_BITS."""
         vm = -radius_exp  # v + M of the result
-        xv = context.valuation(x)
+        x = Fraction(x)
+        xv = _clamped_valuation(context.p, x, _MAX_EXP_BITS)
         if xv >= vm:
             return cls.make(context, vm, 0, 0)
         # x = p**xv * unit; digits of the unit below the radius cutoff survive
         M = vm - xv
         _check_exp(context.p, M, "a ball", "M")
+        _check_exp(context.p, xv, "a ball", "v")  # before the residue, which a clamped xv cannot make
         return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
 
     def center(self) -> Fraction:

@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable
 
 from .copen import (
@@ -31,8 +30,8 @@ from .decide import (
     _spectrum_from_homogeneity,
     complement_from_homogeneity,
 )
-from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, _check_exp, _check_q, _digit_lattice,
-                    _int_valuation)
+from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall, _check_exp, _check_q,
+                    _clamped_valuation, _digit_lattice, _int_valuation, _read_elements)
 
 __all__ = [
     "WindowTooSmall",
@@ -76,10 +75,6 @@ def _check_differences(omega: CompactOpenSet, what: str) -> None:
                             f"p={omega.context.p}, M={omega.M}")
 
 
-class WindowTooSmall(ValueError):
-    """The declared truncation window cannot support the requested computation."""
-
-
 class NotASpectrumEvidence(RuntimeError):
     """A sphere's truncated sums vanished and then stopped vanishing.
 
@@ -112,7 +107,8 @@ class UniformDiscreteSet:
     Stored as integer numerators over one common denominator: element x is
     n / (p**window_exp * unit), with the numerators sorted and distinct and
     unit the lcm of the unit parts of the denominators (1 for every
-    truncation the library builds).  `elements` derives the Fractions.
+    truncation the library builds), as make reads ints and Fractions by
+    padic._read_elements.  `elements` derives the Fractions.
     """
 
     context: PrimeContext
@@ -123,18 +119,13 @@ class UniformDiscreteSet:
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
         _check_exp(context.p, window_exp, "a truncation", "window")
-        elems = sorted({Fraction(x) for x in elements})
-        if not elems:
-            raise ValueError("truncation must contain at least one element")
-        for x in elems:
-            if x != 0 and context.valuation(x) < -window_exp:
-                raise WindowTooSmall(
-                    f"element {x} lies outside the declared window B(0, p**{window_exp})"
-                )
         p = context.p
-        unit = lcm(*(x.denominator // p ** _int_valuation(p, x.denominator) for x in elems))
-        scale = context.pow(window_exp) * unit
-        return cls(context, window_exp, tuple(int(x * scale) for x in elems), unit)
+        e, unit, nums = _read_elements(p, elements, window_exp)
+        if not nums:
+            raise ValueError("truncation must contain at least one element")
+        f = p ** abs(window_exp - e)  # e <= window_exp, or e = 0 and p**-window_exp divides every numerator
+        nums = {n * f for n in nums} if window_exp >= e else {n // f for n in nums}
+        return cls(context, window_exp, tuple(sorted(nums)), unit)
 
     @property
     def elements(self) -> tuple[Fraction, ...]:
@@ -183,7 +174,8 @@ class UniformDiscreteSet:
             _check_exp(ctx.p, m, "a ball count", "m", _MAX_RESIDUE_BITS)
             q = ctx.p**m
             return sum([n % q == 0 for n in self.numerators])
-        w = max(self.window_exp, -ctx.valuation(c))
+        # -v_p(c) is read up to |W| + _MAX_EXP_BITS, where residues() refuses the scale w - W
+        w = max(self.window_exp, -_clamped_valuation(ctx.p, c, abs(self.window_exp) + _MAX_EXP_BITS))
         m = max(w - radius_exp, 0)
         return self.residues(w, m).count(ctx.residue(c * ctx.pow(w), m))
 

@@ -24,6 +24,7 @@ from padictiles import (
     ScopeTooLarge,
     SphereStatus,
     UniformDiscreteSet,
+    WindowTooSmall,
     ball_member,
     ball_relation,
     complement_from_homogeneity,
@@ -350,6 +351,59 @@ def test_a_union_refines_to_the_frame_of_its_lowest_v():
     assert (om.v, om.M, len(om.digits)) == (-10, 2050, 9)
 
 
+_NOT_A_NUMBER = [("float('inf')", "float"), ("float('nan')", "float"), ("0.5", "float"), ("'1/2'", "str")]
+
+
+@pytest.mark.parametrize("call", ["UniformDiscreteSet.make(PrimeContext(2), 0, [0, {x}])",
+                                  "vanishing_level_set(PrimeContext(2), [0, {x}], [0])"])
+@pytest.mark.parametrize("x, kind", _NOT_A_NUMBER, ids=[x for x, _ in _NOT_A_NUMBER])
+def test_the_element_reader_refuses_what_is_not_an_int_or_a_fraction(call, x, kind):
+    # inf ended in an OverflowError, which is not a ValueError, and 0.5 and '1/2' were read as 1/2
+    with pytest.raises(ValueError, match=f"^element 1 is a {kind}, not an int or a Fraction$"):
+        eval(call.format(x=x), vars(padictiles))
+
+
+def test_a_window_refusal_names_the_position_of_the_element_not_its_digits():
+    # raised a plain ValueError, "Exceeds the limit (4300 digits) for integer string conversion", in
+    # printing the element
+    with pytest.raises(WindowTooSmall, match=r"^element 1 lies outside the window B\(0, p\*\*2047\)$"):
+        UniformDiscreteSet.make(PrimeContext(2), 2047, [0, padic.Fraction(1, 2**10**5)])
+    with pytest.raises(WindowTooSmall, match=r"^element 2 lies outside the window B\(0, p\*\*-2\)$"):
+        UniformDiscreteSet.make(PrimeContext(3), -2, [0, 9, 6])
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 0, [2**(2*10**6)])", "returned", id="make_deep_int"),
+    pytest.param("vanishing_level_set(PrimeContext(2), [2**(2*10**6), 0], [0])", "returned",
+                 id="vanishing_level_set_deep_int"),
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2047, [padic.Fraction(1, 2**10**7)])", "WindowTooSmall",
+                 id="make_deep_denominator"),
+    pytest.param("Ball.around(PrimeContext(2), 2**(2*10**6), 0)", "returned", id="Ball.around_deep_int"),
+    pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball("
+                 "padic.Fraction(1, 2**(2*10**6)), 0)", "ScopeTooLarge", id="count_in_ball_deep_denominator"),
+])
+def test_an_element_of_a_deep_valuation_is_read_at_once(api_child, call, name):
+    # each took 12-13 s in a full valuation of the element, or ran until killed after 3 minutes
+    got, message, seconds = api_child.run(call)
+    assert got == name and seconds < 1, message
+
+
+def test_a_capped_valuation_answers_as_the_full_one_or_refuses_a_value_past_the_exponent_limit():
+    ctx = PrimeContext(2)
+    assert UniformDiscreteSet.make(ctx, 0, [2**4000, 0]).numerators == (0, 2**4000)
+    assert vanishing_level_set(ctx, [2**4000, 0], [0, -3]) == frozenset()
+    assert vanishing_level_set(ctx, [2**3000], [-2047]) == frozenset()
+    assert Ball.around(ctx, 2**4000, 0) == Ball.make(ctx, 0, 0, 0)
+    # each of these was refused after a full valuation, naming w - window_exp=3998 and v=3000
+    with pytest.raises(ScopeTooLarge, match="w - window_exp=2048$"):
+        UniformDiscreteSet.make(ctx, 2, [0, 1]).count_in_ball(padic.Fraction(1, 2**4000), 0)
+    with pytest.raises(ScopeTooLarge, match="p=2, v=2048$"):
+        Ball.around(ctx, 2**3000, -3000)
+    # returned frozenset(): V = 3000 reached the level; V is read up to 2049, and the level is past the limit
+    with pytest.raises(ScopeTooLarge, match=r"p\^\|level\| of at most 2048 bits: p=2, level=-3000$"):
+        vanishing_level_set(ctx, [2**3000], [-3000])
+
+
 
 # A hostile size for a depth, a scale v or a window: small, at or just past a limit for p = 2 or 3,
 # or anything up to 10^9 in size
@@ -438,6 +492,8 @@ def _api_call(draw):
 @example(call=_DEEP_SCAN)
 @example(call=_DEEP_LEVELS)
 @example(call=_DEEP_SPECTRUM)
+@example(call="Ball.around(PrimeContext(2), 2**(2*10**6), 0)")
+@example(call="UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball(padic.Fraction(1, 2**(2*10**6)), 0)")
 def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
     # a call still running after 10 s fails by name in api_child.run
     name, message, _ = api_child.run(call)

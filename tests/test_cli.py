@@ -630,6 +630,14 @@ def test_huge_exponent_flags_exit_1_at_once(cli_child, argv, names):
     assert "262144" in err if argv[0] == "is-tile" else "of at most 2048 bits" in err
 
 
+def test_an_element_outside_the_window_exits_3_naming_its_position(cli_child):
+    # the message printed the element, about 4,000 digits
+    code, out, err, _ = cli_child.run("scan-zeros", "--p", "2", "--elements", f"1/{2**13000}", "--window", "0",
+                                      "--levels", "0")
+    assert code == 3 and out == "" and len(err) < 200
+    assert err == "error: element 0 lies outside the window B(0, p**0)\n"
+
+
 def test_the_numeric_guard_takes_every_depth_the_exact_recheck_admits(cli_child):
     # ended in an OverflowError traceback: the guard's angle step 2j * pi / n has no float past n = 2^1023
     code, out, err, _ = cli_child.run("make-spectrum", "--p", "2", "--M", "1024", "--set", f"0,{2**1023}")

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padictiles.cyclotomic import _zero_orders, vanishing_level_set
+
 from padictiles.padic import (
     Ball,
     BallRelation,
@@ -17,13 +19,16 @@ from padictiles.padic import (
     PrimeContext,
     RootOfUnity,
     ScopeTooLarge,
+    WindowTooSmall,
     _digit_lattice,
+    _int_valuation,
     _is_prime,
     _require_ints,
     ball_member,
     ball_relation,
     character,
 )
+from padictiles.pairs import UniformDiscreteSet
 
 
 def test_prime_context_rejects_composites():
@@ -312,3 +317,62 @@ def test_the_digit_lattice_bounds_its_base_times_its_tail():
         _digit_lattice(5, range(8))
     # with no exponent the base is only rescaled, at any size
     assert _digit_lattice(2, (), range(2**18 + 1), 1)[-1] == 2**19
+
+
+def _reference_make(context, window_exp, elements):
+    """(numerators, unit) of UniformDiscreteSet.make by its Fraction path, before the one element reader."""
+    elems = sorted({F(x) for x in elements})
+    if not elems:
+        raise ValueError("truncation must contain at least one element")
+    for x in elems:
+        if x != 0 and context.valuation(x) < -window_exp:
+            raise WindowTooSmall(f"element {x} lies outside the declared window B(0, p**{window_exp})")
+    p = context.p
+    unit = math.lcm(*(x.denominator // p ** _int_valuation(p, x.denominator) for x in elems))
+    scale = context.pow(window_exp) * unit
+    return tuple(int(x * scale) for x in elems), unit
+
+
+def _reference_vanishing_level_set(context, elements, levels):
+    """vanishing_level_set by its Fraction path, before the one element reader."""
+    p = context.p
+    elems = [F(e) for e in elements]
+    levels = sorted(set(levels))
+    V = min((context.valuation(c) for c in elems if c != 0), default=0)
+    depth = max([0] + [-(i + V) for i in levels])
+    zero = _zero_orders(p, depth, [context.residue(c * context.pow(-V), depth) for c in elems])
+    return frozenset(i for i in levels if max(0, -(i + V)) in zero)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def _elements(draw, p):
+    """Ints (small, or a unit times a p-power of up to 80 levels, or a bool), fractions over p-powers and over
+    p-powers times a unit, and repeats of any of them."""
+    small = st.integers(-60, 60)
+    unit = st.integers(2, 40).filter(lambda u: u % p)
+    kinds = st.one_of(small, st.booleans(), st.builds(lambda u, k: u * p**k, small, st.integers(0, 80)),
+                      st.builds(lambda a, k: F(a, p**k), small, st.integers(1, 6)),
+                      st.builds(lambda a, k, u: F(a, p**k * u), small, st.integers(0, 6), unit))
+    xs = draw(st.lists(kinds, max_size=8))
+    return xs + draw(st.lists(st.sampled_from(xs), max_size=3)) if xs else xs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_element_reader_equals_the_fraction_path(data):
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    ctx, xs = PrimeContext(p), data.draw(_elements(p))
+    window = data.draw(st.integers(-6, 8))
+    levels = data.draw(st.lists(st.integers(-12, 6), max_size=5))
+    made = _outcome(UniformDiscreteSet.make, ctx, window, xs)
+    if isinstance(made, UniformDiscreteSet):
+        made = made.numerators, made.unit
+    assert made == _outcome(_reference_make, ctx, window, xs)
+    assert _outcome(vanishing_level_set, ctx, xs, levels) == _reference_vanishing_level_set(ctx, xs, levels)
