@@ -18,7 +18,7 @@ from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
 from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_fold,
-                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame, _require_ints)
+                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame, _require_ints, _valuation_at_least)
 
 __all__ = [
     "EmptySet",
@@ -54,9 +54,10 @@ class CompactOpenSet:
         return len(self.digits) * self.context.pow(-(self.v + self.M))
 
     def member(self, x: Fraction | int) -> bool:
+        """x * p**-v is in Z_p (v_p read clamped, padic._valuation_at_least) and its residue mod p**M a digit."""
         ctx = self.context
         r = Fraction(x) * ctx.pow(-self.v)
-        if ctx.valuation(r) < 0:
+        if not _valuation_at_least(ctx.p, r, 0):
             return False
         return ctx.residue(r, self.M) in self.digits
 
@@ -164,14 +165,15 @@ def indicator_fourier(
     """1̂_Ω(ξ) = p**-(v+M) * sum over digits c of χ(-ξ p**v c); zero beyond p**(v+M).
 
     The support cutoff |ξ|_p <= p**(v+M) is exact: past it the value is the
-    empty sum.  With {ξ p**v} = r / p**s, each digit's root sits at exponent
-    -r*c mod p**s; the sum is declared at the least common order of its roots.
+    empty sum, and v_p(ξ) is read clamped (padic._valuation_at_least).  With
+    {ξ p**v} = r / p**s, each digit's root sits at exponent -r*c mod p**s; the
+    sum is declared at the least common order of its roots.
     """
     ctx = omega.context
     p = ctx.p
     x = Fraction(xi)
     e = -(omega.v + omega.M)
-    if x != 0 and ctx.valuation(x) < e:
+    if not _valuation_at_least(p, x, e):
         return ScaledCyclotomic(e, CyclotomicSum(ctx, 0, {}))
     n, r = ctx.frac_exponent(x * ctx.pow(omega.v))
     exps = [-r * c for c in omega.digits]

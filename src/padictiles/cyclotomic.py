@@ -82,14 +82,15 @@ def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
         yield counts
 
 
-def _zero_orders(p: int, m: int, residues: Iterable[int], visit=None) -> frozenset[int]:
-    """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over the residues vanishes,
-    from one fold of their counts from p**m down: n >= 1 iff p * S_n = S_(n-1), S_n the sum of the
+def _zero_orders(p: int, m: int, maps: Iterable[dict[int, int]], visit=None) -> frozenset[int]:
+    """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over some residues vanishes, read
+    from the maps of their counts mod p**m down to p**0 (_level_counts, a generator so that no earlier
+    counts are kept, or a list that its caller keeps): n >= 1 iff p * S_n = S_(n-1), S_n the sum of the
     squared counts mod p**n (Lagrange's identity, module docstring), and 0 iff there are no residues.
     visit(n, counts), if given, sees the counts mod p**n of each order n >= 1 whose sum does not
-    vanish, once the fold has made the counts mod p**(n-1); no earlier counts are kept."""
+    vanish, once the fold has made the counts mod p**(n-1)."""
     squares = []  # squares[j] is S_(m - j)
-    for j, counts in enumerate(_level_counts(p, m, residues)):
+    for j, counts in enumerate(maps):
         squares.append(sum(map(mul, counts.values(), counts.values())))
         if visit and j and p * squares[j - 1] != squares[j]:
             visit(m - j + 1, last)
@@ -275,5 +276,5 @@ def vanishing_level_set(
     _check_exp(p, depth, "a vanishing-level scan", "depth")
     # u_c is n_c / p**(e + V) / unit; a Galois automorphism of the roots drops the unit and keeps every zero
     f = p ** (e + V)
-    zero = _zero_orders(p, depth, [n // f for n in nums])
+    zero = _zero_orders(p, depth, _level_counts(p, depth, [n // f for n in nums]))
     return frozenset(i for i in levels if max(0, -(i + V)) in zero)

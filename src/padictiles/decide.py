@@ -109,11 +109,12 @@ def _covers(q: int, C: tuple, T: tuple) -> bool:
     return len({(c + t) % q for c in C for t in T}) == q
 
 
-def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> list[tuple[int, dict[int, int]]]:
+def _occurring_levels(p: int, M: int, C: tuple, lam: tuple, maps=None) -> list[tuple[int, dict[int, int]]]:
     """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M), C and lam
     int tuples: j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
-    The classes of lam are folded as sets until one is left, and C's counts only down to the deepest j
-    that occurs; both folds are bounded by padic._check_fold before their first step (ScopeTooLarge)."""
+    The classes of lam are folded as sets until one is left.  C's counts are read from maps, its counts
+    mod p^M down to p^0 as T1 kept them (_t1_levels), or else folded only down to the deepest j that
+    occurs; both folds are bounded by padic._check_fold before their first step (ScopeTooLarge)."""
     w = p**M
     classes = {x % w for x in lam}
     _check_fold(p, len(classes), M, "a level fold")
@@ -124,7 +125,7 @@ def _occurring_levels(p: int, M: int, C: tuple, lam: tuple) -> list[tuple[int, d
         sizes.append(len(classes))
     sizes += [len(classes)] * (M + 2 - len(sizes))
     occurring = {j for j in range(M + 1) if sizes[M - j] > sizes[M + 1 - j]}
-    levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C))
+    levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C) if maps is None else maps)
     return [(j, counts) for j, counts in levels if j in occurring]
 
 
@@ -134,12 +135,13 @@ def _orthogonal(p: int, M: int, levels) -> bool:
 
 
 def _defect(p: int, M: int, levels) -> float:
-    """The numeric guard of spectrum_orthogonality_defect on the occurring levels of its lam.  The angle
+    """The numeric guard of spectrum_orthogonality_defect on the occurring levels of its lam, at the units
+    1 and 1 + p: the sum at -1 is the complex conjugate of the sum at 1, of the same modulus.  The angle
     of each term is 2π times the int quotient (u·r mod n)/n, which Python rounds correctly for any n."""
     worst = 0.0
     for j, counts in levels:
         n = p ** (M - j)
-        for u in {1 % n, -1 % n, (1 + p) % n}:
+        for u in {1 % n, (1 + p) % n}:
             terms = [rect(k, tau * (u * r % n / n)) for r, k in counts.items()]
             worst = max(worst, abs(complex(fsum([z.real for z in terms]), fsum([z.imag for z in terms]))))
     return worst
@@ -165,7 +167,8 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     """Largest |character sum over C| at the differences of lam, numerically; a guard, never a decider.
 
     Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
-    at u*p^j for the units u in {1, -1, 1 + p}, with fsum over the counts of C mod p^(M-j).
+    at u*p^j for the units u in {1, 1 + p}, with fsum over the counts of C mod p^(M-j)
+    (at -1 it is the complex conjugate of the sum at 1).
     C and lam must hold ints (ValueError), as in the exact recheck.
     """
     _check_exp(p, M, "a spectrum check", "M")
@@ -174,21 +177,24 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
 
 
 @lru_cache(maxsize=1)
-def _t1_levels(C: DigitSet) -> frozenset[int] | None:
-    """The zero levels Z of C when |C| = p^|Z| (condition T1), else None.
+def _t1_levels(C: DigitSet) -> tuple[frozenset[int], list[dict[int, int]]] | None:
+    """(Z, maps) when |C| = p^|Z| for the zero levels Z of C (condition T1), else None; maps[j] is
+    the count map of C mod p^(M-j), for j = 0..M, from the one fold that decided Z.
 
     Level j is in Z when the sum over C of the roots of order p^(M-j) at
     exponents c vanishes, and then so does the sum at d*c for d = p^j u:
     scaling exponents by a unit u is a ring automorphism fixing 0.  A q past
     the limit raises ScopeTooLarge and a size not dividing p^M gives None, both
-    before any level sum.  Both deciders ask this of one set in turn.
+    before any level sum.  Both deciders ask this of one set in turn, and the
+    spectral one rechecks its spectrum on these maps rather than folding C again.
     """
     p, M, k = C.context.p, C.M, len(C.C)
     _check_q(p, M, "deciding tiles and spectra")
     if p**M % k:
         return None
-    zero = _zero_orders(p, M, C.C)  # the orders M - j of the zero levels j (never 0: C is nonempty)
-    return frozenset(M - n for n in zero) if p ** len(zero) == k else None
+    maps = list(_level_counts(p, M, C.C))
+    zero = _zero_orders(p, M, maps)  # the orders M - j of the zero levels j (never 0: C is nonempty)
+    return (frozenset(M - n for n in zero), maps) if p ** len(zero) == k else None
 
 
 def is_tile_zmod(C: DigitSet) -> Witness | None:
@@ -208,9 +214,10 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
     is re-verified by a coverage count.
     """
     p, M = C.context.p, C.M
-    levels = _t1_levels(C)
-    if levels is None:
+    t1 = _t1_levels(C)
+    if t1 is None:
         return None
+    levels = t1[0]
     q = p**M
     # (weight p^i, class mod p^i -> the digit i its translates share)
     digit_of = [(p ** (M - 1 - j), {}) for j in levels]
@@ -248,12 +255,13 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     Otherwise Λ is every number whose base-p digits outside Z are 0; two
     first differ at some j in Z, so their difference has valuation j.  That
     is the homogeneity spectrum at branching levels {M-1-j : j in Z}, which
-    is rechecked exactly and by the numeric guard.
+    is rechecked exactly and by the numeric guard on the count maps of T1.
     """
-    levels = _t1_levels(C)
-    if levels is None:
+    t1 = _t1_levels(C)
+    if t1 is None:
         return None
-    return _spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels})
+    levels, maps = t1
+    return _spectrum_from_homogeneity(C, {C.M - 1 - j for j in levels}, maps)
 
 
 def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
@@ -268,12 +276,13 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     return _spectrum_from_homogeneity(C, *_require_ints(stop=C.M, levels=levels))
 
 
-def _spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
-    """spectrum_from_homogeneity of int levels in range(M), which the library's callers hold."""
+def _spectrum_from_homogeneity(C: DigitSet, levels, maps=None) -> Witness:
+    """spectrum_from_homogeneity of int levels in range(M), which the library's callers hold; the recheck
+    reads C's counts from maps when the caller holds them (_occurring_levels)."""
     M, p = C.M, C.context.p
     lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
     _check_exp(p, M, "a spectrum check", "M")
-    if len(lam) != len(C.C) or not _orthogonal(p, M, occurring := _occurring_levels(p, M, C.C, lam)):
+    if len(lam) != len(C.C) or not _orthogonal(p, M, occurring := _occurring_levels(p, M, C.C, lam, maps)):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )

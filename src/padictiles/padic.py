@@ -177,9 +177,12 @@ def _int_valuation(p: int, n: int) -> int:
 
 
 def _capped_valuation(p: int, n: int, k: int) -> int:
-    """min(v_p(n), k) for an int n (k for n = 0), from gcd(n, p**k): linear in the bits of n, where a full
-    valuation is quadratic, once the caller has bounded p**k."""
-    return _int_valuation(p, math.gcd(n, p**k))
+    """min(v_p(n), k) for an int n (k for n = 0): _int_valuation with p**2 capped at k // 2, so its work is the
+    bits of n times min(v_p(n), k), and it forms no power past p**k or, for n != 0, past n**2."""
+    if k == 0 or n % p:
+        return 0
+    v = 2 * _capped_valuation(p * p, n, k // 2) if k > 1 else 0
+    return v + (v < k and n // p**v % p == 0)
 
 
 def _clamped_valuation(p: int, x: Fraction, k: int) -> int:
@@ -187,6 +190,13 @@ def _clamped_valuation(p: int, x: Fraction, k: int) -> int:
     if x.denominator % p:
         return _capped_valuation(p, x.numerator, k)
     return -_capped_valuation(p, x.denominator, k)
+
+
+def _valuation_at_least(p: int, x: Fraction, K: int) -> bool:
+    """v_p(x) >= K, from _clamped_valuation at |K| + 1, exact in [-|K|, |K|]: its work is the bits of x times
+    min(|v_p(x)|, |K| + 1), and x = 0 (True) takes no valuation, so no power of p past the square of x's
+    numerator or denominator is formed, however large K is."""
+    return not x or _clamped_valuation(p, x, abs(K) + 1) >= K
 
 
 def _read_elements(p: int, elements, top: int) -> tuple[int, int, list[int]]:
@@ -351,21 +361,21 @@ class Ball:
 
 
 def ball_member(x: Fraction | int, b: Ball) -> bool:
-    """Exact membership test: v_p(x - center) >= v + M."""
-    return b.context.valuation(x - b.center()) >= b.v + b.M
+    """Exact membership test: v_p(x - center) >= v + M, with v_p read clamped (_valuation_at_least)."""
+    return _valuation_at_least(b.context.p, Fraction(x - b.center()), b.v + b.M)
 
 
 def ball_relation(a: Ball, b: Ball) -> BallRelation:
     """Ultrametric dichotomy: two balls are nested or disjoint, never partial.
 
-    Driven entirely by radius exponents and one center-distance valuation.
+    Driven entirely by radius exponents and one center-distance valuation, read clamped
+    (_valuation_at_least).
     """
     if a.context != b.context:
         raise ValueError("contexts differ")
     ra, rb = a.radius_exp(), b.radius_exp()
-    d = a.context.valuation(a.center() - b.center())
     # centers within the larger radius <=> the smaller ball sits inside
-    if d >= -max(ra, rb):
+    if _valuation_at_least(a.context.p, a.center() - b.center(), -max(ra, rb)):
         if ra == rb:
             return BallRelation.EQUAL
         if ra < rb:

@@ -23,7 +23,7 @@ from .copen import (
     _frame_branching_set,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum, _zero_orders, vanishes
+from .cyclotomic import CyclotomicSum, _level_counts, _zero_orders, vanishes
 from .decide import (
     ConstructionFailed,
     DigitSet,
@@ -31,7 +31,7 @@ from .decide import (
     complement_from_homogeneity,
 )
 from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall, _check_exp, _check_q,
-                    _clamped_valuation, _digit_lattice, _int_valuation, _read_elements)
+                    _clamped_valuation, _digit_lattice, _int_valuation, _read_elements, _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -299,7 +299,7 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
                                                  f"back nonzero at p**{k}")
 
-    zero = _zero_orders(p, depth, res, walk)
+    zero = _zero_orders(p, depth, _level_counts(p, depth, res), walk)
     for n in levels:
         if n > w:
             raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
@@ -322,20 +322,18 @@ def zero_bound_check(e: UniformDiscreteSet) -> bool:
 
 
 def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int, Fraction]]:
-    """Exact count-over-measure ratios Card(E ∩ B(x0, p**k)) / p**k per k."""
-    ctx = e.context
+    """Exact count-over-measure ratios Card(E ∩ B(x0, p**k)) / p**k per k.  B(x0, p**k) lies in the window
+    B(0, p**W) iff k <= W and v_p(x0) >= -W, with v_p read clamped (padic._valuation_at_least); else
+    WindowTooSmall names k and W."""
+    ctx, w = e.context, e.window_exp
     c = Fraction(x0)
     ks = sorted(set(k_range))
     if ks:
-        _check_exp(ctx.p, max(0, e.window_exp - ks[0]),
-                   f"a density scan of window {e.window_exp} down to k = {ks[0]}", "depth")
-    out = []
+        _check_exp(ctx.p, max(0, w - ks[0]), f"a density scan of window {w} down to k = {ks[0]}", "depth")
+    out, inside = [], _valuation_at_least(ctx.p, c, -w)
     for k in ks:
-        reach = k if c == 0 else max(k, -ctx.valuation(c))
-        if reach > e.window_exp:
-            raise WindowTooSmall(
-                f"ball B({c}, p**{k}) is not contained in the declared window"
-            )
+        if k > w or not inside:
+            raise WindowTooSmall(f"the ball of radius p**{k} about x0 is not contained in the window B(0, p**{w})")
         out.append((k, e.count_in_ball(c, k) * ctx.pow(-k)))
     return out
 

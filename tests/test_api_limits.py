@@ -29,6 +29,7 @@ from padictiles import (
     ball_relation,
     complement_from_homogeneity,
     copen,
+    density,
     frame_branching_set,
     homogeneous_census_size,
     is_p_homogeneous,
@@ -386,6 +387,63 @@ def test_an_element_of_a_deep_valuation_is_read_at_once(api_child, call, name):
     # each took 12-13 s in a full valuation of the element, or ran until killed after 3 minutes
     got, message, seconds = api_child.run(call)
     assert got == name and seconds < 1, message
+
+
+_DEEP = "2**(2*10**6)"
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(f"CompactOpenSet.make(PrimeContext(2), 0, 2, [1, 2]).member({_DEEP})", id="member"),
+    pytest.param(f"copen.indicator_fourier(CompactOpenSet.make(PrimeContext(2), 0, 2, [1, 2]), {_DEEP})",
+                 id="indicator_fourier"),
+    pytest.param(f"ball_member({_DEEP}, Ball.make(PrimeContext(2), 0, 2, 1))", id="ball_member"),
+    # a ball that make would refuse, built directly as a pair report builds its window: its center is 2**(2*10**6)
+    pytest.param("ball_relation(Ball(PrimeContext(2), 2*10**6, 1, 1), Ball.make(PrimeContext(2), 0, 0, 0))",
+                 id="ball_relation"),
+    pytest.param(f"density(UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]), {_DEEP}, [0, 2])", id="density"),
+    # a point of valuation 0 against a bound of as many bits: a capped valuation by gcd with p**(bound + 1) took 9.4 s
+    pytest.param("ball_member(3**1262000, Ball(PrimeContext(2), 2*10**6, 0, 0))", id="ball_member_far_bound"),
+])
+def test_a_point_of_a_deep_valuation_is_compared_with_its_bound_at_once(api_child, call):
+    # member, indicator_fourier and ball_member took 11.5-11.8 s in a full valuation of the point
+    name, message, seconds = api_child.run(call)
+    assert name == "returned" and seconds < 1, message
+
+
+def test_a_clamped_comparison_answers_as_the_full_valuation():
+    # the five calls above compare v_p of a point with a bound through padic._valuation_at_least
+    ctx = PrimeContext(2)
+    om = CompactOpenSet.make(ctx, 0, 2, [1, 2])
+    assert not om.member(2**4000) and om.member(1 + 2**4000) and not om.member(padic.Fraction(1, 2**4000))
+    assert copen.indicator_fourier(om, 2**4000) == copen.indicator_fourier(om, 0)
+    assert copen.indicator_fourier(om, padic.Fraction(1, 2**4000)).sum.coeffs == {}
+    assert ball_member(2**4000, Ball.make(ctx, 0, 2, 0)) and not ball_member(2**4000 + 2, Ball.make(ctx, 0, 2, 0))
+    assert ball_member(2**4000, Ball(ctx, 4000, 0, 0)) and not ball_member(2**4000, Ball(ctx, 4001, 0, 0))
+    assert ball_relation(Ball(ctx, 4000, 1, 1), Ball.make(ctx, 0, 0, 0)) is BallRelation.FIRST_INSIDE_SECOND
+    assert ball_relation(Ball(ctx, 10**9, 0, 0), Ball(ctx, 10**9, 0, 0)) is BallRelation.EQUAL
+    e = UniformDiscreteSet.make(ctx, 2, [0, 1])
+    assert density(e, 2**4000, [0, 2]) == density(e, 0, [0, 2])
+    with pytest.raises(WindowTooSmall, match=r"^the ball of radius p\*\*0 about x0 is not contained in the "
+                                             r"window B\(0, p\*\*2\)$"):
+        density(e, padic.Fraction(1, 2**4000), [0, 2])
+    with pytest.raises(WindowTooSmall, match=r"radius p\*\*3 about x0"):
+        density(e, 0, [1, 3])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(-40, 40), st.integers(1, 30), st.integers(-60, 60))
+@example(2, 0, 1, 0)
+@example(3, -5, 1, 10**9)
+@example(3, 5, 1, -10**9)
+def test_the_clamped_comparison_equals_the_full_valuation(p, v, unit, K):
+    # unit is made prime to p, so x = p**v * unit has valuation v; 0 is at least every bound
+    unit += unit % p == 0
+    x = padic.Fraction(unit) * PrimeContext(p).pow(v)
+    assert padic._valuation_at_least(p, x, K) == (v >= K)
+    assert padic._valuation_at_least(p, padic.Fraction(0), K)
+    k = min(abs(K), 100)
+    assert padic._capped_valuation(p, x.numerator * x.denominator, k) == min(abs(v), k)
+    assert padic._capped_valuation(p, 0, k) == k
 
 
 def test_a_capped_valuation_answers_as_the_full_one_or_refuses_a_value_past_the_exponent_limit():

@@ -638,6 +638,14 @@ def test_an_element_outside_the_window_exits_3_naming_its_position(cli_child):
     assert err == "error: element 0 lies outside the window B(0, p**0)\n"
 
 
+def test_a_density_center_outside_the_window_exits_3_naming_k_and_the_window(cli_child):
+    # the message printed the center, 4,280 bytes
+    code, out, err, _ = cli_child.run("density", "--p", "2", "--elements", "0,3", "--window", "0", "--k-range=-2:0",
+                                      "--x0", f"1/{2**14000}")
+    assert code == 3 and out == "" and len(err) < 200
+    assert err == "error: the ball of radius p**-2 about x0 is not contained in the window B(0, p**0)\n"
+
+
 def test_the_numeric_guard_takes_every_depth_the_exact_recheck_admits(cli_child):
     # ended in an OverflowError traceback: the guard's angle step 2j * pi / n has no float past n = 2^1023
     code, out, err, _ = cli_child.run("make-spectrum", "--p", "2", "--M", "1024", "--set", f"0,{2**1023}")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padictiles.cyclotomic import (
     CyclotomicSum,
+    _level_counts,
     _zero_orders,
     residue_counts,
     vanishes,
@@ -250,9 +251,12 @@ def test_zero_orders_equal_one_zero_test_per_order(data):
                                             max_size=3)):
         residues += [r + t * p ** (n - 1) + lift * p**n for t in range(p)] * k
     want = {n for n in range(m + 1) if vanishes(p, n, residue_counts(p, n, residues))}
-    assert _zero_orders(p, m, residues) == want
+    assert _zero_orders(p, m, _level_counts(p, m, residues)) == want
+    # a list of the maps, as T1 keeps them, reads as the generator does
+    assert _zero_orders(p, m, list(_level_counts(p, m, residues))) == want
     seen = []  # the visitor sees the counts of each order n >= 1 whose sum does not vanish, once, from m down
-    assert _zero_orders(p, m, residues, lambda n, counts: seen.append((n, counts))) == want
+    assert _zero_orders(p, m, _level_counts(p, m, residues), lambda n, counts: seen.append((n, counts))) == want
     assert seen == [(n, residue_counts(p, n, residues)) for n in range(m, 0, -1) if n not in want]
-    assert _zero_orders(p, m, []) == set(range(m + 1))
-    assert _zero_orders(2, 3, [0, 4]) == {3} and _zero_orders(2, 2, range(4)) == {1, 2}
+    assert _zero_orders(p, m, _level_counts(p, m, [])) == set(range(m + 1))
+    assert _zero_orders(2, 3, _level_counts(2, 3, [0, 4])) == {3}
+    assert _zero_orders(2, 2, _level_counts(2, 2, range(4))) == {1, 2}

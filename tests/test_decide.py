@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 from padictiles.cyclotomic import _level_counts, residue_counts, vanishes
 from padictiles.decide import (
     Census,
+    ConstructionFailed,
     DigitSet,
     ScopeTooLarge,
     Witness,
     WitnessKind,
     _defect,
     _occurring_levels,
+    _t1_levels,
     classify_all,
     complement_from_homogeneity,
     homogeneous_census_size,
@@ -554,6 +556,49 @@ def test_the_memoised_recheck_follows_each_witness_of_one_set():
     assert spectrum_orthogonality_defect(2, 3, c, good) < 1e-9
     assert verify_spectrum_witness(ctx, 3, list(c), list(good))
     assert not verify_spectrum_witness(ctx, 3, list(c), list(bad))
+
+
+@pytest.mark.parametrize("p,M", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_every_exhaustive_family(p, M):
+    # the census spectrum is rechecked on the count maps of T1; spectrum_from_homogeneity folds C itself
+    ctx = PrimeContext(p)
+    rows = [row for row in classify_all(p, M, "exhaustive").rows if row.is_spectral]
+    for row in rows:
+        assert row.witness_Lambda == spectrum_from_homogeneity(DigitSet(ctx, M, row.C), row.branching).elements
+    assert rows
+
+
+@pytest.mark.parametrize("p,m", [(2, 6), (3, 3), (5, 2), (7, 2)])
+def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_perturbed_draws(p, m):
+    rng = random.Random(1019 * p + m)
+    ctx = PrimeContext(p)
+    seen = {True: 0, False: 0}
+    for c in (c for _ in range(3) for c in _homogeneous_and_perturbed(rng, p, m)):
+        ds = DigitSet.make(ctx, m, c)
+        w, levels = is_spectral_zmod(ds), frame_branching_set(p, m, c)
+        assert (w is None) == (levels is None), c
+        seen[w is not None] += 1
+        if w is not None:
+            assert w.elements == spectrum_from_homogeneity(ds, levels).elements
+            # the levels and counts the recheck read are those of a fold of C of its own
+            maps = _t1_levels(ds)[1]
+            assert _occurring_levels(p, m, ds.C, w.elements, maps) == _occurring_levels(p, m, ds.C, w.elements)
+    assert seen[True] and seen[False]
+
+
+def test_a_wrong_count_in_t1s_maps_fails_the_spectrum_recheck():
+    # the recheck reads T1's maps rather than folding C again: one count raised at an occurring level of
+    # the spectrum (the lowest zero level) must fail it
+    ds = DigitSet.make(PrimeContext(2), 4, (0, 1, 4, 5))
+    levels, maps = _t1_levels(ds)
+    counts = maps[min(levels)]
+    try:
+        counts[next(iter(counts))] += 1
+        with pytest.raises(ConstructionFailed, match="homogeneity spectrum formula failed"):
+            is_spectral_zmod(ds)
+    finally:
+        _t1_levels.cache_clear()
+    assert is_spectral_zmod(ds).elements == (0, 2, 8, 10)
 
 
 def _reference_occurring_levels(p, M, C, lam):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padictiles.cyclotomic import _zero_orders, vanishing_level_set
+from padictiles.cyclotomic import _level_counts, _zero_orders, vanishing_level_set
 
 from padictiles.padic import (
     Ball,
@@ -340,7 +340,8 @@ def _reference_vanishing_level_set(context, elements, levels):
     levels = sorted(set(levels))
     V = min((context.valuation(c) for c in elems if c != 0), default=0)
     depth = max([0] + [-(i + V) for i in levels])
-    zero = _zero_orders(p, depth, [context.residue(c * context.pow(-V), depth) for c in elems])
+    residues = [context.residue(c * context.pow(-V), depth) for c in elems]
+    zero = _zero_orders(p, depth, _level_counts(p, depth, residues))
     return frozenset(i for i in levels if max(0, -(i + V)) in zero)
 
 

@@ -19,7 +19,7 @@ from padictiles.copen import (
     indicator_fourier,
     local_constancy_parameter,
 )
-from padictiles import copen, cyclotomic, decide, padic, pairs
+from padictiles import copen, decide, padic, pairs
 from padictiles.cyclotomic import CyclotomicSum, residue_counts, vanishes
 from padictiles.decide import (
     ConstructionFailed,
@@ -600,8 +600,8 @@ def test_the_scan_reads_every_sum_from_its_one_fold(monkeypatch):
     ctx = PrimeContext(2)
     walked, passing = UniformDiscreteSet.make(ctx, 0, [7, 12, 16]), UniformDiscreteSet.make(ctx, 2, [0, 8, 16])
     folds, valuations = [], []
-    level_counts, int_valuation = cyclotomic._level_counts, pairs._int_valuation
-    monkeypatch.setattr(cyclotomic, "_level_counts", lambda *args: folds.append(args) or level_counts(*args))
+    level_counts, int_valuation = pairs._level_counts, pairs._int_valuation
+    monkeypatch.setattr(pairs, "_level_counts", lambda *args: folds.append(args) or level_counts(*args))
     monkeypatch.setattr(pairs, "_int_valuation", lambda *args: valuations.append(args) or int_valuation(*args))
     with pytest.raises(NotASpectrumEvidence) as exc:
         zero_sphere_scan(walked, [-3])
