@@ -27,8 +27,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .copen import _frame_branching_set, frame_branching_set  # noqa: F401 (reached as decide.frame_branching_set)
 from .cyclotomic import _level_counts, _zero_orders, vanishes
-from .padic import (PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice, _frame_digits,
-                    _require_ints)
+from .padic import (_LATTICES, PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice,
+                    _frame_digits, _require_ints)
 
 __all__ = [
     "DigitSet",
@@ -109,12 +109,10 @@ def _covers(q: int, C: tuple, T: tuple) -> bool:
     return len({(c + t) % q for c in C for t in T}) == q
 
 
-def _occurring_levels(p: int, M: int, C: tuple, lam: tuple, maps=None) -> list[tuple[int, dict[int, int]]]:
-    """(j, counts of C mod p^(M-j)) for each valuation j of a difference of lam (v_p(0) = M), C and lam
-    int tuples: j occurs iff lam has more classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.
-    The classes of lam are folded as sets until one is left.  C's counts are read from maps, its counts
-    mod p^M down to p^0 as T1 kept them (_t1_levels), or else folded only down to the deepest j that
-    occurs; both folds are bounded by padic._check_fold before their first step (ScopeTooLarge)."""
+def _valuations(p: int, M: int, lam: tuple) -> frozenset[int]:
+    """The valuations j of the differences of lam (v_p(0) = M), lam an int tuple: j occurs iff lam has more
+    classes mod p^(j+1) than mod p^j, p^(M+1) meaning no reduction.  The classes of lam are folded as sets
+    until one is left, bounded by padic._check_fold before the first step (ScopeTooLarge)."""
     w = p**M
     classes = {x % w for x in lam}
     _check_fold(p, len(classes), M, "a level fold")
@@ -124,9 +122,20 @@ def _occurring_levels(p: int, M: int, C: tuple, lam: tuple, maps=None) -> list[t
         classes = {x % w for x in classes}
         sizes.append(len(classes))
     sizes += [len(classes)] * (M + 2 - len(sizes))
-    occurring = {j for j in range(M + 1) if sizes[M - j] > sizes[M + 1 - j]}
+    return frozenset(j for j in range(M + 1) if sizes[M - j] > sizes[M + 1 - j])
+
+
+def _levels_at(p: int, M: int, C: tuple, occurring, maps=None) -> list[tuple[int, dict[int, int]]]:
+    """(j, counts of C mod p^(M-j)) for each j in occurring, C an int tuple.  C's counts are read from maps,
+    its counts mod p^M down to p^0 as T1 kept them (_t1_levels), or else folded only down to the deepest
+    j in occurring, a fold bounded by padic._check_fold before its first step (ScopeTooLarge)."""
     levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C) if maps is None else maps)
     return [(j, counts) for j, counts in levels if j in occurring]
+
+
+def _occurring_levels(p: int, M: int, C: tuple, lam: tuple, maps=None) -> list[tuple[int, dict[int, int]]]:
+    """_levels_at the valuations of the differences of lam (_valuations), C and lam int tuples."""
+    return _levels_at(p, M, C, _valuations(p, M, lam), maps)
 
 
 def _orthogonal(p: int, M: int, levels) -> bool:
@@ -186,7 +195,8 @@ def _t1_levels(C: DigitSet) -> tuple[frozenset[int], list[dict[int, int]]] | Non
     scaling exponents by a unit u is a ring automorphism fixing 0.  A q past
     the limit raises ScopeTooLarge and a size not dividing p^M gives None, both
     before any level sum.  Both deciders ask this of one set in turn, and the
-    spectral one rechecks its spectrum on these maps rather than folding C again.
+    spectral one rechecks its spectrum on these maps rather than folding C again,
+    then empties the cache, so that no set's maps outlive its decision.
     """
     p, M, k = C.context.p, C.M, len(C.C)
     _check_q(p, M, "deciding tiles and spectra")
@@ -255,9 +265,11 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     Otherwise Λ is every number whose base-p digits outside Z are 0; two
     first differ at some j in Z, so their difference has valuation j.  That
     is the homogeneity spectrum at branching levels {M-1-j : j in Z}, which
-    is rechecked exactly and by the numeric guard on the count maps of T1.
+    is rechecked exactly and by the numeric guard on the count maps of T1,
+    which leave T1's cache here.
     """
     t1 = _t1_levels(C)
+    _t1_levels.cache_clear()  # the maps are read here for the last time: they go when this call returns
     if t1 is None:
         return None
     levels, maps = t1
@@ -278,17 +290,29 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 def _spectrum_from_homogeneity(C: DigitSet, levels, maps=None) -> Witness:
     """spectrum_from_homogeneity of int levels in range(M), which the library's callers hold; the recheck
-    reads C's counts from maps when the caller holds them (_occurring_levels)."""
+    reads C's counts from maps when the caller holds them (_levels_at).  p**M is bounded before any
+    lattice is sought (ScopeTooLarge); Λ and its valuations come from _homogeneity_spectrum, and the
+    size test, the exact recheck and the guard read C on every call."""
     M, p = C.M, C.context.p
-    lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
     _check_exp(p, M, "a spectrum check", "M")
-    if len(lam) != len(C.C) or not _orthogonal(p, M, occurring := _occurring_levels(p, M, C.C, lam, maps)):
+    lam, occurring = _homogeneity_spectrum(p, M, tuple(sorted(levels)))
+    if len(lam) != len(C.C) or not _orthogonal(p, M, counts := _levels_at(p, M, C.C, occurring, maps)):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )
-    if _defect(p, M, occurring) >= 1e-9:
+    if _defect(p, M, counts) >= 1e-9:
         raise ConstructionFailed(f"numeric guard failed for C={C.C}, levels={sorted(levels)}")
     return Witness(WitnessKind.SPECTRUM, p, M, lam)
+
+
+def _homogeneity_spectrum(p: int, M: int, levels: tuple) -> tuple[tuple[int, ...], frozenset[int]]:
+    """(Λ, the valuations of its differences) for the sorted branching levels, a repeated level repeating
+    elements: Λ is built by padic._digit_lattice and its valuations read by _valuations once per key of
+    padic._LATTICES, weighing |Λ|·M."""
+    def build():
+        lam = tuple(_digit_lattice(p, [M - 1 - i for i in levels]))
+        return (lam, _valuations(p, M, lam)), len(lam) * max(M, 1)
+    return _LATTICES.get(("spectrum", p, M, levels), build)
 
 
 def complement_from_homogeneity(C: DigitSet, levels) -> Witness:

@@ -30,8 +30,8 @@ from .decide import (
     _spectrum_from_homogeneity,
     complement_from_homogeneity,
 )
-from .padic import (_MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall, _check_exp, _check_q,
-                    _clamped_valuation, _digit_lattice, _int_valuation, _read_elements, _valuation_at_least)
+from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall, _check_exp,
+                    _check_q, _clamped_valuation, _digit_lattice, _int_valuation, _read_elements, _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -195,6 +195,15 @@ def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: 
     ints = tuple(ints)
     return UniformDiscreteSet(ctx, window, tuple(_digit_lattice(
         ctx.p, range(k), ints, k, f"a truncation of {len(ints)} integers at depth k", "k")))
+
+
+def _kept_truncation(ctx: PrimeContext, key: tuple, ints, levels: int, k: int, window: int) -> UniformDiscreteSet:
+    """_lattice_truncation(ctx, ints, k, window) for the ints in [0, p**levels) of a lattice that key determines,
+    its numerators kept in padic._LATTICES under key + (k, window), weighing |ints|·p**k·(levels + k)."""
+    def build():
+        nums = _lattice_truncation(ctx, ints, k, window).numerators
+        return nums, len(nums) * max(levels + k, 1)
+    return UniformDiscreteSet(ctx, window, _LATTICES.get((*key, k, window), build))
 
 
 def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
@@ -479,7 +488,12 @@ def spectrum_to_tiling_complement(
     statuses = zero_sphere_scan(lam, range(0, nf))
     inside = sorted(n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET)
     disjoint = sorted(n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET)
-    u = _digit_lattice(ctx.p, disjoint)
+    key, top = ("complement", ctx.p, tuple(disjoint)), disjoint[-1] + 1 if disjoint else 0
+
+    def build():  # U lies in [0, p**top)
+        u = tuple(_digit_lattice(ctx.p, disjoint))
+        return u, len(u) * max(top, 1)
+    u = _LATTICES.get(key, build)
     mu = omega.measure()
     if len(u) * mu != 1:
         raise ConstructionFailed(
@@ -487,11 +501,11 @@ def spectrum_to_tiling_complement(
             f"I={inside}, J={disjoint}, n_f={nf}"
         )
     k = max(verify_window_exp, 0)
-    t_set = _lattice_truncation(ctx, u, k, k)
+    t_set = _kept_truncation(ctx, key, u, top, k, k)
     report = verify_tiling_pair(omega, t_set, verify_window_exp)
     derived = {"n_f": nf, "I": inside, "J": disjoint, "card_U": len(u), "measure": mu,
                "spectrum_count_at_n_f": lam.count_in_ball(0, nf)}
-    return tuple(u), replace(report, derived={**report.derived, **derived})
+    return u, replace(report, derived={**report.derived, **derived})
 
 
 def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[int]]:
@@ -516,7 +530,8 @@ def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscret
     """
     ds, levels = _full_frame_digit_set(omega)
     w0 = _spectrum_from_homogeneity(ds, levels)
-    return _lattice_truncation(omega.context, w0.elements, extra_exp, ds.M + extra_exp)
+    key = ("lifted spectrum", ds.context.p, ds.M, tuple(sorted(levels)))
+    return _kept_truncation(omega.context, key, w0.elements, ds.M, extra_exp, ds.M + extra_exp)
 
 
 def lifted_tiling_complement(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscreteSet:

@@ -77,6 +77,10 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
     pytest.param("spectrum_orthogonality_defect(2, 10**9, [0, 1], [0, 1])",
                  "a spectrum check is limited to p^|M| of at most 2048 bits: p=2, M=1000000000",
                  id="spectrum_orthogonality_defect"),
+    # it built its one-element spectrum, p**(M - 1), before it bounded M: 6.4 s and 779 MB
+    pytest.param("spectrum_from_homogeneity(DigitSet.make(PrimeContext(2), 10**9, [0]), [0])",
+                 "a spectrum check is limited to p^|M| of at most 2048 bits: p=2, M=1000000000",
+                 id="spectrum_from_homogeneity"),
     pytest.param("complement_from_homogeneity(DigitSet.make(PrimeContext(2), 10**9, [0]), [])",
                  "a digit lattice is limited to q <= 262144: p=2, levels=1000000000",
                  id="complement_from_homogeneity"),
@@ -541,6 +545,7 @@ def _api_call(draw):
 @given(call=_api_call())
 @example(call="frame_branching_set(2, 10**6, [0, 1])")
 @example(call="homogeneous_census_size(2, 10**9, [])")
+@example(call="spectrum_from_homogeneity(DigitSet.make(PrimeContext(2), 10**9, [0]), [0])")
 @example(call="vanishing_level_set(PrimeContext(2), [2**100000, 2**99999, 2**99998, 2**99997], [0])")
 @example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).residues(2, 10**9)")
 @example(call="UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]).count_in_ball(0, -10**9)")

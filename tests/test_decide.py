@@ -5,6 +5,7 @@ import concurrent.futures
 import math
 import os
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padictiles import decide
+from padictiles.copen import CompactOpenSet
 from padictiles.cyclotomic import _level_counts, residue_counts, vanishes
 from padictiles.decide import (
     Census,
@@ -22,6 +25,7 @@ from padictiles.decide import (
     Witness,
     WitnessKind,
     _defect,
+    _homogeneity_spectrum,
     _occurring_levels,
     _t1_levels,
     classify_all,
@@ -35,7 +39,8 @@ from padictiles.decide import (
     verify_tiling_witness,
 )
 from padictiles.copen import frame_branching_set
-from padictiles.padic import PrimeContext
+from padictiles.padic import _LATTICES, PrimeContext, _LatticeMemo
+from padictiles.pairs import lifted_spectrum, spectrum_to_tiling_complement
 
 
 def test_digitset_make_validates():
@@ -558,18 +563,31 @@ def test_the_memoised_recheck_follows_each_witness_of_one_set():
     assert not verify_spectrum_witness(ctx, 3, list(c), list(bad))
 
 
+@pytest.fixture(params=["cold", "warm"])
+def memo(request, monkeypatch):
+    """The lattice memo (padic._LATTICES) cold, a budget of 0 that keeps nothing, so that every lattice is
+    built on every call, or warm: emptied, then filled by the first call for each branching set.  It is
+    emptied again afterwards."""
+    _LATTICES.clear()
+    if request.param == "cold":
+        monkeypatch.setattr(_LATTICES, "budget", 0)
+    yield request.param
+    _LATTICES.clear()
+
+
 @pytest.mark.parametrize("p,M", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
-def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_every_exhaustive_family(p, M):
+def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_every_exhaustive_family(p, M, memo):
     # the census spectrum is rechecked on the count maps of T1; spectrum_from_homogeneity folds C itself
     ctx = PrimeContext(p)
     rows = [row for row in classify_all(p, M, "exhaustive").rows if row.is_spectral]
     for row in rows:
         assert row.witness_Lambda == spectrum_from_homogeneity(DigitSet(ctx, M, row.C), row.branching).elements
     assert rows
+    assert bool(_LATTICES.entries) == (memo == "warm")
 
 
 @pytest.mark.parametrize("p,m", [(2, 6), (3, 3), (5, 2), (7, 2)])
-def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_perturbed_draws(p, m):
+def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_perturbed_draws(p, m, memo):
     rng = random.Random(1019 * p + m)
     ctx = PrimeContext(p)
     seen = {True: 0, False: 0}
@@ -584,6 +602,7 @@ def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_perturbed_dr
             maps = _t1_levels(ds)[1]
             assert _occurring_levels(p, m, ds.C, w.elements, maps) == _occurring_levels(p, m, ds.C, w.elements)
     assert seen[True] and seen[False]
+    assert bool(_LATTICES.entries) == (memo == "warm")
 
 
 def test_a_wrong_count_in_t1s_maps_fails_the_spectrum_recheck():
@@ -599,6 +618,133 @@ def test_a_wrong_count_in_t1s_maps_fails_the_spectrum_recheck():
     finally:
         _t1_levels.cache_clear()
     assert is_spectral_zmod(ds).elements == (0, 2, 8, 10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_mutated_lattice_builder_fails_every_spectrum_it_reaches(monkeypatch, seed):
+    # the memo keeps lattices, never verdicts: a builder that moves one element of Λ by 1 (at a seeded place)
+    # fails the decider, the constructor and the lift, each on a cold memo that builds the bad Λ and again on
+    # the warm memo that then holds it
+    rng = random.Random(seed)
+    build = decide._digit_lattice
+
+    def mutated(*args, **kwargs):
+        xs = build(*args, **kwargs)
+        xs[rng.randrange(len(xs))] += 1
+        return xs
+
+    ctx = PrimeContext(2)
+    c = (0, 1, 4, 5)  # branching levels {0, 2}, Λ = {0, 2, 8, 10}
+    calls = [lambda: is_spectral_zmod(DigitSet.make(ctx, 4, c)),
+             lambda: spectrum_from_homogeneity(DigitSet.make(ctx, 4, c), [2, 0]),
+             lambda: lifted_spectrum(CompactOpenSet.make(ctx, 0, 4, c), 3)]
+    monkeypatch.setattr(decide, "_digit_lattice", mutated)
+    try:
+        for call in calls:
+            _LATTICES.clear()
+            for _ in range(2):
+                with pytest.raises(ConstructionFailed, match="homogeneity spectrum formula failed"):
+                    call()
+    finally:
+        _LATTICES.clear()
+    monkeypatch.undo()
+    assert spectrum_from_homogeneity(DigitSet.make(ctx, 4, c), [0, 2]).elements == (0, 2, 8, 10)
+
+
+def test_the_lattice_memo_keeps_its_weight_within_its_budget_least_recently_used_first():
+    memo, built = _LatticeMemo(10), []
+
+    def lattice(n, weight):
+        def build():
+            built.append(n)
+            return tuple(range(n)), weight
+        return build
+
+    assert memo.get("a", lattice(1, 4)) == (0,)
+    memo.get("b", lattice(2, 4))
+    memo.get("a", lattice(1, 4))  # a is read again, so b is the least recently used
+    memo.get("c", lattice(3, 4))  # 12 > 10: b leaves
+    assert list(memo.entries) == ["a", "c"] and memo.weight == 8 and built == [1, 2, 3]
+    assert memo.get("d", lattice(4, 11)) == (0, 1, 2, 3)  # heavier than the budget: returned, not kept
+    assert memo.get("d", lattice(4, 11)) == (0, 1, 2, 3) and built == [1, 2, 3, 4, 4]
+    assert list(memo.entries) == ["a", "c"] and memo.weight == 8
+
+
+def test_threads_sharing_the_lattice_memo_keep_its_weight_exact():
+    # each lookup and each insertion with its evictions runs under the memo's lock: a lost update would leave
+    # the kept weight unequal to the sum of the entries' weights, or pop from an emptied memo
+    memo, switch = _LatticeMemo(40), sys.getswitchinterval()
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(3000):
+            n = rng.randrange(12)
+            assert memo.get(n, lambda: ((n,) * n, n)) == (n,) * n
+
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            for future in [pool.submit(work, seed) for seed in range(8)]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert memo.weight == sum(w for _, w in memo.entries.values()) <= memo.budget
+
+
+def test_the_library_memo_never_passes_its_budget_and_keeps_no_oversized_lattice():
+    rng = random.Random(23)
+    _LATTICES.clear()
+    try:
+        total = 0
+        for _ in range(300):  # spectra of drawn branching sets, and lifted witnesses of homogeneous sets
+            p, m = rng.choice([(2, 13), (3, 8), (5, 5)])
+            levels = tuple(sorted(rng.sample(range(m), rng.randrange(m))))
+            lam, occurring = _homogeneity_spectrum(p, m, levels)
+            assert occurring == {m - 1 - i for i in levels} and len(lam) == p ** len(levels)
+            total += len(lam) * m
+            assert _LATTICES.weight == sum(w for _, w in _LATTICES.entries.values()) <= _LATTICES.budget
+        for c in _homogeneous_and_perturbed(rng, 2, 6):
+            omega = CompactOpenSet.make(PrimeContext(2), 0, 6, c)
+            if frame_branching_set(2, 6, c) is not None and omega.v == 0:
+                spectrum_to_tiling_complement(omega, lifted_spectrum(omega, 3), 3)
+                assert _LATTICES.weight == sum(w for _, w in _LATTICES.entries.values()) <= _LATTICES.budget
+        assert total > 4 * _LATTICES.budget  # so lattices left, least recently used first
+        # |Λ|·M = 2^13·13 passes the budget: the decider returns Λ and keeps nothing
+        weight, key = _LATTICES.weight, ("spectrum", 2, 13, tuple(range(13)))
+        assert len(is_spectral_zmod(DigitSet.make(PrimeContext(2), 13, range(2**13))).elements) == 2**13
+        assert key not in _LATTICES.entries and _LATTICES.weight == weight
+    finally:
+        _LATTICES.clear()
+
+
+def test_t1s_count_maps_leave_with_the_spectral_decision():
+    # T1 keeps the count maps of its fold for the spectral decider, which empties T1's cache once it has read
+    # them: after both deciders on all of Z/2^18, the cache held 35.8 MB of maps (4.4 MB here on Z/2^15)
+    ds = DigitSet.make(PrimeContext(2), 15, range(2**15))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_tile_zmod(ds).elements == (0,)
+        assert len(is_spectral_zmod(ds).elements) == 2**15
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+@pytest.mark.parametrize("p,M", [(2, 3), (3, 2)])
+def test_a_census_row_folds_each_p_power_size_set_once(monkeypatch, p, M):
+    # the tile decider folds C for T1 and the spectral decider rechecks its spectrum on those maps
+    folds = []
+
+    def counted(p_, M_, C):
+        folds.append(tuple(C))
+        return _level_counts(p_, M_, C)
+
+    monkeypatch.setattr(decide, "_level_counts", counted)
+    classify_all(p, M)
+    sets = [tuple(x for x in range(p**M) if mask >> x & 1) for mask in range(1, 1 << p**M)]
+    assert sorted(folds) == sorted(c for c in sets if p**M % len(c) == 0)
 
 
 def _reference_occurring_levels(p, M, C, lam):
