@@ -12,13 +12,14 @@ counting digit overlaps.  No floating point anywhere on the decision paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
-from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _check_exp, _check_fold,
-                    _digit_lattice, _frame_digits, _int_valuation, _reduce_frame, _require_ints, _valuation_at_least)
+from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _capped_valuation, _check_exp,
+                    _check_fold, _digit_lattice, _frame_digits, _reduce_frame, _require_ints, _valuation_at_least)
 
 __all__ = [
     "EmptySet",
@@ -177,10 +178,8 @@ def indicator_fourier(
         return ScaledCyclotomic(e, CyclotomicSum(ctx, 0, {}))
     n, r = ctx.frac_exponent(x * ctx.pow(omega.v))
     exps = [-r * c for c in omega.digits]
-    while n and all(j % p == 0 for j in exps):
-        n -= 1
-        exps = [j // p for j in exps]
-    return ScaledCyclotomic(e, CyclotomicSum(ctx, n, residue_counts(p, n, exps)))
+    s = _capped_valuation(p, math.gcd(*exps), n)  # the order p**n drops by p**s where p**s divides every exponent
+    return ScaledCyclotomic(e, CyclotomicSum(ctx, n - s, residue_counts(p, n - s, [j // p**s for j in exps])))
 
 
 def autocorrelation(omega: CompactOpenSet, xi: Fraction | int) -> Fraction:
@@ -203,7 +202,7 @@ def local_constancy_parameter(omega: CompactOpenSet) -> int:
     verifications use to pick representatives.
     """
     p, v, M = omega.context.p, omega.v, omega.M
-    return min((v + (M if c == 0 else _int_valuation(p, c)) for c in omega.digits), default=None)
+    return min((v + _capped_valuation(p, c, M) for c in omega.digits), default=None)  # v_p(c) < M, or c = 0
 
 
 def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int] | None:

@@ -132,10 +132,10 @@ class CyclotomicSum:
         q = context.p**n
         acc: dict[int, int] = {}
         for j, a in items:
-            if a != int(a):
-                raise ValueError("coefficients must be integers")
+            if not isinstance(a, int):  # the int rule of padic._require_ints
+                raise ValueError(f"coefficient {a!r} of exponent {j!r} is not an int")
             j %= q
-            acc[j] = acc.get(j, 0) + int(a)
+            acc[j] = acc.get(j, 0) + a
         return cls(context, n, {j: a for j, a in acc.items() if a != 0})
 
     @classmethod

@@ -133,11 +133,6 @@ def _levels_at(p: int, M: int, C: tuple, occurring, maps=None) -> list[tuple[int
     return [(j, counts) for j, counts in levels if j in occurring]
 
 
-def _occurring_levels(p: int, M: int, C: tuple, lam: tuple, maps=None) -> list[tuple[int, dict[int, int]]]:
-    """_levels_at the valuations of the differences of lam (_valuations), C and lam int tuples."""
-    return _levels_at(p, M, C, _valuations(p, M, lam), maps)
-
-
 def _orthogonal(p: int, M: int, levels) -> bool:
     """The exact recheck of verify_spectrum_witness on the occurring levels of its lam."""
     return all(vanishes(p, M - j, counts) for j, counts in levels)
@@ -169,7 +164,7 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     C, lam = _require_ints(C=C, lam=lam)
     if len(lam) != len(C):  # a repeated element of lam is a difference of valuation M, where the sum is |C|
         return False
-    return _orthogonal(context.p, M, _occurring_levels(context.p, M, C, lam))
+    return _orthogonal(context.p, M, _levels_at(context.p, M, C, _valuations(context.p, M, lam)))
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
@@ -182,7 +177,7 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     """
     _check_exp(p, M, "a spectrum check", "M")
     C, lam = _require_ints(C=C, lam=lam)
-    return _defect(p, M, _occurring_levels(p, M, C, lam))
+    return _defect(p, M, _levels_at(p, M, C, _valuations(p, M, lam)))
 
 
 @lru_cache(maxsize=1)
@@ -330,7 +325,8 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 def homogeneous_census_size(p: int, M: int, levels) -> int:
     """Closed form: number of homogeneous sets with branching set exactly `levels`
-    (ints in range(M), else ValueError)."""
+    (ints in range(M), else ValueError), for a prime int p (PrimeContext, else ValueError)."""
+    PrimeContext(p)
     _check_q(p, M, "a census size")
     I = set(*_require_ints(stop=M, levels=levels))
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)

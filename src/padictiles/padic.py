@@ -114,15 +114,15 @@ def _frame_digits(p: int, M: int, digits) -> tuple[int, ...]:
 
 def _reduce_frame(p: int, v: int, M: int, ds) -> tuple[int, int, tuple[int, ...]]:
     """The canonical (v, M, sorted digits) of p**v * (ds + p**M Z_p), ds in [0, p**M): merge the
-    bottom level while every class mod p**(M-1) holds all p children, then shift the scale while p
-    divides every digit.  A shift keeps the classes of the bottom level, so no merge can follow it."""
+    bottom level while every class mod p**(M-1) holds all p children, then shift the scale by the valuation
+    of the digits' gcd, capped at M.  A shift keeps the classes of the bottom level, so no merge can follow it."""
     while M > 0:
         q = p ** (M - 1)
         if len(ds) != p * len(classes := {d % q for d in ds}):
             break
         ds, M = classes, M - 1
-    while M > 0 and all(d % p == 0 for d in ds):
-        ds, v, M = {d // p for d in ds}, v + 1, M - 1
+    if s := _capped_valuation(p, math.gcd(*ds), M):
+        ds, v, M = {d // p**s for d in ds}, v + s, M - s
     return v, M, tuple(sorted(ds))
 
 
@@ -208,17 +208,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _int_valuation(p: int, n: int) -> int:
-    """Exponent of p in a nonzero integer: twice that of p**2, plus 1 if p divides the rest (log2 v steps)."""
-    if n % p:
-        return 0
-    v = 2 * _int_valuation(p * p, n)
-    return v + (n // p**v % p == 0)
-
-
 def _capped_valuation(p: int, n: int, k: int) -> int:
-    """min(v_p(n), k) for an int n (k for n = 0): _int_valuation with p**2 capped at k // 2, so its work is the
-    bits of n times min(v_p(n), k), and it forms no power past p**k or, for n != 0, past n**2."""
+    """min(v_p(n), k) for an int n (k for n = 0), the library's one valuation; k = n.bit_length() gives v_p(n).
+    It is twice that of p**2 capped at k // 2, plus 1 if p divides the rest, so its work is the bits of n times
+    min(v_p(n), k), and it forms no power past p**k or, for n != 0, past n**2."""
     if k == 0 or n % p:
         return 0
     v = 2 * _capped_valuation(p * p, n, k // 2) if k > 1 else 0
@@ -274,7 +267,7 @@ class PrimeContext:
     p: int
 
     def __post_init__(self) -> None:
-        if not _is_prime(self.p):
+        if not (isinstance(self.p, int) and _is_prime(self.p)):  # a float or Fraction equal to a prime is refused
             raise ValueError(f"p must be prime, got {self.p!r}")
 
     def pow(self, e: int) -> Fraction:
@@ -282,11 +275,11 @@ class PrimeContext:
         return Fraction(self.p) ** e
 
     def valuation(self, x: Fraction | int) -> int | float:
-        """v_p(x); math.inf for x = 0."""
+        """v_p(x); math.inf for x = 0.  |v_p(x)| is at most the bits of x's numerator or denominator."""
         x = Fraction(x)
         if x == 0:
             return INF
-        return _int_valuation(self.p, x.numerator) - _int_valuation(self.p, x.denominator)
+        return _clamped_valuation(self.p, x, max(x.numerator.bit_length(), x.denominator.bit_length()))
 
     def residue(self, x: Fraction | int, m: int) -> int:
         """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0.
@@ -310,7 +303,7 @@ class PrimeContext:
         den = y.denominator
         if den % self.p:
             return 0, 0
-        n = _int_valuation(self.p, den)
+        n = _capped_valuation(self.p, den, den.bit_length())
         q = self.p**n
         return n, y.numerator * pow(den // q, -1, q) % q
 

@@ -30,8 +30,9 @@ from .decide import (
     _spectrum_from_homogeneity,
     complement_from_homogeneity,
 )
-from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall, _check_exp,
-                    _check_q, _clamped_valuation, _digit_lattice, _int_valuation, _read_elements, _valuation_at_least)
+from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall,
+                    _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice, _read_elements,
+                    _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -447,7 +448,7 @@ def verify_spectral_pair(
         key = frozenset(diffs.items())
         if key in passed:
             continue
-        n = max((e - _int_valuation(p, d) for d in diffs if d), default=0)
+        n = max((e - _capped_valuation(p, d, e) for d in diffs if d), default=0)  # 0 < d < p**e
         qn, lift = p**n, p ** (e - n)
         acc = {0: -target}
         for d, k in diffs.items():

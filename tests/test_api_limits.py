@@ -299,7 +299,7 @@ def test_a_valuation_in_the_thousands_of_digits_takes_no_time(api_child):
     name, _, seconds = api_child.run("vanishing_level_set(PrimeContext(2), [2**100000, 3 * 2**99999, "
                                      "2**99998, 5 * 2**99997], [0])")
     assert name == "returned" and seconds < 1
-    assert padic._int_valuation(3, 5 * 3**100000) == 100000 and padic._int_valuation(2, 7) == 0
+    assert PrimeContext(3).valuation(5 * 3**100000) == 100000 and PrimeContext(2).valuation(7) == 0
 
 
 def test_the_digit_readers_refuse_a_digit_that_is_not_an_int():

@@ -117,6 +117,7 @@ def test_set_dash_reads_stdin_on_every_set_command(capsys, monkeypatch, argv):
     (["measure", "--p", "2", "--set", "0,1,x"], "--set[2]"),
     (["is-tile", "--p", "2", "--set", "0,,1.5"], "--set[2]"),
     (["scan-zeros", "--p", "2", "--elements", "0", "--window", "0", "--levels", "0,y"], "--levels[1]"),
+    (["scan-zeros", "--p", "2", "--elements", "0", "--window", "0", "--levels=a:b"], "--levels: cannot parse range"),
     (["normalize", "--p", "2", "--balls", "0,1,0;0,z,1"], "--balls[1][1]"),
 ])
 def test_json_list_elements_must_be_integers(capsys, argv, name):

@@ -79,6 +79,13 @@ def test_digits_in_frame_refinement():
     assert om.digits_in_frame(0, 2) == (0, 3)
 
 
+@pytest.mark.parametrize("v2, M2", [(1, 1), (0, 1), (1, 3), (-1, 2)])
+def test_digits_in_frame_refuses_a_frame_that_does_not_refine(v2, M2):
+    # the canonical frame of {0, 3} + 4Z_2 is (v, M) = (0, 2): a refinement has v2 <= 0 and v2 + M2 >= 2
+    with pytest.raises(ValueError, match="^target frame does not refine the canonical frame$"):
+        CompactOpenSet.make(PrimeContext(2), 0, 2, (0, 3)).digits_in_frame(v2, M2)
+
+
 def _reference_canonical_frame(p, v, M, digits):
     """The fixpoint loop CompactOpenSet.make ran before the frame reducer: merge a level when
     every class mod p**(M-1) has all p children, else shift when p divides every digit."""

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,13 @@ def test_make_reduces_and_merges():
     assert CyclotomicSum.make(ctx, 1, {0: 0}).coeffs == {}
     with pytest.raises(ValueError):
         CyclotomicSum.make(ctx, -1, {})
+
+
+@pytest.mark.parametrize("a", [2.0, float("inf"), None, F(1), "1"])
+def test_make_refuses_a_coefficient_that_is_not_an_int(a):
+    # read as a != int(a): inf raised OverflowError, None TypeError, and 2.0 was taken as 2
+    with pytest.raises(ValueError, match=rf"^coefficient {re.escape(repr(a))} of exponent 1 is not an int$"):
+        CyclotomicSum.make(PrimeContext(2), 2, {0: 1, 1: a})
 
 
 def test_numeric_does_not_depend_on_insertion_order():

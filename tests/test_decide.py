@@ -26,8 +26,9 @@ from padictiles.decide import (
     WitnessKind,
     _defect,
     _homogeneity_spectrum,
-    _occurring_levels,
+    _levels_at,
     _t1_levels,
+    _valuations,
     classify_all,
     complement_from_homogeneity,
     homogeneous_census_size,
@@ -439,6 +440,15 @@ def test_classify_scope_guard():
         classify_all(2, 2, "nonsense")
 
 
+@pytest.mark.parametrize("M, sample_size, message", [
+    (0, 2, "sample_size exceeds number of nonempty subsets"),  # Z/2^0 has one nonempty subset
+    (2, None, "sample mode needs sample_size >= 0"),
+])
+def test_a_sample_census_refuses_a_size_it_cannot_draw(M, sample_size, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        classify_all(2, M, "sample", sample_size=sample_size)
+
+
 @pytest.mark.parametrize("mode, sample_size", [("exhaustive", None), ("sample", 1)])
 def test_a_census_refuses_a_negative_depth(mode, sample_size):
     # 1 << p**M raised a TypeError on the float 2**-1
@@ -600,7 +610,8 @@ def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_perturbed_dr
             assert w.elements == spectrum_from_homogeneity(ds, levels).elements
             # the levels and counts the recheck read are those of a fold of C of its own
             maps = _t1_levels(ds)[1]
-            assert _occurring_levels(p, m, ds.C, w.elements, maps) == _occurring_levels(p, m, ds.C, w.elements)
+            occurring = _valuations(p, m, w.elements)
+            assert _levels_at(p, m, ds.C, occurring, maps) == _levels_at(p, m, ds.C, occurring)
     assert seen[True] and seen[False]
     assert bool(_LATTICES.entries) == (memo == "warm")
 
@@ -787,7 +798,8 @@ def _spectrum_pairs(draw, depth):
 @example(case=(3, 2, (0, 1, 2), (0, 3, 6, 9)))
 def test_the_set_fold_finds_the_occurring_levels_of_the_count_fold(case):
     # the classes of lam folded as sets give the levels and C's counts of the count-map fold they replaced
-    assert _occurring_levels(*case) == _reference_occurring_levels(*case)
+    p, M, C, lam = case
+    assert _levels_at(p, M, C, _valuations(p, M, lam)) == _reference_occurring_levels(*case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -796,7 +808,7 @@ def test_the_set_fold_finds_the_occurring_levels_of_the_count_fold(case):
 @example(case=(2, 1023, (0, 2**1022), (0, 1)))
 def test_the_guard_agrees_with_the_float_step_wherever_that_step_is_finite(case):
     p, M, C, lam = case
-    levels = _occurring_levels(p, M, C, lam)
+    levels = _levels_at(p, M, C, _valuations(p, M, lam))
     assert _defect(p, M, levels) == pytest.approx(_reference_defect(p, M, levels), rel=0, abs=1e-12)
     assert spectrum_orthogonality_defect(p, M, C, lam) == _defect(p, M, levels)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padictiles.cyclotomic import _level_counts, _zero_orders, vanishing_level_set
+from padictiles.decide import homogeneous_census_size
 
 from padictiles.padic import (
     Ball,
@@ -21,7 +23,6 @@ from padictiles.padic import (
     ScopeTooLarge,
     WindowTooSmall,
     _digit_lattice,
-    _int_valuation,
     _is_prime,
     _require_ints,
     ball_member,
@@ -37,6 +38,18 @@ def test_prime_context_rejects_composites():
             PrimeContext(bad)
     PrimeContext(2)
     PrimeContext(97)
+
+
+@pytest.mark.parametrize("p", [2.0, F(3), 5.0, 4])
+def test_a_prime_is_an_int(p):
+    # _is_prime compared with ==, so 2.0, Fraction(3) and 5.0 passed: the deciders then ran on float residues
+    # (a TypeError from bytearray, or None at p = 5.0), CompactOpenSet.make raised AttributeError, and the
+    # census size, which read p without PrimeContext, was 4.0 at p = 2.0 and 256 at p = 4
+    refused = rf"^p must be prime, got {re.escape(repr(p))}$"
+    with pytest.raises(ValueError, match=refused):
+        PrimeContext(p)
+    with pytest.raises(ValueError, match=refused):
+        homogeneous_census_size(p, 2, [0])
 
 
 def _trial_division(n):
@@ -328,7 +341,8 @@ def _reference_make(context, window_exp, elements):
         if x != 0 and context.valuation(x) < -window_exp:
             raise WindowTooSmall(f"element {x} lies outside the declared window B(0, p**{window_exp})")
     p = context.p
-    unit = math.lcm(*(x.denominator // p ** _int_valuation(p, x.denominator) for x in elems))
+    # p**bits(d) is a multiple of the p-part of d, so the gcd is that p-part
+    unit = math.lcm(*(x.denominator // math.gcd(x.denominator, p ** x.denominator.bit_length()) for x in elems))
     scale = context.pow(window_exp) * unit
     return tuple(int(x * scale) for x in elems), unit
 

@@ -370,6 +370,19 @@ def test_lift_rejects_inhomogeneous_sets():
         lifted_tiling_complement(om)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: UniformDiscreteSet.make(PrimeContext(2), 2, [0, F(1, 4)]).residues(1, 3),
+     r"^residues need w >= window_exp: w=1, window_exp=2$"),
+    (lambda: lifted_spectrum(CompactOpenSet.make(PrimeContext(2), -1, 2, (0, 1))),
+     r"^lift requires a subset of Z_p \(v >= 0\)$"),
+    (lambda: lifted_tiling_complement(CompactOpenSet.make(PrimeContext(3), -2, 1, (1,))),
+     r"^lift requires a subset of Z_p \(v >= 0\)$"),
+])
+def test_a_scale_below_the_set_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_pair_report_json_shapes():
     ctx = PrimeContext(2)
     om = CompactOpenSet.make(ctx, 0, 2, (0, 3))
@@ -600,9 +613,9 @@ def test_the_scan_reads_every_sum_from_its_one_fold(monkeypatch):
     ctx = PrimeContext(2)
     walked, passing = UniformDiscreteSet.make(ctx, 0, [7, 12, 16]), UniformDiscreteSet.make(ctx, 2, [0, 8, 16])
     folds, valuations = [], []
-    level_counts, int_valuation = pairs._level_counts, pairs._int_valuation
+    level_counts, capped_valuation = pairs._level_counts, pairs._capped_valuation
     monkeypatch.setattr(pairs, "_level_counts", lambda *args: folds.append(args) or level_counts(*args))
-    monkeypatch.setattr(pairs, "_int_valuation", lambda *args: valuations.append(args) or int_valuation(*args))
+    monkeypatch.setattr(pairs, "_capped_valuation", lambda *args: valuations.append(args) or capped_valuation(*args))
     with pytest.raises(NotASpectrumEvidence) as exc:
         zero_sphere_scan(walked, [-3])
     assert (exc.value.level, exc.value.truncation) == (-3, 0)
