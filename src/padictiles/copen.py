@@ -19,7 +19,8 @@ from typing import Iterable
 
 from .cyclotomic import CyclotomicSum, residue_counts
 from .padic import (Ball, EmptySet, PrimeContext, ScopeTooLarge, _MAX_Q, _MAX_TREE_BITS, _capped_valuation, _check_exp,
-                    _check_fold, _digit_lattice, _frame_digits, _reduce_frame, _require_ints, _valuation_at_least)
+                    _check_fold, _digit_lattice, _frame_digits, _read_int, _reduce_frame, _require_ints,
+                    _valuation_at_least)
 
 __all__ = [
     "EmptySet",
@@ -45,11 +46,12 @@ class CompactOpenSet:
 
     @classmethod
     def make(cls, context: PrimeContext, v: int, M: int, digits: Iterable[int]) -> "CompactOpenSet":
-        """Bound p**|v| and p**|v+M| (ScopeTooLarge), then read (padic._frame_digits) and reduce."""
+        """Read and bound v and v + M (ScopeTooLarge), read M and the digits (padic._frame_digits), and reduce."""
         p = context.p
-        _check_exp(p, v, "a compact open set", "v")
+        v = _check_exp(p, v, "a compact open set", "v")
+        M, ds = _frame_digits(p, M, digits)
         _check_exp(p, v + M, "a compact open set", "v + M")
-        return cls(context, *_reduce_frame(p, v, M, _frame_digits(p, M, digits)))
+        return cls(context, *_reduce_frame(p, v, M, ds))
 
     def measure(self) -> Fraction:
         return len(self.digits) * self.context.pow(-(self.v + self.M))
@@ -66,9 +68,9 @@ class CompactOpenSet:
         """The same set in the finer frame (v2, M2); ScopeTooLarge, before any digit is built, past p^|v2|
         or past _MAX_Q digits in all when it adds levels (|D|·p^levels, padic._digit_lattice)."""
         p = self.context.p
+        v2, M2 = _check_exp(p, v2, "a refined frame", "v2"), _read_int(M2, "a refined frame", "M2")
         if v2 > self.v or v2 + M2 < self.v + self.M:
             raise ValueError("target frame does not refine the canonical frame")
-        _check_exp(p, v2, "a refined frame", "v2")
         shift = self.v - v2
         return tuple(_digit_lattice(p, range(shift + self.M, M2), self.digits, shift, "a refined frame"))
 
@@ -206,27 +208,26 @@ def local_constancy_parameter(omega: CompactOpenSet) -> int:
 
 
 def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int] | None:
-    """Levels where the digit tree branches fully, or None if any level is mixed; the digits must be
-    ints (ValueError).  The library's callers already hold ints and call _frame_branching_set."""
+    """Levels where the digit tree branches fully, or None if any level is mixed; M is an int >= 0 and the digits
+    ints (ValueError), and p**M is bounded at _MAX_TREE_BITS (ScopeTooLarge).  The library's callers already hold
+    int digits and an M within that bound, as a canonical frame's is, and call _frame_branching_set."""
+    M = _check_exp(p, M, "a digit-tree test", "M", _MAX_TREE_BITS, nonneg=True)
     [digits] = _require_ints(digits=digits)
     return _frame_branching_set(p, M, digits)
 
 
 def _frame_branching_set(p: int, M: int, digits) -> frozenset[int] | None:
-    """frame_branching_set of int digits.
+    """frame_branching_set of int digits and an int M >= 0 with p**M within _MAX_TREE_BITS.
 
     Level i is branching when every residue mod p**i present extends to
     exactly p residues mod p**(i+1); unary when every one extends to exactly
     one.  Anything else disqualifies the set.  Each residue has 1 to p
     children, so comparing the counts of residues mod p**i and p**(i+1) decides.
     They are folded from the leaves (residues mod p**M) up; a homogeneous tree has
-    p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.  ScopeTooLarge for
-    M < 0 or p**M past _MAX_TREE_BITS (tested on M first), which a canonical frame's p**M never passes,
-    and for a fold past padic._MAX_FOLD.
+    p**|I| leaves, so a leaf count not dividing p**M is mixed, and None at once.  ScopeTooLarge
+    for a fold past padic._MAX_FOLD.
     """
-    if not 0 <= M < _MAX_TREE_BITS or (q := p**M) >> _MAX_TREE_BITS:
-        raise ScopeTooLarge(f"a digit-tree test takes M >= 0 and p^M of at most {_MAX_TREE_BITS} bits: "
-                            f"p={p}, M={M}")
+    q = p**M
     nodes = {d % q for d in digits}
     if not nodes or q % len(nodes):
         return None

@@ -23,7 +23,7 @@ from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .padic import (_MAX_EXP_BITS, _MAX_TREE_BITS, PrimeContext, RootOfUnity, _capped_valuation, _check_exp,
-                    _check_fold, _read_elements, _require_ints)
+                    _check_fold, _read_elements, _read_int, _require_ints)
 
 __all__ = [
     "CyclotomicSum",
@@ -125,16 +125,15 @@ class CyclotomicSum:
         n: int,
         coeffs: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> "CyclotomicSum":
-        if n < 0:
-            raise ValueError("order exponent must be >= 0")
-        _check_exp(context.p, n, "a cyclotomic sum", "n", _MAX_TREE_BITS)  # a spectral failure's n <= W - v fits
+        # a spectral failure's n <= W - v fits
+        n = _check_exp(context.p, n, "a cyclotomic sum", "n", _MAX_TREE_BITS, nonneg=True)
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         q = context.p**n
         acc: dict[int, int] = {}
         for j, a in items:
             if not isinstance(a, int):  # the int rule of padic._require_ints
                 raise ValueError(f"coefficient {a!r} of exponent {j!r} is not an int")
-            j %= q
+            j = _read_int(j, "a cyclotomic sum", "exponent") % q
             acc[j] = acc.get(j, 0) + a
         return cls(context, n, {j: a for j, a in acc.items() if a != 0})
 
@@ -267,7 +266,7 @@ def vanishing_level_set(
     """
     p = context.p
     e, _, nums = _read_elements(p, elements, _MAX_EXP_BITS)
-    levels = sorted(set(*_require_ints(levels=levels)))
+    levels = sorted(map(int, set(*_require_ints(levels=levels))))  # a bool level is read as its int
     g = math.gcd(*nums)  # v_p(g) - e = V, or 0 when no element is nonzero
     V = _capped_valuation(p, g, e + _MAX_EXP_BITS + 1) - e if g else 0
     depth = max([0] + [-(i + V) for i in levels])

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .copen import _frame_branching_set, frame_branching_set  # noqa: F401 (reached as decide.frame_branching_set)
 from .cyclotomic import _level_counts, _zero_orders, vanishes
 from .padic import (_LATTICES, PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice,
-                    _frame_digits, _require_ints)
+                    _frame_digits, _read_int, _require_ints)
 
 __all__ = [
     "DigitSet",
@@ -74,8 +74,8 @@ class DigitSet:
 
     @classmethod
     def make(cls, context: PrimeContext, M: int, elements) -> "DigitSet":
-        """The sorted distinct elements, read by padic._frame_digits (ints in [0, p**M), at least one)."""
-        return cls(context, M, _frame_digits(context.p, M, elements))
+        """M and the sorted distinct elements, read by padic._frame_digits (ints in [0, p**M), at least one)."""
+        return cls(context, *_frame_digits(context.p, M, elements))
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +96,8 @@ class Witness:
 
 def verify_tiling_witness(p: int, M: int, C, T) -> bool:
     """Direct coverage count: |C|·|T| = p^M, checked before any sum, and the sums c + t cover Z/p^M
-    (C and T ints, else ValueError); p**M is bounded as an exponent (ScopeTooLarge)."""
-    _check_exp(p, M, "a tiling check", "M")
+    (C and T ints, else ValueError); M is an int >= 0, p**M bounded as an exponent (ScopeTooLarge)."""
+    M = _check_exp(p, M, "a tiling check", "M", nonneg=True)
     C, T = _require_ints(C=C, T=T)
     return _covers(p**M, C, T)
 
@@ -157,10 +157,10 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     For d = u*p^j with u a unit, the sum over C of exp(2 pi i d c / p^M) is the
     image of level j of C (roots of order p^(M-j) at exponents c) under the Galois
     automorphism zeta -> zeta^u, which fixes 0.  So the level sum of each valuation
-    among the differences decides them all, in O(M*(|C| + |lam|)).  p**M is
+    among the differences decides them all, in O(M*(|C| + |lam|)).  M is an int >= 0, p**M
     bounded as an exponent (ScopeTooLarge), and C and lam must hold ints (ValueError).
     """
-    _check_exp(context.p, M, "a spectrum check", "M")
+    M = _check_exp(context.p, M, "a spectrum check", "M", nonneg=True)
     C, lam = _require_ints(C=C, lam=lam)
     if len(lam) != len(C):  # a repeated element of lam is a difference of valuation M, where the sum is |C|
         return False
@@ -173,9 +173,9 @@ def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
     Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
     at u*p^j for the units u in {1, 1 + p}, with fsum over the counts of C mod p^(M-j)
     (at -1 it is the complex conjugate of the sum at 1).
-    C and lam must hold ints (ValueError), as in the exact recheck.
+    M and the elements of C and lam must be ints, M >= 0 (ValueError), as in the exact recheck.
     """
-    _check_exp(p, M, "a spectrum check", "M")
+    M = _check_exp(p, M, "a spectrum check", "M", nonneg=True)
     C, lam = _require_ints(C=C, lam=lam)
     return _defect(p, M, _levels_at(p, M, C, _valuations(p, M, lam)))
 
@@ -189,13 +189,12 @@ def _t1_levels(C: DigitSet) -> tuple[frozenset[int], list[dict[int, int]]] | Non
     exponents c vanishes, and then so does the sum at d*c for d = p^j u:
     scaling exponents by a unit u is a ring automorphism fixing 0.  A q past
     the limit raises ScopeTooLarge and a size not dividing p^M gives None, both
-    before any level sum.  Both deciders ask this of one set in turn, and the
-    spectral one rechecks its spectrum on these maps rather than folding C again,
-    then empties the cache, so that no set's maps outlive its decision.
+    before any level sum.  Both deciders ask this of one set in turn; the spectral
+    one rechecks its spectrum on these maps and empties the cache, but is_tile_zmod
+    alone leaves its set's maps here until the next call of either decider.
     """
     p, M, k = C.context.p, C.M, len(C.C)
-    _check_q(p, M, "deciding tiles and spectra")
-    if p**M % k:
+    if p ** _check_q(p, M, "deciding tiles and spectra") % k:
         return None
     maps = list(_level_counts(p, M, C.C))
     zero = _zero_orders(p, M, maps)  # the orders M - j of the zero levels j (never 0: C is nonempty)
@@ -260,8 +259,8 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     Otherwise Λ is every number whose base-p digits outside Z are 0; two
     first differ at some j in Z, so their difference has valuation j.  That
     is the homogeneity spectrum at branching levels {M-1-j : j in Z}, which
-    is rechecked exactly and by the numeric guard on the count maps of T1,
-    which leave T1's cache here.
+    is rechecked exactly and by the numeric guard on the count maps of T1.
+    They leave T1's cache here, which is_tile_zmod alone does not empty.
     """
     t1 = _t1_levels(C)
     _t1_levels.cache_clear()  # the maps are read here for the last time: they go when this call returns
@@ -325,9 +324,9 @@ def complement_from_homogeneity(C: DigitSet, levels) -> Witness:
 
 def homogeneous_census_size(p: int, M: int, levels) -> int:
     """Closed form: number of homogeneous sets with branching set exactly `levels`
-    (ints in range(M), else ValueError), for a prime int p (PrimeContext, else ValueError)."""
+    (ints in range(M), else ValueError), for a prime int p (PrimeContext, else ValueError) and an int M >= 0."""
     PrimeContext(p)
-    _check_q(p, M, "a census size")
+    M = _check_q(p, M, "a census size")
     I = set(*_require_ints(stop=M, levels=levels))
     return p ** sum(p ** len([j for j in I if j < i]) for i in range(M) if i not in I)
 
@@ -409,8 +408,7 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
     """Validate a census request and return its rows, computed as they are
     read, in mask order regardless of jobs."""
     context = PrimeContext(p)  # validates primality, once per census
-    if M < 0:
-        raise ValueError(f"a census needs M >= 0; got M={M}")
+    M, jobs = _read_int(M, "a census", "M", nonneg=True), _read_int(jobs, "a census", "jobs")
     if not 1 <= jobs <= (os.cpu_count() or 1):
         raise ValueError(f"--jobs must be between 1 and os.cpu_count() = {os.cpu_count() or 1}; got {jobs}")
     if mode == "exhaustive":
@@ -418,10 +416,10 @@ def _census_rows(p: int, M: int, mode: str, sample_size=None, seed=0, jobs=1) ->
             raise ScopeTooLarge(f"exhaustive classify limited to p=2, M<=4 and p=3, M<=2; got p={p}, M={M}")
         masks = range(1, 1 << p**M)
     elif mode == "sample":
-        if sample_size is None or sample_size < 0:
+        if sample_size is None:
             raise ValueError("sample mode needs sample_size >= 0")
-        _check_q(p, M, "sampling subsets")
-        q = p**M
+        sample_size = _read_int(sample_size, "a sample census", "sample_size", nonneg=True)
+        q = p ** _check_q(p, M, "sampling subsets")
         if sample_size * q > _MAX_SAMPLE_BITS:
             raise ScopeTooLarge(f"a sample of K subsets of Z/p^M is limited to K·p^M <= {_MAX_SAMPLE_BITS} "
                                 f"mask bits: K={sample_size}, p={p}, M={M}, K·p^M = {sample_size * q}")
@@ -490,5 +488,6 @@ def classify_all(
     regardless of jobs, which runs from 1 to os.cpu_count().
     """
     rows: list[CensusRow] = []
+    M = _read_int(M, "a census", "M", nonneg=True)  # so that Census.M is a plain int
     census = _tally(p, M, mode, _census_rows(p, M, mode, sample_size, seed, jobs), rows.append)
     return replace(census, rows=rows)

@@ -47,12 +47,21 @@ class WindowTooSmall(ValueError):
 _MAX_Q = 2**18
 
 
-def _check_q(p: int, M: int, what: str, count: int = 1, name: str = "M") -> None:
-    """ScopeTooLarge when q = count·p^M passes the limit, naming the input that sets M,
-    without forming p^M when 2^M alone passes it."""
-    if M >= _MAX_Q.bit_length() or count * p**M > _MAX_Q:
+def _read_int(e, what: str, name: str, nonneg: bool = False) -> int:
+    """The one reader of an exponent (a depth, level, window or order) or other int argument: e by the int rule of
+    _require_ints, a bool read as its int and returned as a plain int; ValueError naming the argument otherwise."""
+    if not isinstance(e, int) or nonneg and e < 0:
+        raise ValueError(f"{what} takes an int {name}{' >= 0' if nonneg else ''}: {name}={e!r}")
+    return +e  # the plain int of a bool, and e itself otherwise: faster than a call of int
+
+
+def _check_q(p: int, M, what: str, count: int = 1, name: str = "M") -> int:
+    """M read as an int >= 0 (_read_int); ScopeTooLarge when q = count·p^M passes the limit, naming the
+    input that sets M, without forming p^M when 2^M alone passes it."""
+    if (M := _read_int(M, what, name, True)) >= _MAX_Q.bit_length() or count * p**M > _MAX_Q:
         q = f"{p}^{M}" if count == 1 else f"{count}·{p}^{M}"
         raise ScopeTooLarge(f"{what} is limited to q <= {_MAX_Q}: p={p}, {name}={M}, q = {q} > {_MAX_Q}")
+    return M
 
 
 # Largest work of a level fold, in classes kept: count distinct residues mod p^levels fall into at most
@@ -79,11 +88,12 @@ _MAX_EXP_BITS = 2048
 _MAX_TREE_BITS = 2 * _MAX_EXP_BITS  # of p^M in a frame: |v| and |v + M| each within _MAX_EXP_BITS
 
 
-def _check_exp(p: int, e: int, what: str, name: str, bits: int = _MAX_EXP_BITS) -> None:
-    """ScopeTooLarge when p^|e| has more than `bits` bits, naming the input that sets e,
-    without forming p^|e| when 2^|e| alone passes the limit."""
-    if abs(e) >= bits or (p ** abs(e)).bit_length() > bits:
+def _check_exp(p: int, e, what: str, name: str, bits: int = _MAX_EXP_BITS, nonneg: bool = False) -> int:
+    """e read as an int (_read_int); ScopeTooLarge when p^|e| has more than `bits` bits, naming the input
+    that sets e, without forming p^|e| when 2^|e| alone passes the limit."""
+    if abs(e := _read_int(e, what, name, nonneg)) >= bits or (p ** abs(e)).bit_length() > bits:
         raise ScopeTooLarge(f"{what} is limited to p^|{name}| of at most {bits} bits: p={p}, {name}={e}")
+    return e
 
 
 def _require_ints(stop: int | None = None, **lists) -> list[tuple]:
@@ -100,16 +110,16 @@ def _require_ints(stop: int | None = None, **lists) -> list[tuple]:
     return out
 
 
-def _frame_digits(p: int, M: int, digits) -> tuple[int, ...]:
-    """The sorted distinct digits of a frame of depth M >= 0: ints in [0, p**M), with p**M formed only
-    when the largest has more than M bits (ValueError naming p and M), and at least one (EmptySet)."""
-    [ds] = _require_ints(digits=digits)
+def _frame_digits(p: int, M, digits) -> tuple[int, tuple[int, ...]]:
+    """(M, the sorted distinct digits) of a frame: M an int >= 0 (_read_int), the digits ints in [0, p**M), with
+    p**M formed only when the largest has more than M bits (ValueError naming p and M), and at least one (EmptySet)."""
+    M, [ds] = _read_int(M, "a frame", "M", nonneg=True), _require_ints(digits=digits)
     if not (ds := sorted(set(ds))):
         raise EmptySet("a frame needs at least one digit")
     ds[:2] = map(int, ds[:2])  # a bool (printed as true) is 0 or 1, so among the first two; stored as an int
-    if M < 0 or ds[0] < 0 or ds[-1].bit_length() > M and ds[-1] >= p**M:
-        raise ValueError(f"elements outside [0, p**M), or M < 0: p={p}, M={M}")
-    return tuple(ds)
+    if ds[0] < 0 or ds[-1].bit_length() > M and ds[-1] >= p**M:
+        raise ValueError(f"elements outside [0, p**M): p={p}, M={M}")
+    return M, tuple(ds)
 
 
 def _reduce_frame(p: int, v: int, M: int, ds) -> tuple[int, int, tuple[int, ...]]:
@@ -271,8 +281,8 @@ class PrimeContext:
             raise ValueError(f"p must be prime, got {self.p!r}")
 
     def pow(self, e: int) -> Fraction:
-        """p**e as an exact rational; e may be negative."""
-        return Fraction(self.p) ** e
+        """p**e as an exact rational for an int e, negative or not, with p**|e| bounded at _MAX_TREE_BITS."""
+        return Fraction(self.p) ** _check_exp(self.p, e, "a power of p", "e", _MAX_TREE_BITS)
 
     def valuation(self, x: Fraction | int) -> int | float:
         """v_p(x); math.inf for x = 0.  |v_p(x)| is at most the bits of x's numerator or denominator."""
@@ -282,12 +292,12 @@ class PrimeContext:
         return _clamped_valuation(self.p, x, max(x.numerator.bit_length(), x.denominator.bit_length()))
 
     def residue(self, x: Fraction | int, m: int) -> int:
-        """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0.
+        """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0 and an int m >= 0 (_read_int).
 
         The denominator of x is a unit mod p**m, so its inverse is exact.
         """
         x = Fraction(x)
-        q = self.p**m
+        q = self.p ** _read_int(m, "a residue", "m", nonneg=True)
         if x.denominator % self.p == 0:
             raise ValueError(f"residue undefined: v_{self.p}({x}) < 0")
         return (x.numerator * pow(x.denominator, -1, q)) % q if q > 1 else 0
@@ -357,30 +367,27 @@ class Ball:
 
     @classmethod
     def make(cls, context: PrimeContext, v: int, M: int, c: int) -> "Ball":
-        if M < 0 or not isinstance(c, int):
-            raise ValueError(f"a ball takes M >= 0 and an int c: M={M}, c={c!r}")
-        _check_exp(context.p, M, "a ball", "M")
-        _check_exp(context.p, v, "a ball", "v")
+        c = _read_int(c, "a ball", "c")
+        M, v = _check_exp(context.p, M, "a ball", "M", nonneg=True), _check_exp(context.p, v, "a ball", "v")
         v, M, (c,) = _reduce_frame(context.p, v, M, {c % context.p**M})
         return cls(context, v, M, c)
 
     @classmethod
     def around(cls, context: PrimeContext, x: Fraction | int, radius_exp: int) -> "Ball":
         """The ball of p-adic radius p**radius_exp around x; v_p(x) is read clamped to ±_MAX_EXP_BITS."""
-        vm = -radius_exp  # v + M of the result
+        vm = -_read_int(radius_exp, "a ball", "radius_exp")  # v + M of the result
         x = Fraction(x)
         xv = _clamped_valuation(context.p, x, _MAX_EXP_BITS)
         if xv >= vm:
             return cls.make(context, vm, 0, 0)
         # x = p**xv * unit; digits of the unit below the radius cutoff survive
-        M = vm - xv
-        _check_exp(context.p, M, "a ball", "M")
+        M = _check_exp(context.p, vm - xv, "a ball", "M")
         _check_exp(context.p, xv, "a ball", "v")  # before the residue, which a clamped xv cannot make
         return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
 
     def center(self) -> Fraction:
-        """c * p**v; a ball about 0 (c == 0) forms no power of p."""
-        return self.c * self.context.pow(self.v) if self.c else Fraction(0)
+        """c * p**v, past the bound of pow for a ball built directly; a ball about 0 (c == 0) forms no power of p."""
+        return self.c * Fraction(self.context.p) ** self.v if self.c else Fraction(0)
 
     def radius_exp(self) -> int:
         """Exponent r with radius = p**r."""

@@ -32,7 +32,7 @@ from .decide import (
 )
 from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall,
                     _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice, _read_elements,
-                    _valuation_at_least)
+                    _read_int, _require_ints, _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -119,7 +119,7 @@ class UniformDiscreteSet:
 
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
-        _check_exp(context.p, window_exp, "a truncation", "window")
+        window_exp = _check_exp(context.p, window_exp, "a truncation", "window")
         p = context.p
         e, unit, nums = _read_elements(p, elements, window_exp)
         if not nums:
@@ -135,16 +135,14 @@ class UniformDiscreteSet:
         return tuple(Fraction(n * up, den) for n in self.numerators)
 
     def residues(self, w: int, m: int) -> list[int]:
-        """x * p**w mod p**m for each element x, for w >= window_exp: n * p**(w - W) / unit,
+        """x * p**w mod p**m for each element x, for ints w >= window_exp and m >= 0: n * p**(w - W) / unit,
         with one modular inverse when unit > 1.  p**(w - W) is bounded as an exponent and p**m
         by _MAX_RESIDUE_BITS (ScopeTooLarge)."""
-        p = self.context.p
+        p, w = self.context.p, _read_int(w, "a residue scale", "w")
         if w < self.window_exp:
             raise ValueError(f"residues need w >= window_exp: w={w}, window_exp={self.window_exp}")
-        _check_exp(p, w - self.window_exp, "a residue scale", "w - window_exp")
-        _check_exp(p, m, "a residue list", "m", _MAX_RESIDUE_BITS)
-        q = p**m
-        f = p ** (w - self.window_exp)
+        f = p ** _check_exp(p, w - self.window_exp, "a residue scale", "w - window_exp")
+        q = p ** _check_exp(p, m, "a residue list", "m", _MAX_RESIDUE_BITS, nonneg=True)
         if self.unit > 1:
             f *= pow(self.unit, -1, q)
         return [n * f % q for n in self.numerators]
@@ -169,11 +167,9 @@ class UniformDiscreteSet:
         """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
         mod p**(w - radius_exp), for a scale w making both p-adic integers.  About 0 that
         is w = W and the numerators divisible by p**(W - radius_exp) (unit is prime to p)."""
-        ctx, c = self.context, Fraction(center)
+        ctx, c, radius_exp = self.context, Fraction(center), _read_int(radius_exp, "a ball count", "radius_exp")
         if c == 0:
-            m = max(self.window_exp - radius_exp, 0)
-            _check_exp(ctx.p, m, "a ball count", "m", _MAX_RESIDUE_BITS)
-            q = ctx.p**m
+            q = ctx.p ** _check_exp(ctx.p, max(self.window_exp - radius_exp, 0), "a ball count", "m", _MAX_RESIDUE_BITS)
             return sum([n % q == 0 for n in self.numerators])
         # -v_p(c) is read up to |W| + _MAX_EXP_BITS, where residues() refuses the scale w - W
         w = max(self.window_exp, -_clamped_valuation(ctx.p, c, abs(self.window_exp) + _MAX_EXP_BITS))
@@ -189,10 +185,8 @@ class UniformDiscreteSet:
 
 
 def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
-    """p**(k - window) * (ints + l_truncation(k)) for distinct integers, from its numerators x * p**k + j
-    over p**window (padic._digit_lattice): distinct and in the window, so make's checks are skipped."""
-    if k < 0:
-        raise ValueError(f"lift depth k must be >= 0, got {k}")
+    """p**(k - window) * (ints + l_truncation(k)) for distinct integers and int k >= 0 and window, from its numerators
+    x * p**k + j over p**window (padic._digit_lattice): distinct and in the window, so make's checks are skipped."""
     ints = tuple(ints)
     return UniformDiscreteSet(ctx, window, tuple(_digit_lattice(
         ctx.p, range(k), ints, k, f"a truncation of {len(ints)} integers at depth k", "k")))
@@ -214,6 +208,7 @@ def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
     set of Q_p/Z_p (every coset with a representative of absolute value
     <= p**k appears exactly once; 0 represents Z_p itself).  ScopeTooLarge past p**k = _MAX_Q.
     """
+    k = _read_int(k, "a truncation", "k", nonneg=True)
     return _lattice_truncation(context, [0], k, k).elements
 
 
@@ -292,10 +287,9 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     arises iff the whole sum is nonzero but the sum at k1 = max(n + 1, first nonempty) vanishes.
     """
     p, w = e.context.p, e.window_exp
-    levels = sorted(set(levels))
+    levels = sorted(map(int, set(*_require_ints(levels=levels))))  # a bool level is read as its int
     lowest = min([0] + levels)
-    depth = max(0, w - lowest)
-    _check_exp(p, depth, f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
+    depth = _check_exp(p, max(0, w - lowest), f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
     res, out = e.residues(w, depth), dict.fromkeys(levels)  # first: W minus the deepest order holding class 0
     first = -w if 0 in e.numerators else w - bisect_left(
         range(1, depth + 1), True, key=lambda t: all(r % q for q in [p**t] for r in res))
@@ -335,9 +329,8 @@ def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int
     """Exact count-over-measure ratios Card(E ∩ B(x0, p**k)) / p**k per k.  B(x0, p**k) lies in the window
     B(0, p**W) iff k <= W and v_p(x0) >= -W, with v_p read clamped (padic._valuation_at_least); else
     WindowTooSmall names k and W."""
-    ctx, w = e.context, e.window_exp
-    c = Fraction(x0)
-    ks = sorted(set(k_range))
+    ctx, w, c = e.context, e.window_exp, Fraction(x0)
+    ks = sorted(map(int, set(*_require_ints(k_range=k_range))))  # a bool k is read as its int
     if ks:
         _check_exp(ctx.p, max(0, w - ks[0]), f"a density scan of window {w} down to k = {ks[0]}", "depth")
     out, inside = [], _valuation_at_least(ctx.p, c, -w)
@@ -349,8 +342,8 @@ def density(e: UniformDiscreteSet, x0, k_range: Iterable[int]) -> list[tuple[int
 
 
 def uniformity_check(e: UniformDiscreteSet, n: int, probes: Iterable) -> bool:
-    """Card(E ∩ B(probe, p**n)) equals p**n times the stabilized density, per probe."""
-    dens = len(e.numerators) * e.context.pow(-e.window_exp)
+    """Card(E ∩ B(probe, p**n)) equals p**n times the stabilized density, per probe; n is an int."""
+    n, dens = _read_int(n, "a uniformity check", "n"), len(e.numerators) * e.context.pow(-e.window_exp)
     return all(density(e, probe, [n]) == [(n, dens)] for probe in probes)
 
 
@@ -369,7 +362,7 @@ def verify_tiling_pair(
     relevant iff p**(W - need) divides r, and then v_p(t) >= -need >= v2
     (as ℓ >= v), so its shift t * p**-v2 mod p**(s - v2) is r * p**(s - v2) // p**(W + s).
     """
-    ctx, p = omega.context, omega.context.p
+    ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a tiling check", "window_exp")
     need = max(window_exp, -local_constancy_parameter(omega))
     w = t_set.window_exp
     if w < need:
@@ -420,7 +413,7 @@ def verify_spectral_pair(
     count · N(δ) at exponent -(d / p**(W-v-n)) δ mod p**n, and one zero test
     against Card(digits)² decides.  ScopeTooLarge past _MAX_DIFF_WORK.
     """
-    ctx, p = omega.context, omega.context.p
+    ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a spectral check", "window_exp")
     vm = omega.v + omega.M
     ell = local_constancy_parameter(omega)
     need = max(window_exp, vm)
@@ -482,7 +475,7 @@ def spectrum_to_tiling_complement(
     (disjoint) or the scan raises.  U collects all digit sums over J; the
     candidate complement U + L must tile, and Card(U)·𝔪(Ω) = 1 exactly.
     """
-    ctx = omega.context
+    ctx, verify_window_exp = omega.context, _read_int(verify_window_exp, "a tiling complement", "verify_window_exp")
     if omega.v < 0:
         raise ValueError("the compact open set must sit inside Z_p (v >= 0); rescale first")
     nf = n_f_of(omega)
@@ -509,7 +502,8 @@ def spectrum_to_tiling_complement(
     return u, replace(report, derived={**report.derived, **derived})
 
 
-def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[int]]:
+def _full_frame_digit_set(omega: CompactOpenSet, extra_exp) -> tuple[DigitSet, frozenset[int], int]:
+    extra_exp = _read_int(extra_exp, "a lift", "extra_exp", nonneg=True)
     if omega.v < 0:
         raise ValueError("lift requires a subset of Z_p (v >= 0)")
     ctx = omega.context
@@ -518,7 +512,7 @@ def _full_frame_digit_set(omega: CompactOpenSet) -> tuple[DigitSet, frozenset[in
     levels = _frame_branching_set(ctx.p, mf, digits_f)
     if levels is None:
         raise ConstructionFailed("set is not p-homogeneous; no closed-form witness to lift")
-    return DigitSet(ctx, mf, digits_f), levels  # digits_in_frame returns sorted distinct ints in [0, p**mf)
+    return DigitSet(ctx, mf, digits_f), levels, extra_exp  # digits_in_frame: sorted distinct ints in [0, p**mf)
 
 
 def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscreteSet:
@@ -527,16 +521,16 @@ def lifted_spectrum(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscret
     The finite witness Λ₀ on the full frame M_f = v+M scales into the dual
     window: Λ = p**-M_f · (Λ₀ + L), truncated at window M_f + extra_exp.  The
     element list is exactly the infinite spectrum's intersection with that
-    window.
+    window.  extra_exp is an int >= 0 (ValueError).
     """
-    ds, levels = _full_frame_digit_set(omega)
+    ds, levels, extra_exp = _full_frame_digit_set(omega, extra_exp)
     w0 = _spectrum_from_homogeneity(ds, levels)
     key = ("lifted spectrum", ds.context.p, ds.M, tuple(sorted(levels)))
     return _kept_truncation(omega.context, key, w0.elements, ds.M, extra_exp, ds.M + extra_exp)
 
 
 def lifted_tiling_complement(omega: CompactOpenSet, extra_exp: int = 3) -> UniformDiscreteSet:
-    """Q_p tiling-complement truncation for a homogeneous Ω ⊆ Z_p: U₀ + L."""
-    ds, levels = _full_frame_digit_set(omega)
+    """Q_p tiling-complement truncation for a homogeneous Ω ⊆ Z_p: U₀ + L, extra_exp an int >= 0 (ValueError)."""
+    ds, levels, extra_exp = _full_frame_digit_set(omega, extra_exp)
     w0 = complement_from_homogeneity(ds, levels)
     return _lattice_truncation(omega.context, w0.elements, extra_exp, extra_exp)
