@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .copen import (
@@ -267,7 +269,7 @@ def cmd_homogeneity(args) -> int:
     return EXIT_OK if flag else EXIT_FAILED
 
 
-def _decider_command(args, decider, key: str, no: str, yes: str) -> int:
+def _decider_command(decider, key: str, no: str, yes: str, args) -> int:
     w = decider(_set_from_args(args, DigitSet.make))
     if w is None:
         _emit(args, {key: False, "witness": None}, no)
@@ -276,15 +278,7 @@ def _decider_command(args, decider, key: str, no: str, yes: str) -> int:
     return EXIT_OK
 
 
-def cmd_is_tile(args) -> int:
-    return _decider_command(args, is_tile_zmod, "is_tile", "not a tile", "tile; witness T")
-
-
-def cmd_is_spectral(args) -> int:
-    return _decider_command(args, is_spectral_zmod, "is_spectral", "not spectral", "spectral; witness Λ")
-
-
-def _constructor_command(args, builder, label: str) -> int:
+def _constructor_command(builder, label: str, args) -> int:
     ds, levels = _declared_frame(args)
     if levels is None:
         print(f"set is not p-homogeneous on the declared frame; no {label} construction",
@@ -299,14 +293,6 @@ def _constructor_command(args, builder, label: str) -> int:
     return EXIT_OK
 
 
-def cmd_make_spectrum(args) -> int:
-    return _constructor_command(args, spectrum_from_homogeneity, "spectrum")
-
-
-def cmd_make_complement(args) -> int:
-    return _constructor_command(args, complement_from_homogeneity, "tiling complement")
-
-
 def _report_human(report) -> str:
     if report.failure is None:
         return f"Verified on window B(0, p^{-report.verified_window.v}) ({report.checked_points} cells)"
@@ -317,24 +303,16 @@ def _report_human(report) -> str:
     )
 
 
-def _verify_command(args, verifier) -> int:
+def _verify_command(verifier, args) -> int:
     omega = _omega_from_args(args)
     report = verifier(omega, _eset_from_args(args, omega.context), args.window_exp)
     _emit(args, report.to_json_dict(), _report_human(report))
     return EXIT_OK if report.failure is None else EXIT_FAILED
 
 
-def cmd_verify_tiling(args) -> int:
-    return _verify_command(args, verify_tiling_pair)
-
-
-def cmd_verify_spectral(args) -> int:
-    return _verify_command(args, verify_spectral_pair)
-
-
 def cmd_spectrum_to_tiling(args) -> int:
     omega = _omega_from_args(args)
-    lam = lifted_spectrum(omega, args.lift_exp) if args.elements is None else _eset_from_args(args, omega.context)
+    lam = lifted_spectrum(omega, 3) if args.elements is None else _eset_from_args(args, omega.context)
     u, report = spectrum_to_tiling_complement(omega, lam, args.window_exp)
     obj = {"U": list(u), "report": report.to_json_dict()}
     d = report.derived
@@ -449,22 +427,25 @@ def _row_writer(stream):
     return emit
 
 
+def _write_census(out, p: int, M: int, mode: str, rows) -> Census:
+    """_tally of the census rows, each written as a JSON line to the file out ('-': stdout)."""
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8") as fh:
+        return _tally(p, M, mode, rows, _row_writer(fh))
+
+
 def cmd_classify(args) -> int:
     if args.exhaustive and args.sample is not None:
         raise ValueError("pick one of --exhaustive / --sample K")
     if not args.exhaustive and args.sample is None:
         raise ValueError("pick a mode: --exhaustive or --sample K")
     mode = "exhaustive" if args.exhaustive else "sample"
-    rows = _census_rows(args.p, args.M, mode, args.sample, args.seed, args.jobs)
-    if args.out == "-":
-        _tally(args.p, args.M, mode, rows, _row_writer(sys.stdout))
-        return EXIT_OK
+    rows = _census_rows(args.p, args.M, mode, args.sample, args.seed, args.jobs)  # refuses before out is opened
     if args.out is None:
         census = _tally(args.p, args.M, mode, rows, lambda row: None)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            census = _tally(args.p, args.M, mode, rows, _row_writer(fh))
-    _emit(args, _census_summary_obj(census), _census_summary_human(census))
+        census = _write_census(args.out, args.p, args.M, mode, rows)
+    if args.out != "-":
+        _emit(args, _census_summary_obj(census), _census_summary_human(census))
     return EXIT_OK
 
 
@@ -478,10 +459,8 @@ def cmd_gallery(args) -> int:
     written = []
     summaries = []
     for p, m in _GALLERY_CENSUSES:
-        rows = _census_rows(p, m, "exhaustive", jobs=args.jobs)
         path = outdir / f"census_p{p}_M{m}.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            census = _tally(p, m, "exhaustive", rows, _row_writer(fh))
+        census = _write_census(path, p, m, "exhaustive", _census_rows(p, m, "exhaustive", jobs=args.jobs))
         written.append(path)
         summaries.append(_census_summary_obj(census))
     pipe_rows = []
@@ -573,10 +552,14 @@ def _build_parser() -> _Parser:
                     help="answer on the given (v=0, M) frame instead of the canonical one")
 
     for name, fn, help_text in (
-        ("is-tile", cmd_is_tile, "decide tiling of Z/p^M; prints a complement witness"),
-        ("is-spectral", cmd_is_spectral, "decide spectrality in Z/p^M; prints a spectrum witness"),
-        ("make-spectrum", cmd_make_spectrum, "construct the spectrum of a homogeneous set"),
-        ("make-complement", cmd_make_complement, "construct the tiling complement of a homogeneous set"),
+        ("is-tile", partial(_decider_command, is_tile_zmod, "is_tile", "not a tile", "tile; witness T"),
+         "decide tiling of Z/p^M; prints a complement witness"),
+        ("is-spectral", partial(_decider_command, is_spectral_zmod, "is_spectral", "not spectral",
+                                "spectral; witness Λ"), "decide spectrality in Z/p^M; prints a spectrum witness"),
+        ("make-spectrum", partial(_constructor_command, spectrum_from_homogeneity, "spectrum"),
+         "construct the spectrum of a homogeneous set"),
+        ("make-complement", partial(_constructor_command, complement_from_homogeneity, "tiling complement"),
+         "construct the tiling complement of a homogeneous set"),
     ):
         sp = new(name, fn, help_text)
         sp.add_argument("--p", type=int, required=True)
@@ -586,8 +569,8 @@ def _build_parser() -> _Parser:
                         help="group depth (default: smallest depth holding the largest digit)")
 
     for name, fn, help_text in (
-        ("verify-tiling", cmd_verify_tiling, "verify tiling on an explicit window"),
-        ("verify-spectral", cmd_verify_spectral, "verify spectral on an explicit window"),
+        ("verify-tiling", partial(_verify_command, verify_tiling_pair), "verify tiling on an explicit window"),
+        ("verify-spectral", partial(_verify_command, verify_spectral_pair), "verify spectral on an explicit window"),
         ("spectrum-to-tiling", cmd_spectrum_to_tiling,
          "derive a tiling complement from a spectrum (sphere classification)"),
     ):
@@ -598,9 +581,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--window", type=int, help="declared truncation exponent of the element list")
         sp.add_argument("--window-exp", type=int, default=3,
                         help="verification window exponent (default 3)")
-        if name == "spectrum-to-tiling":
-            sp.add_argument("--lift-exp", type=int, default=3,
-                            help="representative depth when lifting the constructed spectrum (default 3)")
 
     for name, fn, help_text in (
         ("scan-zeros", cmd_scan_zeros, "classify spheres against the zero set of μ̂_E"),

@@ -39,8 +39,9 @@ def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
     Vanishing means constant coefficients on every coset of the index-p
     subgroup.  Valid at the declared order (minimality not required): the
     relation module of roots of exact order p**n is the integer span of the
-    full coset vectors {r + t*p**(n-1) : 0 <= t < p}.
+    full coset vectors {r + t*p**(n-1) : 0 <= t < p}.  n is an int >= 0, p**n within _MAX_TREE_BITS.
     """
+    n = _check_exp(p, n, "a zero test", "n", _MAX_TREE_BITS, nonneg=True)
     if n == 0:
         return not any(counts.values())
     q = p ** (n - 1)
@@ -58,8 +59,9 @@ def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
 
 
 def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
-    """Exponent -> count map of the residues reduced mod p**m, in first-seen order."""
-    q = p**m
+    """Exponent -> count map of the residues reduced mod p**m, in first-seen order; m is an int >= 0
+    (ValueError) with p**m bounded at _MAX_TREE_BITS (ScopeTooLarge)."""
+    q = p ** _check_exp(p, m, "a residue count", "m", _MAX_TREE_BITS, nonneg=True)
     counts: dict[int, int] = {}
     for r in residues:
         r %= q

@@ -86,6 +86,9 @@ def _check_fold(p: int, count: int, levels: int, what: str) -> None:
 # 0.4 s (README, Limits), and every rational printed stays under Python's 4,300-digit limit.
 _MAX_EXP_BITS = 2048
 _MAX_TREE_BITS = 2 * _MAX_EXP_BITS  # of p^M in a frame: |v| and |v + M| each within _MAX_EXP_BITS
+# Largest p^m, in bits, that a residue or a residue list reduces by: the pair checks ask for depths up to a
+# window plus a frame's scale (each within _MAX_EXP_BITS) plus the at most 2^18 cells below the frame.
+_MAX_RESIDUE_BITS = 2 * _MAX_EXP_BITS + _MAX_Q.bit_length()
 
 
 def _check_exp(p: int, e, what: str, name: str, bits: int = _MAX_EXP_BITS, nonneg: bool = False) -> int:
@@ -292,12 +295,11 @@ class PrimeContext:
         return _clamped_valuation(self.p, x, max(x.numerator.bit_length(), x.denominator.bit_length()))
 
     def residue(self, x: Fraction | int, m: int) -> int:
-        """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0 and an int m >= 0 (_read_int).
-
-        The denominator of x is a unit mod p**m, so its inverse is exact.
+        """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0 and an int m >= 0 with p**m within
+        _MAX_RESIDUE_BITS.  The denominator of x is a unit mod p**m, so its inverse is exact.
         """
         x = Fraction(x)
-        q = self.p ** _read_int(m, "a residue", "m", nonneg=True)
+        q = self.p ** _check_exp(self.p, m, "a residue", "m", _MAX_RESIDUE_BITS, nonneg=True)
         if x.denominator % self.p == 0:
             raise ValueError(f"residue undefined: v_{self.p}({x}) < 0")
         return (x.numerator * pow(x.denominator, -1, q)) % q if q > 1 else 0

@@ -30,7 +30,7 @@ from .decide import (
     _spectrum_from_homogeneity,
     complement_from_homogeneity,
 )
-from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_Q, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall,
+from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_RESIDUE_BITS, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall,
                     _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice, _read_elements,
                     _read_int, _require_ints, _valuation_at_least)
 
@@ -53,11 +53,6 @@ __all__ = [
     "lifted_spectrum",
     "lifted_tiling_complement",
 ]
-
-
-# Largest p^m, in bits, that a residue list reduces by: the pair checks ask for depths up to a window
-# plus a frame's scale (each within _MAX_EXP_BITS) plus the at most 2^18 cells below the frame.
-_MAX_RESIDUE_BITS = 2 * _MAX_EXP_BITS + _MAX_Q.bit_length()
 
 # n_f_of and verify_spectral_pair build all |D|^2 digit differences, up to p^M of them distinct ints of b bits:
 # the work |D|^2 + min(|D|^2, p^M)·(8 + b // 128) is bounded at that of 1,024 digits of 2,048 bits.  At or

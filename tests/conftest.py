@@ -11,6 +11,7 @@ import os
 import select
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -107,3 +108,23 @@ def api_child():
     child = ChildProcess(_API)
     yield child
     child.close()
+
+
+def _homogeneous_sets(p: int, M: int) -> list[tuple[int, ...]]:
+    """Every p-homogeneous digit set of Z/p^M, grown level by level without the library: at level i
+    every node takes all p children (a branching level) or each node takes one child of its own."""
+    sets = [(0,)]
+    for i in range(M):
+        w = p**i
+        grown = []
+        for nodes in sets:
+            grown.append(tuple(r + a * w for r in nodes for a in range(p)))
+            grown += [tuple(r + a * w for r, a in zip(nodes, ds)) for ds in product(range(p), repeat=len(nodes))]
+        sets = grown
+    return sets
+
+
+@pytest.fixture(scope="session")
+def roundtrip_sets():
+    """(p, M, digits) of the 835 homogeneous sets of Z/2^4 and Z/3^2, the sets of the benchmark's roundtrip."""
+    return [(p, M, C) for p, M in ((2, 4), (3, 2)) for C in _homogeneous_sets(p, M)]

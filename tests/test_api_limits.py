@@ -107,6 +107,17 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
     pytest.param("CyclotomicSum.make(PrimeContext(2), 10**9, {1: 1})",
                  "a cyclotomic sum is limited to p^|n| of at most 4096 bits: p=2, n=1000000000",
                  id="CyclotomicSum.make"),
+    # these three formed p^m with no bound: m = 10^7 took 4.7 MB, so the residue's 10^10 would ask for 4.7 GB
+    pytest.param("PrimeContext(2).residue(5, 10**10)",
+                 "a residue is limited to p^|m| of at most 4115 bits: p=2, m=10000000000", id="residue"),
+    pytest.param("cyclotomic.vanishes(2, 10**9, {1: 1})",
+                 "a zero test is limited to p^|n| of at most 4096 bits: p=2, n=1000000000", id="vanishes"),
+    pytest.param("cyclotomic.residue_counts(2, 10**9, [1])",
+                 "a residue count is limited to p^|m| of at most 4096 bits: p=2, m=1000000000",
+                 id="residue_counts"),
+    # refused before as well, but checked only through the CLI's spectrum-to-tiling --lift-exp 18
+    pytest.param("lifted_spectrum(CompactOpenSet.make(PrimeContext(2), 0, 2, [0, 3]), 18)",
+                 "p=2, k=18, q = 2·2^18 > 262144", id="lifted_spectrum"),
     pytest.param("n_f_of(CompactOpenSet.make(PrimeContext(2), 0, 16, range(0, 2**16, 3)))",
                  "n_f_of is limited to 26214400 units of digit-difference work "
                  "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16", id="n_f_of_dense"),
@@ -123,7 +134,7 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
     pytest.param(_DEEP_SPECTRUM, "p=2, count=16384, levels=2000", id="verify_spectrum_witness_deep"),
 ])
 def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
-    # each was still running when a 5 s timeout ended it
+    # each was still running when a 5 s timeout ended it, unless its row says otherwise
     name, message, seconds = api_child.run(call)
     assert name == "ScopeTooLarge" and names in message and seconds < 1
 

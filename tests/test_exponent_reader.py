@@ -42,6 +42,7 @@ from padictiles import (
     verify_tiling_witness,
     zero_sphere_scan,
 )
+from padictiles.cyclotomic import residue_counts, vanishes
 
 CTX = PrimeContext(2)
 OMEGA = CompactOpenSet.make(CTX, 0, 2, [0, 1])  # {0, 1} + 4Z_2: branching at level 0, homogeneous
@@ -62,6 +63,8 @@ EXPONENTS = [
     ("PrimeContext.residue", lambda e: CTX.residue(5, e), "m", True),
     ("CyclotomicSum.make-n", lambda e: CyclotomicSum.make(CTX, e, {0: 1}), "n", True),
     ("CyclotomicSum.make-exponent", lambda e: CyclotomicSum.make(CTX, 2, {e: 1, 1: 1}), "exponent", False),
+    ("vanishes", lambda e: vanishes(2, e, {0: 1, 1: 1}), "n", True),
+    ("residue_counts", lambda e: residue_counts(2, e, [1, 2, 3]), "m", True),
     ("vanishing_level_set", lambda e: vanishing_level_set(CTX, [0, 1], [e]), "levels", False),
     ("frame_branching_set", lambda e: frame_branching_set(2, e, [0, 1]), "M", True),
     ("verify_tiling_witness", lambda e: verify_tiling_witness(2, e, [0], [0]), "M", True),
@@ -117,6 +120,14 @@ def test_every_public_exponent_is_read_as_an_int(call, name, nonneg, data):
     ("CTX.residue(5, -1)", "a residue takes an int m >= 0: m=-1"),
     # returned the float 1.4142135623730951
     ("CTX.pow(0.5)", "a power of p takes an int e: e=0.5"),
+    # returned False, where n = 1 returns True
+    ("vanishes(2, 0.5, {0: 1, 1: 1})", "a zero test takes an int n >= 0: n=0.5"),
+    # returned False
+    ("vanishes(2, -1, {0: 1})", "a zero test takes an int n >= 0: n=-1"),
+    # returned a map with float keys
+    ("residue_counts(2, 0.5, [1, 2, 3])", "a residue count takes an int m >= 0: m=0.5"),
+    # returned {0.0: 3}
+    ("residue_counts(2, -1, [1, 2, 3])", "a residue count takes an int m >= 0: m=-1"),
 ])
 def test_a_call_that_answered_for_an_exponent_it_cannot_take_refuses_it(call, message):
     with pytest.raises(ValueError) as raised:

@@ -286,6 +286,16 @@ def test_spectrum_to_tiling_frozen_pipeline():
     assert rep.derived["spectrum_count_at_n_f"] == 2
 
 
+def test_the_lift_depth_of_the_constructed_spectrum_changes_no_complement(roundtrip_sets):
+    # Λ = p^(-M_f)·(Λ₀ + L): each truncated sphere sum is Λ₀'s times a geometric sum over L, which never
+    # vanishes, so the spheres, U and the report are the same at every depth k of the lift
+    for p, M, C in roundtrip_sets:
+        om = CompactOpenSet.make(PrimeContext(p), 0, M, C)
+        (u, rep), *deeper = [spectrum_to_tiling_complement(om, lifted_spectrum(om, k), 3) for k in (3, 0, 1)]
+        assert rep.status == "Verified"
+        assert all(u_k == u and rep_k.to_json_dict() == rep.to_json_dict() for u_k, rep_k in deeper)
+
+
 def test_spectrum_to_tiling_scaled_ball():
     c3 = PrimeContext(3)
     om = CompactOpenSet.make(c3, 0, 2, (0, 3, 6))  # canonicalizes to 3 Z_3
