@@ -17,7 +17,7 @@ import json
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
+from functools import cache
 from pathlib import Path
 
 from .copen import (
@@ -515,7 +515,11 @@ def cmd_gallery(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The parser of every command, built on the first call of main and kept: a command reads its library
+    function by name when it runs (a lambda, not a partial over the function), so a name rebound after the
+    first call is still reached."""
     top = _Parser(
         prog="padictiles",
         description=__doc__,
@@ -552,13 +556,14 @@ def _build_parser() -> _Parser:
                     help="answer on the given (v=0, M) frame instead of the canonical one")
 
     for name, fn, help_text in (
-        ("is-tile", partial(_decider_command, is_tile_zmod, "is_tile", "not a tile", "tile; witness T"),
+        ("is-tile", lambda args: _decider_command(is_tile_zmod, "is_tile", "not a tile", "tile; witness T", args),
          "decide tiling of Z/p^M; prints a complement witness"),
-        ("is-spectral", partial(_decider_command, is_spectral_zmod, "is_spectral", "not spectral",
-                                "spectral; witness Λ"), "decide spectrality in Z/p^M; prints a spectrum witness"),
-        ("make-spectrum", partial(_constructor_command, spectrum_from_homogeneity, "spectrum"),
+        ("is-spectral", lambda args: _decider_command(is_spectral_zmod, "is_spectral", "not spectral",
+                                                      "spectral; witness Λ", args),
+         "decide spectrality in Z/p^M; prints a spectrum witness"),
+        ("make-spectrum", lambda args: _constructor_command(spectrum_from_homogeneity, "spectrum", args),
          "construct the spectrum of a homogeneous set"),
-        ("make-complement", partial(_constructor_command, complement_from_homogeneity, "tiling complement"),
+        ("make-complement", lambda args: _constructor_command(complement_from_homogeneity, "tiling complement", args),
          "construct the tiling complement of a homogeneous set"),
     ):
         sp = new(name, fn, help_text)
@@ -569,8 +574,10 @@ def _build_parser() -> _Parser:
                         help="group depth (default: smallest depth holding the largest digit)")
 
     for name, fn, help_text in (
-        ("verify-tiling", partial(_verify_command, verify_tiling_pair), "verify tiling on an explicit window"),
-        ("verify-spectral", partial(_verify_command, verify_spectral_pair), "verify spectral on an explicit window"),
+        ("verify-tiling", lambda args: _verify_command(verify_tiling_pair, args),
+         "verify tiling on an explicit window"),
+        ("verify-spectral", lambda args: _verify_command(verify_spectral_pair, args),
+         "verify spectral on an explicit window"),
         ("spectrum-to-tiling", cmd_spectrum_to_tiling,
          "derive a tiling complement from a spectrum (sphere classification)"),
     ):

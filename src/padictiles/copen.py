@@ -204,7 +204,8 @@ def local_constancy_parameter(omega: CompactOpenSet) -> int:
     verifications use to pick representatives.
     """
     p, v, M = omega.context.p, omega.v, omega.M
-    return min((v + _capped_valuation(p, c, M) for c in omega.digits), default=None)  # v_p(c) < M, or c = 0
+    # the least min(v_p(c), M) over the digits is min(v_p(gcd), M); v_p(c) < M, or c = 0
+    return v + _capped_valuation(p, math.gcd(*omega.digits), M) if omega.digits else None
 
 
 def frame_branching_set(p: int, M: int, digits: Iterable[int]) -> frozenset[int] | None:

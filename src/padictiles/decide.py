@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_right
 from cmath import rect
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -204,32 +205,48 @@ def _t1_levels(C: DigitSet) -> tuple[frozenset[int], list[dict[int, int]]] | Non
 def is_tile_zmod(C: DigitSet) -> Witness | None:
     """Find T with C ⊕ T = Z/p^M; None when no complement exists.
 
-    Covers the smallest uncovered x with the first allowed candidate of
-    sorted((x - c) % q), as a backtracking exact-cover search would, but
-    never backtracks.  C is rejected unless it meets T1 (module docstring).
-    Every complement is then homogeneous and does not branch on C's
-    branching set I_C, so at each i in I_C the translates in one class mod
-    p^i share digit i; a choice meeting that rule lies in some complement,
-    so no allowed step is a dead end.  No allowed translate overlaps a chosen
-    one: C is homogeneous (T1 and the lemma), so every nonzero difference in
-    C - C has its valuation in I_C, while two translates that meet the rule
-    first differ at a level outside I_C (and t covers the uncovered x, so it
-    is new).  Coverage is a bytearray, scanned forward from x.  The witness
-    is re-verified by a coverage count.
+    Covers the smallest uncovered x with the first allowed candidate in
+    ascending (x - c) mod q, as a backtracking exact-cover search would, but
+    never backtracks; the candidates are read in rotation order of the sorted
+    C (the c <= x descending, then the c > x descending).  C is rejected
+    unless it meets T1 (module docstring).  Every complement is then
+    homogeneous and does not branch on C's branching set I_C, so at each i
+    in I_C the translates in one class mod p^i share digit i; a choice
+    meeting that rule lies in some complement, so no allowed step is a dead
+    end.  No allowed translate overlaps a chosen one: C is homogeneous (T1
+    and the lemma), so every nonzero difference in C - C has its valuation
+    in I_C, while two translates that meet the rule first differ at a level
+    outside I_C (and t covers the uncovered x, so it is new).  Coverage is a
+    bytearray, scanned forward from x.
+
+    The walk stops once every rule entry is set: p^(i - k) classes at the
+    k-th level i of I_C (0-based, ascending).  A rule never changes once
+    set, so the T a walk to the last cell would choose lies in the set R of
+    all t whose digits at I_C obey the rules, and T1 gives |T| = p^M/|C| =
+    p^(M - |I_C|) = |R|: T = R.  If the walk has placed |R| translates by
+    then, they are T; else padic._digit_lattice lists R from the rules, the
+    digits above the top level of I_C, all free, being its base.  The walk
+    also ends when every cell is covered, and then an unset entry is a
+    ConstructionFailed, so a wrong count cannot spin.  The witness is
+    re-verified by a coverage count.
     """
     p, M = C.context.p, C.M
     t1 = _t1_levels(C)
     if t1 is None:
         return None
-    levels = t1[0]
-    q = p**M
-    # (weight p^i, class mod p^i -> the digit i its translates share)
-    digit_of = [(p ** (M - 1 - j), {}) for j in levels]
+    q, cs, n = p**M, C.C, len(C.C)
+    rules, unset = {}, 0  # branching level i of C -> (class mod p^i -> the digit i its translates share)
+    for k, j in enumerate(sorted(t1[0], reverse=True)):  # i = M - 1 - j ascending, the k-th of them
+        rules[M - 1 - j] = {}
+        unset += p ** (M - 1 - j - k)
+    digit_of = [(p**i, d) for i, d in rules.items()]
     covered = bytearray(q)
     chosen: list[int] = []
     x = 0
-    while x != -1:
-        for t in sorted([(x - c) % q for c in C.C]):
+    while unset and x != -1:
+        k = bisect_right(cs, x)
+        for m in range(k - 1, k - 1 - n, -1):  # a negative m wraps round to the c > x
+            t = (x - cs[m]) % q
             for w, d in digit_of:
                 a = t // w % p
                 if d.get(t % w, a) != a:
@@ -237,16 +254,25 @@ def is_tile_zmod(C: DigitSet) -> Witness | None:
             else:
                 break
         else:
-            raise ConstructionFailed(f"tile search found no allowed translate: C={C.C}, T so far={chosen}")
+            raise ConstructionFailed(f"tile search found no allowed translate: C={cs}, T so far={chosen}")
         for w, d in digit_of:
-            d[t % w] = t // w % p
-        for c in C.C:
-            covered[(c + t) % q] = 1
+            if (r := t % w) not in d:
+                d[r] = t // w % p
+                unset -= 1
         chosen.append(t)
-        x = covered.find(0, x)
-    T = tuple(sorted(chosen))
-    if not _covers(q, C.C, T):
-        raise ConstructionFailed(f"tile search witness failed coverage recount: C={C.C}, T={T}")
+        if unset:  # else no further x is sought
+            for c in cs:
+                covered[(c + t) % q] = 1
+            x = covered.find(0, x)
+    if unset:
+        raise ConstructionFailed(f"tile search covered Z/p^M with {unset} rule entries unset: C={cs}")
+    if len(chosen) * n == q:
+        T = tuple(sorted(chosen))
+    else:  # every digit above the top branching level is free: those digits are the lattice's base
+        top = max(rules, default=-1) + 1
+        T = tuple(_digit_lattice(p, range(top), range(p ** (M - top)), top, rules=rules))
+    if not _covers(q, cs, T):
+        raise ConstructionFailed(f"tile search witness failed coverage recount: C={cs}, T={T}")
     return Witness(WitnessKind.TILING_COMPLEMENT, p, M, T)
 
 

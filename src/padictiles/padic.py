@@ -139,15 +139,22 @@ def _reduce_frame(p: int, v: int, M: int, ds) -> tuple[int, int, tuple[int, ...]
     return v, M, tuple(sorted(ds))
 
 
-def _digit_lattice(p: int, exponents, base=(0,), shift=0, what="a digit lattice", name="levels") -> list[int]:
-    """Sorted b * p^shift + t over b in base and t each sum of a_j * p^j, digits a_j in [0, p), over the distinct
-    exponents j; with exponents, ScopeTooLarge past |base|·p^len(exponents) = _MAX_Q before any is built."""
+def _digit_lattice(p: int, exponents, base=(0,), shift=0, what="a digit lattice", name="levels",
+                  rules: dict | None = None) -> list[int]:
+    """Sorted b * p^shift + t over b in base and t each sum of a_j * p^j over the exponents j, in the order given:
+    at a level j of rules, a_j is rules[j][t mod p^j] for the t built so far (a class with no digit there is left
+    out), and elsewhere every digit in [0, p); with exponents, ScopeTooLarge past |base|·p^(exponents outside
+    rules) = _MAX_Q before any is built."""
+    rules = rules or {}
     if exponents:
-        _check_q(p, len(exponents), what, len(base), name)
+        _check_q(p, sum(j not in rules for j in exponents), what, len(base), name)
     tail = [0]
     for j in exponents:
         w = p**j
-        tail = [t + a for a in range(0, p * w, w) for t in tail]
+        if (rule := rules.get(j)) is None:
+            tail = [t + a for a in range(0, p * w, w) for t in tail]
+        else:
+            tail = [t + rule[r] * w for t in tail if (r := t % w) in rule]
     f = p**shift
     return sorted([b * f + t for b in base for t in tail])
 

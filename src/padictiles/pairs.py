@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .copen import (
@@ -436,7 +437,7 @@ def verify_spectral_pair(
         key = frozenset(diffs.items())
         if key in passed:
             continue
-        n = max((e - _capped_valuation(p, d, e) for d in diffs if d), default=0)  # 0 < d < p**e
+        n = e - _capped_valuation(p, gcd(*diffs), e)  # 0 <= d < p**e; only zeros give gcd 0 and n = 0
         qn, lift = p**n, p ** (e - n)
         acc = {0: -target}
         for d, k in diffs.items():

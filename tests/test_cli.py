@@ -39,6 +39,19 @@ def test_no_command_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_the_parser_is_built_once_and_each_command_reads_its_function_when_it_runs(capsys, monkeypatch):
+    assert run(capsys, "is-tile", "--p", "2", "--set", "0,3", "--M", "2")[0] == 0
+    assert cli._build_parser() is cli._build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "is_tile_zmod", lambda ds: seen.append(ds.C))
+    monkeypatch.setattr(cli, "verify_tiling_pair", lambda *args: seen.append(args[2]) or 1 / 0)
+    assert run(capsys, "is-tile", "--p", "2", "--set", "0,3", "--M", "2") == (2, "not a tile\n", "")
+    with pytest.raises(ZeroDivisionError):
+        main(["verify-tiling", "--p", "2", "--set", "0,3", "--M", "2", "--elements", "0,2", "--window", "0",
+              "--window-exp", "4"])
+    assert seen == [(0, 3), 4]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out

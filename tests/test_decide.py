@@ -228,6 +228,59 @@ def test_tile_witness_equals_unpruned_search(p, m):
     assert seen[True] and seen[False]
 
 
+def _full_tile_walk(p, m, c):
+    """The greedy tile walk run until every cell is covered: the smallest uncovered x takes the first t of
+    sorted((x - c) % q) whose digit i, at each branching level i of c, matches that of the translates chosen
+    before in its class mod p^i; None when c is not homogeneous."""
+    levels = frame_branching_set(p, m, c)
+    if levels is None:
+        return None
+    q = p**m
+    rules = [(p**i, {}) for i in sorted(levels)]
+    covered = bytearray(q)
+    chosen = []
+    x = 0
+    while x != -1:
+        t = next(t for t in sorted((x - y) % q for y in c)
+                 if all(d.get(t % w, t // w % p) == t // w % p for w, d in rules))
+        for w, d in rules:
+            d[t % w] = t // w % p
+        for y in c:
+            covered[(y + t) % q] = 1
+        chosen.append(t)
+        x = covered.find(0, x)
+    return tuple(sorted(chosen))
+
+
+_SCALE_INPUTS = [
+    # branching levels {1, 5, 9, 13} of Z/2^18, with nonzero digits at the unary levels
+    (2, 18, (92296, 92310, 92520, 92534, 95880, 95894, 96104, 96118,
+             166024, 166038, 166248, 166262, 169608, 169622, 169832, 169846)),
+    (3, 11, (5,)),  # no branching level: no walk step, every cell of Z/3^11 listed from no rule
+]
+
+
+def _tile_walk_cases():
+    for p, m in [(2, 3), (2, 4), (3, 2)]:
+        for k in (p**e for e in range(m + 1)):
+            yield from ((p, m, c) for c in combinations(range(p**m), k))
+    for p, m in [(2, 10), (3, 6), (5, 3), (7, 3), (11, 2)]:
+        rng = random.Random(1021 * p + m)
+        yield from ((p, m, c) for c in _homogeneous_and_perturbed(rng, p, m))
+    yield from _SCALE_INPUTS
+
+
+def test_tile_walk_that_stops_at_the_last_rule_equals_the_full_walk():
+    # the walk stops once every digit rule of the complement is set and lists the rest from the rules
+    seen = {True: 0, False: 0}
+    for p, m, c in _tile_walk_cases():
+        w = is_tile_zmod(DigitSet.make(PrimeContext(p), m, c))
+        ref = _full_tile_walk(p, m, c)
+        assert (None if w is None else w.elements) == ref, (p, m, c)
+        seen[ref is not None] += 1
+    assert seen[True] > 2000 and seen[False]
+
+
 def _reference_spectrum(p, m, c):
     """The depth-first spectrum search: anchored at 0, candidates in increasing
     order, every pairwise difference in the zero-difference set D."""

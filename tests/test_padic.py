@@ -332,6 +332,17 @@ def test_the_digit_lattice_bounds_its_base_times_its_tail():
     assert _digit_lattice(2, (), range(2**18 + 1), 1)[-1] == 2**19
 
 
+def test_the_digit_lattice_places_a_rule_digit_at_a_rule_level():
+    # level 1 of Z/3^3 takes digit rules[1][t mod 3] from the digit at level 0, levels 0 and 2 are free
+    rules = {1: {0: 2, 1: 0, 2: 1}}
+    want = sorted(a0 + 3 * rules[1][a0] + 9 * a2 for a0 in range(3) for a2 in range(3))
+    assert _digit_lattice(3, range(3), rules=rules) == want
+    assert _digit_lattice(3, range(2), range(3), 2, rules=rules) == want
+    # a class with no digit at a rule level is left out, and only the free levels count toward the bound
+    assert _digit_lattice(2, range(3), rules={1: {1: 1}, 2: {3: 0, 1: 1}}) == [3]
+    assert len(_digit_lattice(2, range(19), rules={0: {0: 1}})) == 2**18
+
+
 def _reference_make(context, window_exp, elements):
     """(numerators, unit) of UniformDiscreteSet.make by its Fraction path, before the one element reader."""
     elems = sorted({F(x) for x in elements})
