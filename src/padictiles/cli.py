@@ -454,15 +454,14 @@ _GALLERY_PIPELINES = ((2, 2, (0, 3)), (2, 3, (0, 1, 4, 5)), (3, 2, (0, 3, 6)))
 
 
 def cmd_gallery(args) -> int:
-    outdir = Path(args.out)
+    censuses = [(p, m, _census_rows(p, m, "exhaustive", jobs=args.jobs)) for p, m in _GALLERY_CENSUSES]
+    outdir = Path(args.out)  # made once every census has read --jobs, so that a refused one leaves nothing
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    summaries = []
-    for p, m in _GALLERY_CENSUSES:
+    written, summaries = [], []
+    for p, m, rows in censuses:
         path = outdir / f"census_p{p}_M{m}.jsonl"
-        census = _write_census(path, p, m, "exhaustive", _census_rows(p, m, "exhaustive", jobs=args.jobs))
+        summaries.append(_census_summary_obj(_write_census(path, p, m, "exhaustive", rows)))
         written.append(path)
-        summaries.append(_census_summary_obj(census))
     pipe_rows = []
     for p, m, digits in _GALLERY_PIPELINES:
         ctx = PrimeContext(p)

@@ -13,6 +13,7 @@ counting digit overlaps.  No floating point anywhere on the decision paths.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -155,8 +156,11 @@ class ScaledCyclotomic:
         return r * self.context.pow(self.power)
 
     def numeric(self) -> complex:
-        """Float value; report/cross-check aid only."""
-        return float(self.context.pow(self.power)) * self.sum.numeric()
+        """Float value; report/cross-check aid only.  A scale p**power past the largest float reads inf:
+        a nonzero part is then ±inf and a zero part stays zero (inf * 0.0 would be nan)."""
+        z, scale = self.sum.numeric(), self.context.pow(self.power)
+        scale = float(scale) if scale <= sys.float_info.max else math.inf
+        return complex(*(x * scale if x else x for x in (z.real, z.imag)))
 
     def to_json_dict(self) -> dict:
         return {"power": self.power, "sum": self.sum.to_json_dict()}

@@ -103,6 +103,13 @@ def _zero_orders(p: int, m: int, maps: Iterable[dict[int, int]], visit=None) -> 
     return frozenset(zero)
 
 
+def _float_sum(q: int, counts: Mapping[int, int], u: int = 1) -> complex:
+    """sum_j counts[j] * exp(2*pi*i * u*j / q) in floats, for numeric() and decide's numeric guard: each angle
+    is 2*pi times the int quotient (u*j mod q)/q, rounded right at any q, and fsum rounds each part once."""
+    terms = [cmath.rect(a, math.tau * (u * j % q / q)) for j, a in counts.items()]
+    return complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
+
+
 class CyclotomicSum:
     """sum_j a_j * w**j with w = exp(2*pi*i / p**n) and integer a_j.
 
@@ -231,12 +238,8 @@ class CyclotomicSum:
         return f"CyclotomicSum(p={self.context.p}, n={self.n}, coeffs={dict(sorted(self.coeffs.items()))})"
 
     def numeric(self) -> complex:
-        """Float approximation; cross-check and report aid, never a decision input.
-        Terms are added in sorted exponent order with fsum, so the result depends
-        only on the coefficients, not on the order they were inserted in."""
-        q = self.context.p**self.n
-        terms = [a * cmath.exp(2j * cmath.pi * j / q) for j, a in sorted(self.coeffs.items())]
-        return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+        """Float approximation (_float_sum); cross-check and report aid, never a decision input."""
+        return _float_sum(self.context.p**self.n, self.coeffs)
 
     def to_json_dict(self) -> dict:
         return {

@@ -19,15 +19,13 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
-from cmath import rect
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
-from math import fsum, tau
 from typing import Iterable, Iterator, NamedTuple
 
 from .copen import _frame_branching_set, frame_branching_set  # noqa: F401 (reached as decide.frame_branching_set)
-from .cyclotomic import _level_counts, _zero_orders, vanishes
+from .cyclotomic import _float_sum, _level_counts, _zero_orders, vanishes
 from .padic import (_LATTICES, PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice,
                     _frame_digits, _read_int, _require_ints)
 
@@ -141,15 +139,10 @@ def _orthogonal(p: int, M: int, levels) -> bool:
 
 def _defect(p: int, M: int, levels) -> float:
     """The numeric guard of spectrum_orthogonality_defect on the occurring levels of its lam, at the units
-    1 and 1 + p: the sum at -1 is the complex conjugate of the sum at 1, of the same modulus.  The angle
-    of each term is 2π times the int quotient (u·r mod n)/n, which Python rounds correctly for any n."""
-    worst = 0.0
-    for j, counts in levels:
-        n = p ** (M - j)
-        for u in {1 % n, (1 + p) % n}:
-            terms = [rect(k, tau * (u * r % n / n)) for r, k in counts.items()]
-            worst = max(worst, abs(complex(fsum([z.real for z in terms]), fsum([z.imag for z in terms]))))
-    return worst
+    1 and 1 + p: the sum at -1 is the complex conjugate of the sum at 1, of the same modulus.  Each sum
+    is taken by cyclotomic._float_sum, which forms every angle from an int quotient, right at any order."""
+    return max((abs(_float_sum(n, counts, u)) for j, counts in levels for n in [p ** (M - j)]
+                for u in {1 % n, (1 + p) % n}), default=0.0)
 
 
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:

@@ -730,6 +730,7 @@ def test_jobs_past_the_cpu_count_exit_1(tmp_path, capsys, monkeypatch, command, 
     code, out, err = run(capsys, *command, "--jobs", jobs)
     assert code == 1 and out == ""
     assert f"--jobs must be between 1 and os.cpu_count() = 2; got {jobs}" in err
+    assert not (tmp_path / "g").exists()  # --jobs is refused before --out is made
 
 
 def test_gallery(tmp_path, capsys):
@@ -901,13 +902,15 @@ def _rational_list_flag(draw):
 
 @st.composite
 def _rational_argv(draw):
-    """A command with drawn --elements, --probes, --xi, --x0 or --window-exp."""
+    """A command with drawn --elements, --probes, --xi, --x0 or --window-exp, and --M and --v of fourier and
+    autocorr."""
     command = draw(st.sampled_from(["fourier", "autocorr", "density", "scan-zeros", "verify-tiling",
                                     "verify-spectral", "spectrum-to-tiling"]))
     argv = [command, "--p", str(draw(st.sampled_from([2, 3])))]
     small = st.integers(-3, 4).map(str)
     if command in ("fourier", "autocorr"):
-        return argv + ["--set", "0,1", f"--M={draw(small)}", f"--xi={draw(_RATIONAL)}"]
+        return argv + ["--set", "0,1", f"--M={draw(_EXPONENT)}", f"--v={draw(_EXPONENT)}",
+                       f"--xi={draw(_RATIONAL)}"]
     truncation = [f"--elements={draw(_rational_list_flag())}",
                   f"--window={draw(st.one_of(small, _EXPONENT.map(str)))}"]
     if command == "density":
@@ -926,6 +929,18 @@ def _rational_argv(draw):
 
 _HUGE = "1/" + str(2**14000)  # 4,215 digits
 
+# Past the float range: a root of order 2^1100 under the scale 2^-1100, where the float step j / q
+# raised OverflowError; the scale 2^1099 of a zero value; and a failure whose irrational left side
+# carries the scale 2^1194, where float(p**power) raised.  Each: argv, exit code, numeric hint
+_PAST_THE_FLOAT_RANGE = [
+    (["fourier", "--p", "2", "--set", "1", "--M", "1100", "--xi", f"1/{2**1100}"], 0,
+     "+0.000000000000e+00-0.000000000000e+00i"),
+    (["fourier", "--p", "2", "--set", "1", "--v", "-1100", "--M", "1", "--xi", "1/3"], 0,
+     "+0.000000000000e+00+0.000000000000e+00i"),
+    (["verify-spectral", "--p", "2", "--set", "0,1,2", "--v", "-600", "--M", "3", "--elements", "0",
+      "--window", "-597", "--window-exp", "-597"], 2, "(inf-infj)"),
+]
+
 
 @settings(max_examples=200, deadline=2000)
 @given(argv=_rational_argv())
@@ -939,7 +954,22 @@ _HUGE = "1/" + str(2**14000)  # 4,215 digits
                "--window-exp=-100000"])
 @example(argv=["verify-tiling", "--p", "3", "--set", "0", "--elements", "0", "--window", "0",
                "--window-exp=-100000"])
+@example(argv=_PAST_THE_FLOAT_RANGE[0][0])
+@example(argv=_PAST_THE_FLOAT_RANGE[1][0])
+@example(argv=_PAST_THE_FLOAT_RANGE[2][0])
 def test_fuzz_rational_and_window_flags_exit_cleanly(cli_child, argv):
     code, _, err, _ = cli_child.run(*argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,want,hint", _PAST_THE_FLOAT_RANGE + [
+    # the float step j / q overflowed to inf inside the angle and read +nan+nani
+    (["fourier", "--p", "2", "--set", "1", "--M", "1023", "--xi", f"1/{2**1023}"], 0,
+     "+1.112536929254e-308-4.940656458412e-324i"),
+])
+def test_numeric_hints_past_the_float_range_are_floats_not_a_traceback(capsys, argv, want, hint):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == want and err == ""
+    obj = json.loads(out)
+    assert (obj["numeric_hint"] if want == 0 else obj["failure"]["lhs"]["numeric_hint"]) == hint

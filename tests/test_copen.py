@@ -483,6 +483,20 @@ def test_digit_tree_counts():
                 assert len(om.digits) == p ** len(levels)
 
 
+def test_scaled_numeric_past_the_float_range_reads_inf_not_an_overflow():
+    # float(p**power) raised OverflowError past the largest float: a nonzero part now reads ±inf, and a zero
+    # part stays zero rather than inf * 0.0 = nan
+    c2 = PrimeContext(2)
+    s = CyclotomicSum.make(c2, 3, {0: 3, 1: 2, 2: 1, 6: 1, 7: 2})  # the left side of a spectral failure
+    assert ScaledCyclotomic(1194, s).numeric() == complex(math.inf, -math.inf)
+    assert ScaledCyclotomic(1194, CyclotomicSum.constant(c2, -2)).numeric() == complex(-math.inf, 0.0)
+    assert ScaledCyclotomic(1194, CyclotomicSum.make(c2, 1, {})).numeric() == 0
+    assert ScaledCyclotomic(1023, s).numeric() == 2.0**1023 * s.numeric()
+    assert ScaledCyclotomic(-2000, s).numeric() == 0
+    big = ScaledCyclotomic(700, CyclotomicSum.constant(PrimeContext(3), 1)).numeric()  # 3^700 > 2^1109
+    assert big == complex(math.inf, 0.0)
+
+
 def test_scaled_cyclotomic_rational_detection():
     c2, c3 = PrimeContext(2), PrimeContext(3)
     half = ScaledCyclotomic(-2, CyclotomicSum.constant(c2, 2))

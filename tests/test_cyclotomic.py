@@ -58,6 +58,15 @@ def test_numeric_does_not_depend_on_insertion_order():
         assert abs(forward.numeric() - _numeric(forward)) < 1e-9
 
 
+def test_numeric_forms_each_angle_from_an_int_quotient_past_the_float_range():
+    # with the float step j / q, a root of order 2^1100 raised OverflowError and one of order 2^1023 read nan
+    c2, c3 = PrimeContext(2), PrimeContext(3)
+    assert abs(abs(CyclotomicSum.make(c2, 1100, {1: 1}).numeric()) - 1) < 1e-12
+    assert abs(CyclotomicSum.make(c2, 1100, {2**1099: 1}).numeric() + 1) < 1e-12
+    assert abs(CyclotomicSum.make(c2, 1023, {-1: 1}).numeric() - 1) < 1e-12
+    assert abs(CyclotomicSum.make(c3, 700, {3**699: 1, 2 * 3**699: 1}).numeric() + 1) < 1e-12  # w + w^2 = -1
+
+
 def test_is_zero_frozen_cases():
     c2, c3 = PrimeContext(2), PrimeContext(3)
     assert CyclotomicSum.make(c3, 1, {0: 1, 1: 1, 2: 1}).is_zero()

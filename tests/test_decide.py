@@ -9,14 +9,15 @@ import sys
 import time
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padictiles import decide
+from padictiles import cyclotomic, decide
 from padictiles.copen import CompactOpenSet
-from padictiles.cyclotomic import _level_counts, residue_counts, vanishes
+from padictiles.cyclotomic import CyclotomicSum, _level_counts, residue_counts, vanishes
 from padictiles.decide import (
     Census,
     ConstructionFailed,
@@ -713,6 +714,49 @@ def test_a_mutated_lattice_builder_fails_every_spectrum_it_reaches(monkeypatch, 
         _LATTICES.clear()
     monkeypatch.undo()
     assert spectrum_from_homogeneity(DigitSet.make(ctx, 4, c), [0, 2]).elements == (0, 2, 8, 10)
+
+
+def test_the_tile_walk_on_every_wrong_level_set_fails_at_an_exit_or_returns_a_complement(monkeypatch):
+    # T1 handing the walk a wrong set of zero levels, of any size, for every set that passes T1: the walk
+    # ends in one of its three ConstructionFailed exits or returns a complement that the recount accepts,
+    # and each exit is reached
+    exits = dict.fromkeys(["no allowed translate", "rule entries unset", "failed coverage recount"], 0)
+    valid = 0
+    for p, M in [(2, 3), (3, 2)]:
+        for c in (c for k in range(1, p**M + 1) for c in combinations(range(p**M), k)):
+            ds = DigitSet.make(PrimeContext(p), M, c)
+            if (t1 := _t1_levels(ds)) is None:
+                continue
+            for wrong in {frozenset(z) for r in range(M + 1) for z in combinations(range(M), r)} - {t1[0]}:
+                monkeypatch.setattr(decide, "_t1_levels", lambda C, t1=(wrong, t1[1]): t1)
+                try:
+                    w = is_tile_zmod(ds)
+                except ConstructionFailed as e:
+                    exits[next(m for m in exits if m in str(e))] += 1
+                else:
+                    assert verify_tiling_witness(p, M, c, w.elements), (c, wrong)
+                    valid += 1
+    assert (list(exits.values()), valid) == ([29, 20, 479], 5)
+
+
+def test_a_wrong_level_fails_the_homogeneity_complement():
+    # {0, 1} branches at level 0, not 1: the digits off level 1 make the complement {0, 1}, and C + {0, 1} misses 3
+    with pytest.raises(ConstructionFailed, match="homogeneity complement formula failed"):
+        complement_from_homogeneity(DigitSet.make(PrimeContext(2), 2, [0, 1]), [1])
+
+
+def test_a_fault_in_the_shared_float_evaluator_fails_the_numeric_guard(monkeypatch):
+    # CyclotomicSum.numeric and the guard read one routine, cyclotomic._float_sum: a rect that moves every
+    # term by 1e-6 moves the value of 1 + (-1), and fails the guard on a spectrum whose exact recheck passes
+    ctx = PrimeContext(2)
+    ds, zero = DigitSet.make(ctx, 2, [0, 1]), CyclotomicSum.make(ctx, 1, {0: 1, 1: 1})
+    assert abs(zero.numeric()) < 1e-15
+    monkeypatch.setattr(cyclotomic, "cmath", SimpleNamespace(rect=lambda r, phi: cmath.rect(r, phi) + 1e-6))
+    assert abs(zero.numeric()) > 1e-7
+    with pytest.raises(ConstructionFailed, match="numeric guard failed"):
+        spectrum_from_homogeneity(ds, [0])
+    monkeypatch.undo()
+    assert spectrum_from_homogeneity(ds, [0]).elements == (0, 2)
 
 
 def test_the_lattice_memo_keeps_its_weight_within_its_budget_least_recently_used_first():

@@ -263,6 +263,15 @@ def test_verify_spectral_pair_cases():
         verify_spectral_pair(om, UniformDiscreteSet.make(ctx, 1, [0, F(1, 2)]), 2)
 
 
+def test_a_failure_whose_left_side_is_past_the_float_range_renders_its_hint():
+    # Ω = 2^-600 {0, 1, 2} fails at ξ = 2^597 with an irrational left side 2^1194 s, where float(2^1194) raised
+    ctx = PrimeContext(2)
+    rep = verify_spectral_pair(CompactOpenSet.make(ctx, -600, 3, (0, 1, 2)), UniformDiscreteSet.make(ctx, -597, [0]),
+                               -597)
+    assert rep.failure.lhs.power == 1194 and rep.failure.xi == 2**597
+    assert rep.to_json_dict()["failure"]["lhs"]["numeric_hint"] == "(inf-infj)"
+
+
 def test_spectral_pair_rejects_wrong_spectrum():
     ctx = PrimeContext(2)
     om = CompactOpenSet.make(ctx, 0, 1, (0,))  # 2 Z_2, measure 1/2
