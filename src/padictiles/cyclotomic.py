@@ -4,7 +4,10 @@ A sum is stored against a declared order p**n; the zero test never consults
 floating point.  For prime-power order the integer relations among the roots
 are spanned by the "full coset" sums (each coset of the index-p subgroup adds
 to zero), so vanishing is equivalent to the coefficient function being
-constant on every such coset.  vanishes() applies that criterion verbatim.
+constant on every such coset.  vanishes() checks its input and calls _vanishes,
+which the library's callers reach directly.  That kernel tests the successor
+form, each count equal to the count at (j + p**(n-1)) mod p**n: around each cycle
+of p members, equal successors force one value, and an absent member counts 0.
 
 A level fold reads it from sums of squares instead.  For the p lifts a_0..a_{p-1}
 of one class mod p**(n-1), Lagrange's identity p * sum a_t**2 - (sum a_t)**2 =
@@ -18,8 +21,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 from .padic import (_MAX_EXP_BITS, _MAX_TREE_BITS, PrimeContext, RootOfUnity, _capped_valuation, _check_exp,
@@ -34,34 +38,41 @@ __all__ = [
 
 
 def vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
-    """Exact zero test of sum_j counts[j] * w**j, w = exp(2*pi*i / p**n), exponents in [0, p**n).
+    """Exact zero test of sum_j counts[j] * w**j, w = exp(2*pi*i / p**n), valid at a declared order that need not
+    be minimal.  n is an int >= 0 with p**n within _MAX_TREE_BITS; the exponents and counts are ints (ValueError
+    naming the first that is not).  Each exponent is read mod p**n, as in residue_counts and CyclotomicSum.make:
+    when one lies outside [0, p**n), the counts of each class are merged before _vanishes reads them."""
+    q = p ** (n := _check_exp(p, n, "a zero test", "n", _MAX_TREE_BITS, nonneg=True))
+    js, _ = _require_ints(exponents=counts, counts=counts.values())
+    if js and not (0 <= min(js) and max(js) < q):
+        merged: dict[int, int] = {}
+        for j, a in counts.items():
+            merged[j % q] = merged.get(j % q, 0) + a
+        counts = merged
+    return _vanishes(p, n, counts)
 
-    Vanishing means constant coefficients on every coset of the index-p
-    subgroup.  Valid at the declared order (minimality not required): the
-    relation module of roots of exact order p**n is the integer span of the
-    full coset vectors {r + t*p**(n-1) : 0 <= t < p}.  n is an int >= 0, p**n within _MAX_TREE_BITS.
-    """
-    n = _check_exp(p, n, "a zero test", "n", _MAX_TREE_BITS, nonneg=True)
+
+def _vanishes(p: int, n: int, counts: Mapping[int, int]) -> bool:
+    """vanishes on int counts at exponents in [0, p**n), p**n bounded by the caller: the coset criterion in
+    successor form (module docstring), every count equal to the count at (j + p**(n-1)) mod p**n."""
     if n == 0:
         return not any(counts.values())
-    q = p ** (n - 1)
-    checked: set[int] = set()
-    for j in counts:
-        r = j % q
-        if r in checked:
-            continue
-        checked.add(r)
-        a = counts.get(r, 0)
-        for t in range(1, p):
-            if counts.get(r + t * q, 0) != a:
-                return False
+    q, pq = p ** (n - 1), p**n
+    for j, a in counts.items():
+        if a != counts.get((j + q) % pq, 0):
+            return False
     return True
 
 
 def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
     """Exponent -> count map of the residues reduced mod p**m, in first-seen order; m is an int >= 0
     (ValueError) with p**m bounded at _MAX_TREE_BITS (ScopeTooLarge)."""
-    q = p ** _check_exp(p, m, "a residue count", "m", _MAX_TREE_BITS, nonneg=True)
+    return _residue_counts(p, _check_exp(p, m, "a residue count", "m", _MAX_TREE_BITS, nonneg=True), residues)
+
+
+def _residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
+    """residue_counts for an int m >= 0 whose p**m the caller has bounded."""
+    q = p**m
     counts: dict[int, int] = {}
     for r in residues:
         r %= q
@@ -71,8 +82,8 @@ def residue_counts(p: int, m: int, residues: Iterable[int]) -> dict[int, int]:
 
 def _level_counts(p: int, M: int, C) -> Iterator[dict[int, int]]:
     """For j = 0..M, the exponent -> count map of C mod p^(M-j), each folded from the last; ScopeTooLarge
-    past padic._MAX_FOLD, checked on the first."""
-    counts = residue_counts(p, M, C)
+    past padic._MAX_FOLD, checked on the first.  Every caller has bounded p**M."""
+    counts = _residue_counts(p, M, C)
     _check_fold(p, len(counts), M, "a level fold")
     yield counts
     for w in [p**n for n in range(M - 1, -1, -1)]:
@@ -103,11 +114,20 @@ def _zero_orders(p: int, m: int, maps: Iterable[dict[int, int]], visit=None) -> 
     return frozenset(zero)
 
 
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
+
+
 def _float_sum(q: int, counts: Mapping[int, int], u: int = 1) -> complex:
     """sum_j counts[j] * exp(2*pi*i * u*j / q) in floats, for numeric() and decide's numeric guard: each angle
-    is 2*pi times the int quotient (u*j mod q)/q, rounded right at any q, and fsum rounds each part once."""
-    terms = [cmath.rect(a, math.tau * (u * j % q / q)) for j, a in counts.items()]
-    return complex(math.fsum([z.real for z in terms]), math.fsum([z.imag for z in terms]))
+    is 2*pi times the int quotient (u*j mod q)/q, rounded right at any q, and fsum rounds each part once.  Past
+    an OverflowError or ValueError a count beyond the float range reads ±inf, and +inf meeting -inf nan."""
+    try:
+        terms = [cmath.rect(a, math.tau * (u * j % q / q)) for j, a in counts.items()]
+        return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))
+    except (OverflowError, ValueError):
+        terms = [cmath.rect(a if abs(a) <= sys.float_info.max else math.inf if a > 0 else -math.inf,
+                            math.tau * (u * j % q / q)) for j, a in counts.items()]
+        return complex(sum(map(_REAL, terms)), sum(map(_IMAG, terms)))
 
 
 class CyclotomicSum:

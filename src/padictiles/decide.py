@@ -22,10 +22,11 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .copen import _frame_branching_set, frame_branching_set  # noqa: F401 (reached as decide.frame_branching_set)
-from .cyclotomic import _float_sum, _level_counts, _zero_orders, vanishes
+from .cyclotomic import _float_sum, _level_counts, _vanishes, _zero_orders
 from .padic import (_LATTICES, PrimeContext, ScopeTooLarge, _check_exp, _check_fold, _check_q, _digit_lattice,
                     _frame_digits, _read_int, _require_ints)
 
@@ -125,16 +126,16 @@ def _valuations(p: int, M: int, lam: tuple) -> frozenset[int]:
 
 
 def _levels_at(p: int, M: int, C: tuple, occurring, maps=None) -> list[tuple[int, dict[int, int]]]:
-    """(j, counts of C mod p^(M-j)) for each j in occurring, C an int tuple.  C's counts are read from maps,
-    its counts mod p^M down to p^0 as T1 kept them (_t1_levels), or else folded only down to the deepest
+    """(j, counts of C mod p^(M-j)) for each j in occurring, ascending, C an int tuple.  C's counts are read from
+    maps, its counts mod p^M down to p^0 as T1 kept them (_t1_levels), or else folded only down to the deepest
     j in occurring, a fold bounded by padic._check_fold before its first step (ScopeTooLarge)."""
-    levels = zip(range(max(occurring, default=-1) + 1), _level_counts(p, M, C) if maps is None else maps)
-    return [(j, counts) for j, counts in levels if j in occurring]
+    maps = list(islice(_level_counts(p, M, C), max(occurring, default=-1) + 1)) if maps is None else maps
+    return [(j, maps[j]) for j in sorted(occurring)]
 
 
 def _orthogonal(p: int, M: int, levels) -> bool:
     """The exact recheck of verify_spectrum_witness on the occurring levels of its lam."""
-    return all(vanishes(p, M - j, counts) for j, counts in levels)
+    return all(_vanishes(p, M - j, counts) for j, counts in levels)
 
 
 def _defect(p: int, M: int, levels) -> float:

@@ -24,7 +24,7 @@ from .copen import (
     _frame_branching_set,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum, _level_counts, _zero_orders, vanishes
+from .cyclotomic import CyclotomicSum, _level_counts, _vanishes, _zero_orders
 from .decide import (
     ConstructionFailed,
     DigitSet,
@@ -293,7 +293,7 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level W - j is nonzero
         n, k1 = w - j, max(w - j + 1, first)
         if n in out and k1 < w:  # the first truncation from k1 on where the sum is nonzero
-            k = next(k for k in range(k1, w + 1) for q in [p ** (w - k)] if not vanishes(
+            k = next(k for k in range(k1, w + 1) for q in [p ** (w - k)] if not _vanishes(
                 p, j, {r: a for r, a in counts.items() if not r % q}))
             if k > k1:
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
@@ -445,7 +445,7 @@ def verify_spectral_pair(
             for delta, c in overlaps.items():
                 j = f * delta % qn
                 acc[j] = acc.get(j, 0) + k * c
-        if not vanishes(p, n, acc):
+        if not _vanishes(p, n, acc):
             acc[0] += target
             total = CyclotomicSum(ctx, n, {j: a for j, a in acc.items() if a})
             failure = Failure(xi=s * ctx.pow(-w), lhs=ScaledCyclotomic(-2 * vm, total),

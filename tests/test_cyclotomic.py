@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padictiles import cyclotomic, decide
 from padictiles.cyclotomic import (
     CyclotomicSum,
     _level_counts,
@@ -19,6 +21,7 @@ from padictiles.cyclotomic import (
     vanishes,
     vanishing_level_set,
 )
+from padictiles.decide import ConstructionFailed, classify_all
 from padictiles.padic import PrimeContext
 
 
@@ -76,6 +79,104 @@ def test_is_zero_frozen_cases():
     assert not CyclotomicSum.constant(c2, 3).is_zero()
     # zero test is valid at a non-minimal declared order
     assert CyclotomicSum.make(c3, 2, {0: 1, 3: 1, 6: 1}).is_zero()
+
+
+def test_vanishes_reads_each_exponent_mod_the_order():
+    # read as given, {2: 1} at n = 1 was taken as zero (its coset {0, 1} holds no count), 1 + w + w^2
+    # with w^0 written as w^3 as nonzero, and 1 - 1 at n = 0 as nonzero
+    assert not vanishes(2, 1, {2: 1})  # w_2^2 = 1
+    assert vanishes(3, 1, {3: 1, 1: 1, 2: 1})  # 1 + w + w^2 = 0
+    assert vanishes(2, 0, {0: 1, 1: -1})
+    assert vanishes(2, 2, {-2: 1, 4: 1, 1: 0})  # i^2 + 1, and 0 * i
+    assert not vanishes(2, 2, {-2: 1, 6: 1})  # i^2 twice, merged
+    # the trusted constructor keeps an exponent as given; is_zero reads it through vanishes, as numeric() does
+    s = CyclotomicSum(PrimeContext(2), 1, {2: 1})
+    assert not s.is_zero() and s.numeric() == 1
+
+
+def test_vanishes_names_an_exponent_or_count_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"^element 0\.5 of exponents is not an int$"):
+        vanishes(2, 1, {0: 1, 0.5: 1})
+    with pytest.raises(ValueError, match=r"^element 1\.0 of counts is not an int$"):
+        vanishes(2, 1, {0: 1, 1: 1.0})
+    assert vanishes(2, 1, {False: True, True: 1})  # a bool is its int, as everywhere
+
+
+def test_float_sum_reads_a_count_past_the_float_range_as_inf():
+    # cmath.rect raised OverflowError on the int 10**400; now it reads inf, and inf - inf reads nan
+    c2 = PrimeContext(2)
+    assert CyclotomicSum.make(c2, 1, {0: 10**400}).numeric() == complex(math.inf, 0.0)
+    z = CyclotomicSum.make(c2, 1, {0: 10**400, 1: 10**400}).numeric()
+    assert math.isnan(z.real) and z.imag == math.inf
+    assert CyclotomicSum.make(c2, 0, {0: -(10**400)}).numeric() == complex(-math.inf, 0.0)
+    # finite terms whose real parts overflow fsum (OverflowError) add up to inf
+    big = 10**308
+    assert CyclotomicSum.make(c2, 3, {0: big, 1: big, 7: big}).numeric().real == math.inf
+
+
+def _coset_scan(p, n, counts):
+    """The zero test before the successor form, kept as the reference: every coset of the index-p subgroup
+    holds one count, read class by class."""
+    if n == 0:
+        return not any(counts.values())
+    q = p ** (n - 1)
+    checked = set()
+    for j in counts:
+        r = j % q
+        if r in checked:
+            continue
+        checked.add(r)
+        a = counts.get(r, 0)
+        for t in range(1, p):
+            if counts.get(r + t * q, 0) != a:
+                return False
+    return True
+
+
+@st.composite
+def _reduced_counts(draw):
+    """(p, n, counts) with exponents in [0, p**n): some classes mod p**(n-1) carry one count on all p lifts,
+    so that many draws vanish, a zero count being present or absent; then a few counts anywhere."""
+    p, n = draw(st.sampled_from([2, 3, 5, 7])), draw(st.integers(0, 4))
+    q, counts = p**n, {}
+    for r in draw(st.sets(st.integers(0, max(q // p - 1, 0)), max_size=4)) if n else ():
+        a = draw(st.integers(-3, 3))
+        for t in range(p):
+            if a or draw(st.booleans()):
+                counts[r + t * q // p] = a
+    counts.update(draw(st.dictionaries(st.integers(0, q - 1), st.integers(-3, 3), max_size=4)))
+    return p, n, counts
+
+
+@settings(max_examples=500, deadline=None)
+@given(_reduced_counts())
+def test_the_zero_test_kernel_matches_the_coset_scan(case):
+    p, n, counts = case
+    assert cyclotomic._vanishes(p, n, counts) == _coset_scan(p, n, counts)
+    assert vanishes(p, n, counts) == _coset_scan(p, n, counts)
+
+
+def _mutant_kernel():
+    """cyclotomic._vanishes with its successor step (j + q) % pq mutated to (j + 1) % pq."""
+    source = inspect.getsource(cyclotomic._vanishes)
+    assert source.count("(j + q) % pq") == 1
+    scope = dict(vars(cyclotomic))
+    exec(source.replace("(j + q) % pq", "(j + 1) % pq"), scope)
+    return scope["_vanishes"]
+
+
+def test_a_mutated_successor_step_fails_the_kernel_test(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_vanishes", _mutant_kernel())
+    with pytest.raises(AssertionError):
+        test_the_zero_test_kernel_matches_the_coset_scan()
+
+
+def test_a_mutated_successor_step_fails_the_census(monkeypatch):
+    # T1 decides by sums of squares, so only the exact recheck of each spectrum reads the kernel: the mutant
+    # refuses the first spectrum with a vanishing level of order 4 or more
+    monkeypatch.setattr(decide, "_vanishes", _mutant_kernel())
+    with pytest.raises(ConstructionFailed, match="homogeneity spectrum formula failed"):
+        classify_all(2, 4)
 
 
 def test_is_zero_agrees_with_numeric_oracle():

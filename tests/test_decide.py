@@ -745,6 +745,22 @@ def test_a_wrong_level_fails_the_homogeneity_complement():
         complement_from_homogeneity(DigitSet.make(PrimeContext(2), 2, [0, 1]), [1])
 
 
+@pytest.mark.parametrize("p, M, C, levels, want", [
+    (2, 6, range(0, 64, 2), None, "0x1.1a62633145c07p-49"),
+    (3, 3, range(1, 26, 3), {1, 2}, "0x1.0f1dc00529f14p-50"),
+])
+def test_the_numeric_guard_is_frozen_on_homogeneity_spectra(p, M, C, levels, want):
+    # the guard's floats, bit for bit, from before its sums were taken in a plain loop over the levels of T1
+    ds = DigitSet.make(PrimeContext(p), M, C)
+    lam = spectrum_from_homogeneity(ds, frame_branching_set(p, M, C) if levels is None else levels).elements
+    assert spectrum_orthogonality_defect(p, M, C, lam).hex() == want
+
+
+def test_the_numeric_guard_is_frozen_on_failing_spectra():
+    assert spectrum_orthogonality_defect(2, 1024, [0, 2**1022], [0, 1]).hex() == "0x1.6a09e667f3bcdp+0"
+    assert spectrum_orthogonality_defect(5, 2, range(5), range(5)).hex() == "0x1.2c2559ae477cep+2"
+
+
 def test_a_fault_in_the_shared_float_evaluator_fails_the_numeric_guard(monkeypatch):
     # CyclotomicSum.numeric and the guard read one routine, cyclotomic._float_sum: a rect that moves every
     # term by 1e-6 moves the value of 1 + (-1), and fails the guard on a spectrum whose exact recheck passes

@@ -294,6 +294,24 @@ def test_the_int_check_names_the_first_bad_element():
     _require_ints(stop=2, levels={True, 0})
 
 
+def test_the_int_check_names_a_bad_element_at_either_end_of_a_long_list():
+    # the messages that a faster test of the whole list must keep: the float last of 1,000, and an element
+    # out of range first or last; a bool and an int subclass pass, the subclass kept as given
+    with pytest.raises(ValueError, match=r"^element 2\.5 of xs is not an int$"):
+        _require_ints(xs=[*range(999), 2.5])
+    with pytest.raises(ValueError, match=r"^element -1 of xs is not an int in range\(M\) = range\(1000\)$"):
+        _require_ints(stop=1000, xs=[-1, *range(999)])
+    with pytest.raises(ValueError, match=r"^element 1000 of xs is not an int in range\(M\) = range\(1000\)$"):
+        _require_ints(stop=1000, xs=[*range(999), 1000])
+
+    class Digit(int):
+        pass
+
+    assert _require_ints(stop=3, xs=[True, Digit(2)]) == [(True, 2)]
+    assert type(_require_ints(xs=[Digit(2)])[0][0]) is Digit
+    assert _require_ints(stop=0, xs=[]) == [()]
+
+
 def test_the_int_check_reads_a_one_shot_iterable_once():
     good = iter([0, 1, 2])
     _require_ints(xs=good)
