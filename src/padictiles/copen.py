@@ -55,7 +55,9 @@ class CompactOpenSet:
         return cls(context, *_reduce_frame(p, v, M, ds))
 
     def measure(self) -> Fraction:
-        return len(self.digits) * self.context.pow(-(self.v + self.M))
+        """|D|·p^-(v+M), with p^|v+M| bounded by PrimeContext.pow (ScopeTooLarge)."""
+        unit = self.context.pow(-(self.v + self.M))
+        return Fraction(len(self.digits) * unit.numerator, unit.denominator)
 
     def member(self, x: Fraction | int) -> bool:
         """x * p**-v is in Z_p (v_p read clamped, padic._valuation_at_least) and its residue mod p**M a digit."""

@@ -292,7 +292,8 @@ class PrimeContext:
 
     def pow(self, e: int) -> Fraction:
         """p**e as an exact rational for an int e, negative or not, with p**|e| bounded at _MAX_TREE_BITS."""
-        return Fraction(self.p) ** _check_exp(self.p, e, "a power of p", "e", _MAX_TREE_BITS)
+        e = _check_exp(self.p, e, "a power of p", "e", _MAX_TREE_BITS)
+        return Fraction(self.p**e) if e >= 0 else Fraction(1, self.p**-e)
 
     def valuation(self, x: Fraction | int) -> int | float:
         """v_p(x); math.inf for x = 0.  |v_p(x)| is at most the bits of x's numerator or denominator."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -266,7 +266,7 @@ def n_f_of(omega: CompactOpenSet) -> int:
     q = p**omega.M
     diffs = {(a - b) % q for a in omega.digits for b in omega.digits}
     n = v
-    while n < vm and not all(t in diffs for t in range(0, q, p ** (n - v))):
+    while n < vm and not diffs.issuperset(range(0, q, p ** (n - v))):
         n += 1
     return n
 
@@ -381,8 +381,10 @@ def verify_tiling_pair(
         shift = r * q // top
         for d in by_offset.get(-shift % step, ()):
             counts[(d + shift) % q // step] += 1
-    i = next((i for i, k in enumerate(counts) if k != 1), None)  # the first failing cell
-    failure = None if i is None else Failure(i * step * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
+    failure = None
+    if counts.count(1) != len(counts):
+        i = next(i for i, k in enumerate(counts) if k != 1)  # the first failing cell
+        failure = Failure(i * step * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
     return PairReport(
         kind="tiling",
         verified_window=Ball(ctx, -window_exp, 0, 0),  # canonical; make would bound v, not every window
@@ -416,24 +418,29 @@ def verify_spectral_pair(
     w = lam.window_exp
     if w < need:
         raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{need}")
-    _check_q(p, max(window_exp - ell, 0), f"a spectral check at window_exp={window_exp}",
-             name="window_exp - ℓ")
-    _check_differences(omega, f"a spectral check at window_exp={window_exp}")
+    what = f"a spectral check at window_exp={window_exp}"
+    _check_q(p, max(window_exp - ell, 0), what, name="window_exp - ℓ")
+    _check_differences(omega, what)
     e = w - omega.v
     q, cut = p**e, p ** (w - vm)
-    by_class: dict[int, list[int]] = {}
-    for r in lam.residues(w, e):
-        by_class.setdefault(r % cut, []).append(r)
     step = p ** (w - max(window_exp, ell))  # below ℓ the one representative is 0
     reps = range(p ** max(window_exp - ell, 0))
+    # the representatives read the classes mod cut that are multiples of step, and step and cut are powers
+    # of p: only the residues divisible by the smaller are grouped
+    g, by_class = min(step, cut), {}
+    for r in [r for r in lam.residues(w, e) if not r % g]:
+        by_class.setdefault(r % cut, []).append(r)
     target = len(omega.digits) ** 2
     qm = p**omega.M
-    overlaps = Counter((a - b) % qm for a in omega.digits for b in omega.digits)
+    overlaps = Counter([(a - b) % qm for a in omega.digits for b in omega.digits])
     failure = None
     passed: set[frozenset] = set()  # the identity reads only diffs: a multiset seen to pass passes again
     for t in reps:
         s = t * step
-        diffs = Counter((s - r) % q for r in by_class.get(s % cut, ()))
+        diffs: dict[int, int] = {}
+        for r in by_class.get(s % cut, ()):
+            d = (s - r) % q
+            diffs[d] = diffs.get(d, 0) + 1
         key = frozenset(diffs.items())
         if key in passed:
             continue
@@ -452,12 +459,13 @@ def verify_spectral_pair(
                               rhs=omega.measure() ** 2)
             break
         passed.add(key)
+    unit = ctx.pow(-w)  # bounds p^|W|
     return PairReport(
         kind="spectral",
         verified_window=Ball(ctx, -window_exp, 0, 0),  # canonical; make would bound v, not every window
         checked_points=len(reps),
         failure=failure,
-        derived={"density": len(lam.numerators) * ctx.pow(-lam.window_exp)},
+        derived={"density": Fraction(len(lam.numerators) * unit.numerator, unit.denominator)},
     )
 
 
@@ -476,16 +484,16 @@ def spectrum_to_tiling_complement(
         raise ValueError("the compact open set must sit inside Z_p (v >= 0); rescale first")
     nf = n_f_of(omega)
     statuses = zero_sphere_scan(lam, range(0, nf))
-    inside = sorted(n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET)
-    disjoint = sorted(n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET)
+    inside = sorted([n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET])
+    disjoint = sorted([n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET])
     key, top = ("complement", ctx.p, tuple(disjoint)), disjoint[-1] + 1 if disjoint else 0
 
     def build():  # U lies in [0, p**top)
         u = tuple(_digit_lattice(ctx.p, disjoint))
         return u, len(u) * max(top, 1)
     u = _LATTICES.get(key, build)
-    mu = omega.measure()
-    if len(u) * mu != 1:
+    mu = omega.measure()  # bounds p^(v+M), and v >= 0: |U|·𝔪(Ω) = 1 iff |U|·|D| = p^(v+M)
+    if len(u) * len(omega.digits) != ctx.p ** (omega.v + omega.M):
         raise ConstructionFailed(
             f"Card(U)·measure = {len(u)}·{mu} = {len(u) * mu} != 1; "
             f"I={inside}, J={disjoint}, n_f={nf}"
@@ -493,9 +501,9 @@ def spectrum_to_tiling_complement(
     k = max(verify_window_exp, 0)
     t_set = _kept_truncation(ctx, key, u, top, k, k)
     report = verify_tiling_pair(omega, t_set, verify_window_exp)
-    derived = {"n_f": nf, "I": inside, "J": disjoint, "card_U": len(u), "measure": mu,
+    derived = {**report.derived, "n_f": nf, "I": inside, "J": disjoint, "card_U": len(u), "measure": mu,
                "spectrum_count_at_n_f": lam.count_in_ball(0, nf)}
-    return u, replace(report, derived={**report.derived, **derived})
+    return u, PairReport(report.kind, report.verified_window, report.checked_points, report.failure, derived)
 
 
 def _full_frame_digit_set(omega: CompactOpenSet, extra_exp) -> tuple[DigitSet, frozenset[int], int]:

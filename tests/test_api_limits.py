@@ -104,6 +104,10 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
                  "UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]), -10**9).verified_window.measure()",
                  "a ball's measure is limited to p^|v + M| of at most 4096 bits: p=3, v + M=1000000000",
                  id="report_window_measure"),
+    # raised at once before the measure was built from ints too; an int p**(v + M) would run until killed
+    pytest.param("CompactOpenSet(PrimeContext(3), 10**9, 0, (0,)).measure()",
+                 "a power of p is limited to p^|e| of at most 4096 bits: p=3, e=-1000000000",
+                 id="CompactOpenSet.measure"),
     pytest.param("CyclotomicSum.make(PrimeContext(2), 10**9, {1: 1})",
                  "a cyclotomic sum is limited to p^|n| of at most 4096 bits: p=2, n=1000000000",
                  id="CyclotomicSum.make"),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import tracemalloc
 from collections import Counter
@@ -341,6 +343,45 @@ def test_spectrum_to_tiling_rejections():
     wrong = UniformDiscreteSet.make(ctx, 3, l_truncation(ctx, 3))
     with pytest.raises(ConstructionFailed):
         spectrum_to_tiling_complement(om, wrong, 3)
+
+
+@pytest.mark.parametrize("omega, lam, message", [
+    (CompactOpenSet.make(PrimeContext(3), 1, 2, (0, 2, 7)),
+     UniformDiscreteSet.make(PrimeContext(3), 5, [F(1, 2), F(17, 27)]),
+     "Card(U)·measure = 27·1/9 = 3 != 1; I=[], J=[0, 1, 2], n_f=3"),
+    (CompactOpenSet.make(PrimeContext(2), 0, 3, (0, 2, 3, 4, 5, 6, 7)),
+     UniformDiscreteSet.make(PrimeContext(2), 3, [4, 7, F(-1, 2), -7, -1, -4]),
+     "Card(U)·measure = 1·7/8 = 7/8 != 1; I=[], J=[], n_f=0"),
+    (CompactOpenSet.make(PrimeContext(2), 0, 3, (0,)),
+     UniformDiscreteSet.make(PrimeContext(2), 2, [1, F(3, 4)]),
+     "Card(U)·measure = 4·1/8 = 1/2 != 1; I=[1], J=[0, 2], n_f=3"),
+])
+def test_a_complement_whose_measure_is_not_one_over_card_u_is_refused(omega, lam, message):
+    # |U|·𝔪(Ω) = 1 is read as |U|·|D| = p^(v+M).  Each pair was found by a seeded search, and each message
+    # was taken before that identity was read in ints: U too large by p, a measure that is not a power of p,
+    # and U too small by p, so an identity off by one power of p either way refuses a row or passes one
+    with pytest.raises(ConstructionFailed) as err:
+        spectrum_to_tiling_complement(omega, lam, 3)
+    assert str(err.value) == message
+
+
+def test_the_roundtrip_reports_are_frozen_on_every_homogeneous_set():
+    # the benchmark's roundtrip on the 835 homogeneous sets of Z/2^4 and Z/3^2, one JSON line per set,
+    # against the sha256 of the bytes before the window checks counted in ints
+    digest = hashlib.sha256()
+    for p, M in ((2, 4), (3, 2)):
+        ctx = PrimeContext(p)
+        for r in range(1, p**M + 1):
+            for C in combinations(range(p**M), r):
+                if frame_branching_set(p, M, C) is None:
+                    continue
+                om = CompactOpenSet.make(ctx, 0, M, C)
+                lam = lifted_spectrum(om, 3)
+                u, tiling = spectrum_to_tiling_complement(om, lam, 3)
+                row = {"p": p, "M": M, "C": list(C), "spectrum": lam.to_json_dict(), "U": list(u),
+                       "tiling": tiling.to_json_dict(), "spectral": verify_spectral_pair(om, lam, 2).to_json_dict()}
+                digest.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == "f43e7d8df27080be7b949c13674901e8d50bdd67af256f688e28933a946a9e10"
 
 
 def test_lifted_witnesses_across_homogeneous_family():
