@@ -99,17 +99,18 @@ def _zero_orders(p: int, m: int, maps: Iterable[dict[int, int]], visit=None) -> 
     """The orders n in [0, m] at which the sum of exp(2*pi*i * r / p**n) over some residues vanishes, read
     from the maps of their counts mod p**m down to p**0 (_level_counts, a generator so that no earlier
     counts are kept, or a list that its caller keeps): n >= 1 iff p * S_n = S_(n-1), S_n the sum of the
-    squared counts mod p**n (Lagrange's identity, module docstring), and 0 iff there are no residues.
-    visit(n, counts), if given, sees the counts mod p**n of each order n >= 1 whose sum does not
-    vanish, once the fold has made the counts mod p**(n-1)."""
+    squared counts mod p**n (Lagrange's identity, module docstring), and 0 iff there are no residues.  A prefix
+    of the maps, down to p**s, decides the orders n > s alone, and 0 only when all m + 1 are read.  visit(n,
+    counts), if given, sees the counts mod p**n of each order n > s whose sum does not vanish, once the
+    fold has made the counts mod p**(n-1)."""
     squares = []  # squares[j] is S_(m - j)
     for j, counts in enumerate(maps):
         squares.append(sum(map(mul, counts.values(), counts.values())))
         if visit and j and p * squares[j - 1] != squares[j]:
             visit(m - j + 1, last)
         last = counts
-    zero = {m - j for j in range(m) if p * squares[j] == squares[j + 1]}
-    if not squares[m]:
+    zero = {m - j for j in range(len(squares) - 1) if p * squares[j] == squares[j + 1]}
+    if len(squares) > m and not squares[m]:
         zero.add(0)
     return frozenset(zero)
 

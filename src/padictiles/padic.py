@@ -143,11 +143,11 @@ def _digit_lattice(p: int, exponents, base=(0,), shift=0, what="a digit lattice"
                   rules: dict | None = None) -> list[int]:
     """Sorted b * p^shift + t over b in base and t each sum of a_j * p^j over the exponents j, in the order given:
     at a level j of rules, a_j is rules[j][t mod p^j] for the t built so far (a class with no digit there is left
-    out), and elsewhere every digit in [0, p); with exponents, ScopeTooLarge past |base|·p^(exponents outside
-    rules) = _MAX_Q before any is built."""
+    out), and elsewhere every digit in [0, p); with exponents (distinct, in a range or list), ScopeTooLarge past
+    |base|·p^(exponents outside rules) = _MAX_Q before any is built."""
     rules = rules or {}
-    if exponents:
-        _check_q(p, sum(j not in rules for j in exponents), what, len(base), name)
+    if exponents:  # the free levels counted from the rules, so a refusal takes no step per exponent
+        _check_q(p, len(exponents) - sum(j in exponents for j in rules), what, len(base), name)
     tail = [0]
     for j in exponents:
         w = p**j

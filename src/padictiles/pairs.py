@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from typing import Iterable
 
@@ -24,16 +25,17 @@ from .copen import (
     _frame_branching_set,
     local_constancy_parameter,
 )
-from .cyclotomic import CyclotomicSum, _level_counts, _vanishes, _zero_orders
+from .cyclotomic import CyclotomicSum, _level_counts, _residue_counts, _vanishes, _zero_orders
 from .decide import (
     ConstructionFailed,
     DigitSet,
     _spectrum_from_homogeneity,
+    _valuations,
     complement_from_homogeneity,
 )
-from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_RESIDUE_BITS, Ball, PrimeContext, ScopeTooLarge, WindowTooSmall,
-                    _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice, _read_elements,
-                    _read_int, _require_ints, _valuation_at_least)
+from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_FOLD, _MAX_RESIDUE_BITS, Ball, PrimeContext, ScopeTooLarge,
+                    WindowTooSmall, _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice,
+                    _read_elements, _read_int, _require_ints, _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -163,7 +165,8 @@ class UniformDiscreteSet:
         """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
         mod p**(w - radius_exp), for a scale w making both p-adic integers.  About 0 that
         is w = W and the numerators divisible by p**(W - radius_exp) (unit is prime to p)."""
-        ctx, c, radius_exp = self.context, Fraction(center), _read_int(radius_exp, "a ball count", "radius_exp")
+        ctx, radius_exp = self.context, _read_int(radius_exp, "a ball count", "radius_exp")
+        c = center if type(center) is int else Fraction(center)
         if c == 0:
             q = ctx.p ** _check_exp(ctx.p, max(self.window_exp - radius_exp, 0), "a ball count", "m", _MAX_RESIDUE_BITS)
             return sum([n % q == 0 for n in self.numerators])
@@ -280,11 +283,16 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
     truncation k, its classes mod p**(W-n) divisible by p**(W-k).  Past n + 1 the truncations where a
     sum vanishes form a prefix: shell k >= n + 2 adds exponents of valuation W - k < W - n - 1, which
     no coset of the zero test mixes with another.  So a status is the whole sum's, and NotASpectrumEvidence
-    arises iff the whole sum is nonzero but the sum at k1 = max(n + 1, first nonempty) vanishes.
+    arises iff the whole sum is nonzero but the sum at k1 = max(n + 1, first nonempty) vanishes.  Level n
+    reads orders W - n and W - n - 1 alone, so the fold stops at order W - max(levels) - 1 (or 0).
     """
+    return _scan(e, sorted(map(int, set(*_require_ints(levels=levels)))))  # a bool level is read as its int
+
+
+def _scan(e: UniformDiscreteSet, levels) -> dict[int, SphereStatus]:
+    """zero_sphere_scan on sorted distinct int levels, a list or a range."""
     p, w = e.context.p, e.window_exp
-    levels = sorted(map(int, set(*_require_ints(levels=levels))))  # a bool level is read as its int
-    lowest = min([0] + levels)
+    lowest = min(0, levels[0]) if levels else 0
     depth = _check_exp(p, max(0, w - lowest), f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
     res, out = e.residues(w, depth), dict.fromkeys(levels)  # first: W minus the deepest order holding class 0
     first = -w if 0 in e.numerators else w - bisect_left(
@@ -299,7 +307,8 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
                 raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
                                                  f"back nonzero at p**{k}")
 
-    zero = _zero_orders(p, depth, _level_counts(p, depth, res), walk)
+    stop = max(0, w - 1 - levels[-1]) if levels else depth
+    zero = _zero_orders(p, depth, islice(_level_counts(p, depth, res), depth + 1 - stop), walk)
     for n in levels:
         if n > w:
             raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
@@ -404,12 +413,20 @@ def verify_spectral_pair(
     of N(δ) roots at exponent -η p**v δ, so the identity is one vanishing
     integer exponent map per representative.
 
-    With s = ξ * p**W (W the window of Λ) and r = λ * p**W mod p**(W - v),
-    d = s - r mod p**(W - v) fixes (ξ - λ) p**v ≡ d / p**(W - v) mod Z_p, and
-    |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(W-v-M): each ξ counts the λ of its
+    With s = ξ * p**W (W the window of Λ) and r = λ * p**W mod p**e, e = W - v,
+    d = s - r mod p**e fixes (ξ - λ) p**v ≡ d / p**e mod Z_p, and
+    |ξ - λ| <= p**(v+M) iff s ≡ r mod p**(e-M): each ξ counts the λ of its
     class per distinct d, takes the largest order p**n among the d, adds
-    count · N(δ) at exponent -(d / p**(W-v-n)) δ mod p**n, and one zero test
+    count · N(δ) at exponent -(d / p**(e-n)) δ mod p**n, and one zero test
     against Card(digits)² decides.  ScopeTooLarge past _MAX_DIFF_WORK.
+
+    Most classes skip that expansion.  For ζ of order p**e and ints δ in [0, p**M), the left side at s is
+    the sum of N(δ) ζ**(-sδ) K(δ), K(δ) the sum of ζ**(rδ) over s's class.  For δ = u p**j, u prime to p,
+    K(δ) = σ_u(K(p**j)) (σ_u: ζ -> ζ**u fixes 0), and K(p**j) sums the r mod p**(e-j) as roots of that
+    order.  For j < M the coset test at order e - j pairs r with r + p**(e-j-1), of r's class mod p**(e-M),
+    so one _vanishes call on all grouped r holds iff K(p**j) vanishes in every class.  If it holds at each
+    valuation j of D - D (all below m, the bits of the widest difference; folded only within _MAX_FOLD, so it
+    refuses nothing), each δ != 0 adds 0 and a class of |D| elements leaves N(0)·|D| = |D|²: it passes.
     """
     ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a spectral check", "window_exp")
     vm = omega.v + omega.M
@@ -428,22 +445,28 @@ def verify_spectral_pair(
     # the representatives read the classes mod cut that are multiples of step, and step and cut are powers
     # of p: only the residues divisible by the smaller are grouped
     g, by_class = min(step, cut), {}
-    for r in [r for r in lam.residues(w, e) if not r % g]:
+    kept = [r for r in lam.residues(w, e) if not r % g]
+    for r in kept:
         by_class.setdefault(r % cut, []).append(r)
-    target = len(omega.digits) ** 2
-    qm = p**omega.M
-    overlaps = Counter([(a - b) % qm for a in omega.digits for b in omega.digits])
+    digits = omega.digits
+    m = min(omega.M, (max(digits) - min(digits)).bit_length())
+    whole = len(digits) * m <= _MAX_FOLD and all(
+        _vanishes(p, e - j, _residue_counts(p, e - j, kept)) for j in _valuations(p, m, digits))
+    target, qm, overlaps = len(digits) ** 2, p**omega.M, None
     failure = None
     passed: set[frozenset] = set()  # the identity reads only diffs: a multiset seen to pass passes again
     for t in reps:
         s = t * step
+        if len(members := by_class.get(s % cut, ())) == len(digits) and whole:
+            continue
         diffs: dict[int, int] = {}
-        for r in by_class.get(s % cut, ()):
+        for r in members:
             d = (s - r) % q
             diffs[d] = diffs.get(d, 0) + 1
         key = frozenset(diffs.items())
         if key in passed:
             continue
+        overlaps = overlaps or Counter([(a - b) % qm for a in digits for b in digits])  # at the first expansion
         n = e - _capped_valuation(p, gcd(*diffs), e)  # 0 <= d < p**e; only zeros give gcd 0 and n = 0
         qn, lift = p**n, p ** (e - n)
         acc = {0: -target}
@@ -483,7 +506,7 @@ def spectrum_to_tiling_complement(
     if omega.v < 0:
         raise ValueError("the compact open set must sit inside Z_p (v >= 0); rescale first")
     nf = n_f_of(omega)
-    statuses = zero_sphere_scan(lam, range(0, nf))
+    statuses = _scan(lam, range(0, nf))
     inside = sorted([n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET])
     disjoint = sorted([n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET])
     key, top = ("complement", ctx.p, tuple(disjoint)), disjoint[-1] + 1 if disjoint else 0
@@ -512,7 +535,7 @@ def _full_frame_digit_set(omega: CompactOpenSet, extra_exp) -> tuple[DigitSet, f
         raise ValueError("lift requires a subset of Z_p (v >= 0)")
     ctx = omega.context
     mf = omega.v + omega.M
-    digits_f = omega.digits_in_frame(0, mf)
+    digits_f = omega.digits if omega.v == 0 else omega.digits_in_frame(0, mf)  # a v = 0 frame is the full one
     levels = _frame_branching_set(ctx.p, mf, digits_f)
     if levels is None:
         raise ConstructionFailed("set is not p-homogeneous; no closed-form witness to lift")

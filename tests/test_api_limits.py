@@ -130,6 +130,16 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
                  "a spectral check at window_exp=0 is limited to 26214400 units of digit-difference work "
                  "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16",
                  id="verify_spectral_pair_dense"),
+    # the lattice bound counted the free levels one exponent at a time: 2.2-2.5 s each at k = 5·10^7
+    pytest.param("l_truncation(PrimeContext(2), 10**12)",
+                 "a truncation of 1 integers at depth k is limited to q <= 262144: p=2, k=1000000000000",
+                 id="l_truncation_far"),
+    pytest.param("CompactOpenSet.make(PrimeContext(2), 0, 1, [0]).digits_in_frame(0, 10**12)",
+                 "a refined frame is limited to q <= 262144: p=2, levels=999999999999", id="digits_in_frame_far"),
+    pytest.param("lifted_spectrum(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)",
+                 "p=2, k=1000000000000, q = 2^1000000000000 > 262144", id="lifted_spectrum_far"),
+    pytest.param("lifted_tiling_complement(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)",
+                 "p=2, k=1000000000000, q = 2·2^1000000000000 > 262144", id="lifted_tiling_complement_far"),
     pytest.param(_DEEP_TREE, "a digit-tree test is limited to 1048576 classes (count·(levels - e), "
                  "p^e <= count < p^(e+1)): p=2, count=65536, levels=4094", id="is_p_homogeneous_deep"),
     pytest.param(_DEEP_SCAN, "a level fold is limited to 1048576 classes (count·(levels - e), "
@@ -572,6 +582,10 @@ def _api_call(draw):
 @example(call=_DEEP_LEVELS)
 @example(call=_DEEP_SPECTRUM)
 @example(call="Ball.around(PrimeContext(2), 2**(2*10**6), 0)")
+@example(call="l_truncation(PrimeContext(2), 10**12)")
+@example(call="CompactOpenSet.make(PrimeContext(2), 0, 1, [0]).digits_in_frame(0, 10**12)")
+@example(call="lifted_spectrum(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)")
+@example(call="lifted_tiling_complement(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)")
 @example(call="UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball(padic.Fraction(1, 2**(2*10**6)), 0)")
 def test_fuzz_public_calls_with_hostile_sizes_return_at_once(api_child, call):
     # a call still running after 10 s fails by name in api_child.run

@@ -954,6 +954,7 @@ _PAST_THE_FLOAT_RANGE = [
                "--window-exp=-100000"])
 @example(argv=["verify-tiling", "--p", "3", "--set", "0", "--elements", "0", "--window", "0",
                "--window-exp=-100000"])
+@example(argv=["spectrum-to-tiling", "--p", "2", "--set", "0", "--M", "0", "--window-exp", str(10**12)])
 @example(argv=_PAST_THE_FLOAT_RANGE[0][0])
 @example(argv=_PAST_THE_FLOAT_RANGE[1][0])
 @example(argv=_PAST_THE_FLOAT_RANGE[2][0])

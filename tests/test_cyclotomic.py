@@ -7,6 +7,7 @@ import math
 import random
 import re
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -375,6 +376,8 @@ def test_zero_orders_equal_one_zero_test_per_order(data):
     seen = []  # the visitor sees the counts of each order n >= 1 whose sum does not vanish, once, from m down
     assert _zero_orders(p, m, _level_counts(p, m, residues), lambda n, counts: seen.append((n, counts))) == want
     assert seen == [(n, residue_counts(p, n, residues)) for n in range(m, 0, -1) if n not in want]
+    for k in range(1, m + 1):  # the maps mod p**m down to p**(m-k+1) decide the orders above m - k + 1 alone
+        assert _zero_orders(p, m, islice(_level_counts(p, m, residues), k)) == {n for n in want if n > m - k + 1}
     assert _zero_orders(p, m, _level_counts(p, m, [])) == set(range(m + 1))
     assert _zero_orders(2, 3, _level_counts(2, 3, [0, 4])) == {3}
     assert _zero_orders(2, 2, _level_counts(2, 2, range(4))) == {1, 2}

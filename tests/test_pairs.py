@@ -410,7 +410,8 @@ def test_lifted_witnesses_across_homogeneous_family():
 def test_the_lifted_witnesses_read_the_frame_digits_of_a_made_set_no_more(monkeypatch):
     # the digits of the full frame come sorted and distinct from digits_in_frame, and DigitSet.make read
     # them again (padic._frame_digits) on every lift
-    om = CompactOpenSet.make(PrimeContext(2), 1, 3, (0, 1, 4, 5))
+    ctx = PrimeContext(2)
+    om, at_zero = CompactOpenSet.make(ctx, 1, 3, (0, 1, 4, 5)), CompactOpenSet.make(ctx, 0, 3, (0, 1, 4, 5))
     reads = []
     for module in (padic, copen, decide):
         read = module._frame_digits
@@ -418,6 +419,13 @@ def test_the_lifted_witnesses_read_the_frame_digits_of_a_made_set_no_more(monkey
     assert (om.v, om.M, om.digits) == (1, 2, (0, 1))  # {0, 2} + 8 Z_2 on the full frame
     assert lifted_spectrum(om, 2).numerators == (0, 1, 2, 3, 8, 9, 10, 11)
     assert lifted_tiling_complement(om, 2).numerators == (0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23)
+    # a canonical frame at v = 0 is its own full frame: its digits are read as they are, not rebuilt and sorted
+    frames, digits_in_frame = [], CompactOpenSet.digits_in_frame
+    monkeypatch.setattr(CompactOpenSet, "digits_in_frame", lambda s, *a: frames.append(a) or digits_in_frame(s, *a))
+    assert (at_zero.v, at_zero.M, at_zero.digits) == (0, 2, (0, 1))
+    assert lifted_spectrum(at_zero, 2).numerators == (0, 1, 2, 3, 8, 9, 10, 11)
+    assert lifted_tiling_complement(at_zero, 2).numerators == (0, 1, 2, 3, 8, 9, 10, 11) and not frames
+    assert lifted_spectrum(om, 2).numerators == (0, 1, 2, 3, 8, 9, 10, 11) and frames == [(0, 3)]
     assert not reads
 
 
@@ -885,7 +893,7 @@ def test_numerator_checks_equal_the_fraction_references(case, radius, window):
     d = e.to_json_dict()
     assert UniformDiscreteSet.make(PrimeContext(d["p"]), d["window_exp"], [F(x) for x in d["elements"]]) == e
     assert e.n_E() == _reference_n_e(e)
-    for c in (0, F(1, 3), F(-5, p**2), F(1, 2), *e.elements[:2]):
+    for c in (0, 1, -p, F(1, 3), F(-5, p**2), F(1, 2), *e.elements[:2]):
         assert e.count_in_ball(c, radius) == _reference_count_in_ball(e, F(c), radius)
     levels = range(-e.window_exp - 2, e.window_exp + 1)
     assert _outcome(zero_sphere_scan, e, levels) == _outcome(_reference_zero_sphere_scan, e, levels)
@@ -910,3 +918,104 @@ def test_scan_and_density_bound_the_depth_of_their_levels():
         zero_sphere_scan(deep, [0])
     with pytest.raises(ScopeTooLarge, match="window=2048"):
         UniformDiscreteSet.make(ctx, 2048, [0])
+
+
+# The spectral check as it was before whole classes were decided by one coset test per valuation of D - D:
+# each representative expands its differences against all |D|^2 digit overlaps.  Every report must equal it.
+
+
+def _expanded_spectral_pair(omega, lam, window_exp):
+    ctx, p = omega.context, omega.context.p
+    vm, ell, w = omega.v + omega.M, local_constancy_parameter(omega), lam.window_exp
+    if w < max(window_exp, vm):
+        raise WindowTooSmall(f"spectrum declared to p**{w}, need p**{max(window_exp, vm)}")
+    e = w - omega.v
+    q, cut, step = p**e, p ** (w - vm), p ** (w - max(window_exp, ell))
+    reps = range(p ** max(window_exp - ell, 0))
+    by_class = {}
+    for r in lam.residues(w, e):
+        by_class.setdefault(r % cut, []).append(r)
+    target, qm = len(omega.digits) ** 2, p**omega.M
+    overlaps = Counter((a - b) % qm for a in omega.digits for b in omega.digits)
+    failure = None
+    for t in reps:
+        s = t * step
+        diffs = Counter((s - r) % q for r in by_class.get(s % cut, ()))
+        n = e - pairs._capped_valuation(p, gcd(*diffs), e)  # the largest order among the differences
+        qn, lift = p**n, p ** (e - n)
+        acc = Counter({0: -target})
+        for d, k in diffs.items():
+            for delta, c in overlaps.items():
+                acc[-(d // lift) * delta % qn] += k * c
+        if not vanishes(p, n, acc):
+            acc[0] += target
+            total = CyclotomicSum(ctx, n, {j: a for j, a in acc.items() if a})
+            failure = Failure(s * ctx.pow(-w), ScaledCyclotomic(-2 * vm, total), omega.measure() ** 2)
+            break
+    return PairReport("spectral", Ball(ctx, -window_exp, 0, 0), len(reps), failure,
+                      {"density": len(lam.numerators) * ctx.pow(-w)})
+
+
+def _spectral_cases(roundtrip_sets, rng):
+    """(Ω, Λ, window_exp): each roundtrip set with its lifted spectrum and that spectrum with one element
+    dropped, moved within its class mod p**(W-v-M) or moved anywhere, at window_exp 0, 2 and 3; then random
+    D at v in {-1, 0, 1} against random Λ."""
+    for p, M, C in roundtrip_sets:
+        ctx = PrimeContext(p)
+        om = CompactOpenSet.make(ctx, 0, M, C)
+        lam = lifted_spectrum(om, 3)
+        w, nums = lam.window_exp, list(lam.numerators)
+        cut = p ** (w - om.v - om.M)
+        i = rng.randrange(len(nums))
+        rest = nums[:i] + nums[i + 1:]
+        within = [nums[i] + cut * a for a in range(1, p**om.M)]
+        anywhere = range(nums[i] + 1, nums[i] + p**w)
+        variants = [lam, rest] + [rest + [rng.choice([x for x in pool if x not in nums] or [-1])]
+                                  for pool in (within, anywhere)]
+        for v in variants:
+            v = v if isinstance(v, UniformDiscreteSet) else UniformDiscreteSet.make(ctx, w, [F(x, p**w) for x in v])
+            for window in (0, 2, 3):
+                yield om, v, window
+    for _ in range(400):
+        p = rng.choice((2, 3))
+        ctx = PrimeContext(p)
+        m = rng.randint(0, 4 if p == 2 else 2)
+        om = CompactOpenSet.make(ctx, rng.choice((-1, 0, 1)), m, rng.sample(range(p**m), rng.randint(1, p**m)))
+        vm = om.v + om.M
+        w = vm + rng.randint(0, 3)
+        elems = [rng.randrange(p ** (w - om.v + 1)) for _ in range(rng.randint(1, 2 * len(om.digits) * p))]
+        yield om, UniformDiscreteSet.make(ctx, w, [a * ctx.pow(-w) for a in elems]), rng.randint(vm - 2, w)
+
+
+def test_the_spectral_check_equals_the_per_representative_expansion(roundtrip_sets):
+    # a class of |D| elements passes when K(p**j) vanishes in every class at each valuation j of D - D;
+    # the classes of other sizes and every set failing a coset test still expand, at each representative
+    reports = [(_report(verify_spectral_pair, *case), _report(_expanded_spectral_pair, *case))
+               for case in _spectral_cases(roundtrip_sets, random.Random(32))]
+    assert all(got == want for got, want in reports)
+    assert len(reports) == 835 * 4 * 3 + 400
+    assert sum(got["status"] == "FailedAt" for got, _ in reports) > 1000  # 1,226 on Python 3.11
+
+
+def test_the_scan_folds_to_its_deepest_level_as_a_full_fold_does(monkeypatch):
+    # level n reads orders W - n and W - n - 1 alone, so the scan stops its fold at order W - max(levels) - 1;
+    # with islice passing every map, the same scan folds to order 0
+    rng = random.Random(32)
+    ctx = PrimeContext(2)
+    cases = [(lifted_spectrum(CompactOpenSet.make(ctx, 0, 4, (0, 1, 2, 3)), k), range(0, 3)) for k in (6, 9, 12)]
+    cases += [(lifted_spectrum(CompactOpenSet.make(PrimeContext(3), 0, 2, (0, 4, 8)), 6), [0, 1, 7])]
+    cases += [(UniformDiscreteSet.make(ctx, 0, [7, 12, 16]), [-3]),
+              (UniformDiscreteSet.make(ctx, 40, [F(a, 2**40) for a in range(1, 200)]), range(-2, 41))]
+    for _ in range(300):  # numerators over p**W of full cosets r + p**k Z/p**(k+1): they vanish at level W - k - 1
+        c, k = PrimeContext(rng.choice((2, 3, 5))), rng.randint(0, 12)
+        w, nums = rng.randint(-3, 30), []
+        for r in [rng.randrange(c.p**12) for _ in range(rng.randint(1, 4))]:
+            nums += [r + t * c.p**k for t in range(c.p)] if rng.random() < 0.8 else [r]
+        top = w - k - 1 + rng.randint(-2, 2)
+        cases.append((UniformDiscreteSet.make(c, w, [n * c.pow(-w) for n in nums]),
+                      sorted({top, *rng.sample(range(top - 6, top), rng.randint(0, 3))})))
+    truncated = [_outcome(zero_sphere_scan, e, levels) for e, levels in cases]
+    monkeypatch.setattr(pairs, "islice", lambda maps, count: maps)
+    assert truncated == [_outcome(zero_sphere_scan, e, levels) for e, levels in cases]
+    seen = Counter(SphereStatus.IN_ZERO_SET in out.values() if isinstance(out, dict) else out[0] for out in truncated)
+    assert seen[True] > 40 and seen["NotASpectrumEvidence"] > 5 and seen["WindowTooSmall"] > 2
