@@ -59,14 +59,6 @@ class CompactOpenSet:
         unit = self.context.pow(-(self.v + self.M))
         return Fraction(len(self.digits) * unit.numerator, unit.denominator)
 
-    def member(self, x: Fraction | int) -> bool:
-        """x * p**-v is in Z_p (v_p read clamped, padic._valuation_at_least) and its residue mod p**M a digit."""
-        ctx = self.context
-        r = Fraction(x) * ctx.pow(-self.v)
-        if not _valuation_at_least(ctx.p, r, 0):
-            return False
-        return ctx.residue(r, self.M) in self.digits
-
     def digits_in_frame(self, v2: int, M2: int) -> tuple[int, ...]:
         """The same set in the finer frame (v2, M2); ScopeTooLarge, before any digit is built, past p^|v2|
         or past _MAX_Q digits in all when it adds levels (|D|·p^levels, padic._digit_lattice)."""
@@ -76,10 +68,6 @@ class CompactOpenSet:
             raise ValueError("target frame does not refine the canonical frame")
         shift = self.v - v2
         return tuple(_digit_lattice(p, range(shift + self.M, M2), self.digits, shift, "a refined frame"))
-
-    def balls(self) -> list[Ball]:
-        """The digit cells as canonical balls (pairwise disjoint, union = set)."""
-        return [Ball.make(self.context, self.v, self.M, c) for c in self.digits]
 
     def to_json_dict(self) -> dict:
         return {

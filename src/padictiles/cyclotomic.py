@@ -22,18 +22,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from operator import attrgetter, mul
 from typing import Iterable, Iterator, Mapping
 
-from .padic import (_MAX_EXP_BITS, _MAX_TREE_BITS, PrimeContext, RootOfUnity, _capped_valuation, _check_exp,
-                    _check_fold, _read_elements, _read_int, _require_ints)
+from .padic import _MAX_TREE_BITS, PrimeContext, RootOfUnity, _check_exp, _check_fold, _read_int, _require_ints
 
 __all__ = [
     "CyclotomicSum",
     "residue_counts",
     "vanishes",
-    "vanishing_level_set",
 ]
 
 
@@ -273,33 +270,3 @@ class CyclotomicSum:
         if self.context != other.context:
             raise ValueError("CyclotomicSum contexts differ")
 
-
-def vanishing_level_set(
-    context: PrimeContext,
-    elements: Iterable[Fraction | int],
-    levels: Iterable[int],
-) -> frozenset[int]:
-    """The levels i (from the given candidates) where sum_c of chi(p**i * c) vanishes.
-
-    chi is the standard character.  With V the least valuation of a nonzero
-    element and u_c = c * p**-V in Z_p, chi(p**i * c) is the root at exponent
-    u_c mod p**m of order p**m, m = max(0, -(i + V)); so one residue per
-    element, folded level by level, serves every level; the zero test is exact.
-    The elements are read once by padic._read_elements, within B(0, p**_MAX_EXP_BITS)
-    (a repeat counts twice), and V only up to _MAX_EXP_BITS + 1, where any level
-    with depth > 0 is past the exponent limit as well (ScopeTooLarge).  p**depth is
-    bounded as an exponent, as in pairs.zero_sphere_scan, and the levels must be ints (ValueError).
-    """
-    p = context.p
-    e, _, nums = _read_elements(p, elements, _MAX_EXP_BITS)
-    levels = sorted(map(int, set(*_require_ints(levels=levels))))  # a bool level is read as its int
-    g = math.gcd(*nums)  # v_p(g) - e = V, or 0 when no element is nonzero
-    V = _capped_valuation(p, g, e + _MAX_EXP_BITS + 1) - e if g else 0
-    depth = max([0] + [-(i + V) for i in levels])
-    if V > _MAX_EXP_BITS and depth:
-        _check_exp(p, levels[0], "a vanishing-level scan of an element of valuation past the exponent limit", "level")
-    _check_exp(p, depth, "a vanishing-level scan", "depth")
-    # u_c is n_c / p**(e + V) / unit; a Galois automorphism of the roots drops the unit and keeps every zero
-    f = p ** (e + V)
-    zero = _zero_orders(p, depth, _level_counts(p, depth, [n // f for n in nums]))
-    return frozenset(i for i in levels if max(0, -(i + V)) in zero)

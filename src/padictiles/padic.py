@@ -11,24 +11,15 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 __all__ = [
     "PrimeContext",
     "RootOfUnity",
     "Ball",
-    "BallRelation",
     "character",
-    "ball_member",
-    "ball_relation",
     "ScopeTooLarge",
 ]
-
-# Valuation of 0.  math.inf compares correctly against every int, which is all
-# the ordering the callers need.
-INF = math.inf
-
 
 class ScopeTooLarge(ValueError):
     """A set, window or sample requested beyond the supported scope."""
@@ -295,13 +286,6 @@ class PrimeContext:
         e = _check_exp(self.p, e, "a power of p", "e", _MAX_TREE_BITS)
         return Fraction(self.p**e) if e >= 0 else Fraction(1, self.p**-e)
 
-    def valuation(self, x: Fraction | int) -> int | float:
-        """v_p(x); math.inf for x = 0.  |v_p(x)| is at most the bits of x's numerator or denominator."""
-        x = Fraction(x)
-        if x == 0:
-            return INF
-        return _clamped_valuation(self.p, x, max(x.numerator.bit_length(), x.denominator.bit_length()))
-
     def residue(self, x: Fraction | int, m: int) -> int:
         """x mod p**m as an integer in [0, p**m), for x with v_p(x) >= 0 and an int m >= 0 with p**m within
         _MAX_RESIDUE_BITS.  The denominator of x is a unit mod p**m, so its inverse is exact.
@@ -352,13 +336,6 @@ def character(context: PrimeContext, xi: Fraction | int, x: Fraction | int) -> R
     return RootOfUnity(context, n, k)
 
 
-class BallRelation(Enum):
-    EQUAL = "equal"
-    FIRST_INSIDE_SECOND = "first-inside-second"
-    SECOND_INSIDE_FIRST = "second-inside-first"
-    DISJOINT = "disjoint"
-
-
 @dataclass(frozen=True, slots=True)
 class Ball:
     """The closed-open ball p**v * (c + p**M Z_p), radius p**-(v+M).
@@ -382,53 +359,9 @@ class Ball:
         v, M, (c,) = _reduce_frame(context.p, v, M, {c % context.p**M})
         return cls(context, v, M, c)
 
-    @classmethod
-    def around(cls, context: PrimeContext, x: Fraction | int, radius_exp: int) -> "Ball":
-        """The ball of p-adic radius p**radius_exp around x; v_p(x) is read clamped to ±_MAX_EXP_BITS."""
-        vm = -_read_int(radius_exp, "a ball", "radius_exp")  # v + M of the result
-        x = Fraction(x)
-        xv = _clamped_valuation(context.p, x, _MAX_EXP_BITS)
-        if xv >= vm:
-            return cls.make(context, vm, 0, 0)
-        # x = p**xv * unit; digits of the unit below the radius cutoff survive
-        M = _check_exp(context.p, vm - xv, "a ball", "M")
-        _check_exp(context.p, xv, "a ball", "v")  # before the residue, which a clamped xv cannot make
-        return cls.make(context, xv, M, context.residue(x * context.pow(-xv), M))
-
-    def center(self) -> Fraction:
-        """c * p**v, past the bound of pow for a ball built directly; a ball about 0 (c == 0) forms no power of p."""
-        return self.c * Fraction(self.context.p) ** self.v if self.c else Fraction(0)
-
-    def radius_exp(self) -> int:
-        """Exponent r with radius = p**r."""
-        return -(self.v + self.M)
-
     def measure(self) -> Fraction:
         """Haar measure, normalized so Z_p has measure 1.  p**|v + M| is bounded at _MAX_TREE_BITS
         (ScopeTooLarge): a made ball is within it, a ball built directly (a pair report's window) need not be."""
         _check_exp(self.context.p, self.v + self.M, "a ball's measure", "v + M", _MAX_TREE_BITS)
         return self.context.pow(-(self.v + self.M))
 
-
-def ball_member(x: Fraction | int, b: Ball) -> bool:
-    """Exact membership test: v_p(x - center) >= v + M, with v_p read clamped (_valuation_at_least)."""
-    return _valuation_at_least(b.context.p, Fraction(x - b.center()), b.v + b.M)
-
-
-def ball_relation(a: Ball, b: Ball) -> BallRelation:
-    """Ultrametric dichotomy: two balls are nested or disjoint, never partial.
-
-    Driven entirely by radius exponents and one center-distance valuation, read clamped
-    (_valuation_at_least).
-    """
-    if a.context != b.context:
-        raise ValueError("contexts differ")
-    ra, rb = a.radius_exp(), b.radius_exp()
-    # centers within the larger radius <=> the smaller ball sits inside
-    if _valuation_at_least(a.context.p, a.center() - b.center(), -max(ra, rb)):
-        if ra == rb:
-            return BallRelation.EQUAL
-        if ra < rb:
-            return BallRelation.FIRST_INSIDE_SECOND
-        return BallRelation.SECOND_INSIDE_FIRST
-    return BallRelation.DISJOINT

@@ -44,7 +44,6 @@ __all__ = [
     "UniformDiscreteSet",
     "Failure",
     "PairReport",
-    "l_truncation",
     "n_f_of",
     "zero_sphere_scan",
     "zero_bound_check",
@@ -184,8 +183,9 @@ class UniformDiscreteSet:
 
 
 def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: int) -> UniformDiscreteSet:
-    """p**(k - window) * (ints + l_truncation(k)) for distinct integers and int k >= 0 and window, from its numerators
-    x * p**k + j over p**window (padic._digit_lattice): distinct and in the window, so make's checks are skipped."""
+    """p**(k - window) * (ints + {j / p**k : 0 <= j < p**k}) for distinct integers and ints k >= 0 and window, from
+    its numerators x * p**k + j over p**window (padic._digit_lattice): distinct and in the window, so make's checks
+    are skipped."""
     ints = tuple(ints)
     return UniformDiscreteSet(ctx, window, tuple(_digit_lattice(
         ctx.p, range(k), ints, k, f"a truncation of {len(ints)} integers at depth k", "k")))
@@ -198,17 +198,6 @@ def _kept_truncation(ctx: PrimeContext, key: tuple, ints, levels: int, k: int, w
         nums = _lattice_truncation(ctx, ints, k, window).numerators
         return nums, len(nums) * max(levels + k, 1)
     return UniformDiscreteSet(ctx, window, _LATTICES.get((*key, k, window), build))
-
-
-def l_truncation(context: PrimeContext, k: int) -> tuple[Fraction, ...]:
-    """The canonical representatives {j / p**k : 0 <= j < p**k} of Q_p/Z_p up to p**k.
-
-    This is the depth-k truncation of the standard complete representative
-    set of Q_p/Z_p (every coset with a representative of absolute value
-    <= p**k appears exactly once; 0 represents Z_p itself).  ScopeTooLarge past p**k = _MAX_Q.
-    """
-    k = _read_int(k, "a truncation", "k", nonneg=True)
-    return _lattice_truncation(context, [0], k, k).elements
 
 
 @dataclass(frozen=True, slots=True)
@@ -425,8 +414,9 @@ def verify_spectral_pair(
     K(δ) = σ_u(K(p**j)) (σ_u: ζ -> ζ**u fixes 0), and K(p**j) sums the r mod p**(e-j) as roots of that
     order.  For j < M the coset test at order e - j pairs r with r + p**(e-j-1), of r's class mod p**(e-M),
     so one _vanishes call on all grouped r holds iff K(p**j) vanishes in every class.  If it holds at each
-    valuation j of D - D (all below m, the bits of the widest difference; folded only within _MAX_FOLD, so it
-    refuses nothing), each δ != 0 adds 0 and a class of |D| elements leaves N(0)·|D| = |D|²: it passes.
+    valuation j of D - D (all below m, the bits of the widest difference; folded only within _MAX_FOLD and when a
+    class holds |D| elements, so it refuses nothing), each δ != 0 adds 0 and a class of |D| elements leaves
+    N(0)·|D| = |D|²: it passes.
     """
     ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a spectral check", "window_exp")
     vm = omega.v + omega.M
@@ -450,7 +440,7 @@ def verify_spectral_pair(
         by_class.setdefault(r % cut, []).append(r)
     digits = omega.digits
     m = min(omega.M, (max(digits) - min(digits)).bit_length())
-    whole = len(digits) * m <= _MAX_FOLD and all(
+    whole = len(digits) * m <= _MAX_FOLD and len(digits) in map(len, by_class.values()) and all(
         _vanishes(p, e - j, _residue_counts(p, e - j, kept)) for j in _valuations(p, m, digits))
     target, qm, overlaps = len(digits) ** 2, p**omega.M, None
     failure = None

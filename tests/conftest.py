@@ -7,10 +7,12 @@ Hypothesis deadline nor signal.alarm interrupts one long big-int operation in-pr
 from __future__ import annotations
 
 import json
+import math
 import os
 import select
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -108,6 +110,20 @@ def api_child():
     child = ChildProcess(_API)
     yield child
     child.close()
+
+
+def v_p(p: int, x) -> int | float:
+    """The p-adic valuation of a rational x, math.inf for 0, by dividing out p one factor at a time: an oracle
+    for the tests that reads nothing of the library."""
+    x = Fraction(x)
+    if not x:
+        return math.inf
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
 
 
 def _homogeneous_sets(p: int, M: int) -> list[tuple[int, ...]]:

@@ -20,7 +20,6 @@ from padictiles.cyclotomic import (
     _zero_orders,
     residue_counts,
     vanishes,
-    vanishing_level_set,
 )
 from padictiles.decide import ConstructionFailed, classify_all
 from padictiles.padic import PrimeContext
@@ -343,13 +342,12 @@ def test_json_round_trip():
     assert t.n == s.n and t.coeffs == s.coeffs and t.context == s.context
 
 
-def test_vanishing_level_set_frozen():
-    c2 = PrimeContext(2)
-    assert vanishing_level_set(c2, [0, 3], range(-3, 1)) == frozenset({-1})
-    c5 = PrimeContext(5)
-    assert vanishing_level_set(c5, range(5), range(-2, 1)) == frozenset({-1})
-    # scaling the set shifts the level set
-    assert vanishing_level_set(c2, [0, 6], range(-4, 1)) == frozenset({-2})
+def test_zero_orders_frozen_on_digit_sets():
+    # the sum of exp(2*pi*i * c / p**n) over a set vanishes at n = 1 for {0, 3} and for all of Z/5, and
+    # scaling {0, 3} by 2 moves its zero to n = 2
+    assert _zero_orders(2, 3, _level_counts(2, 3, [0, 3])) == {1}
+    assert _zero_orders(5, 2, _level_counts(5, 2, range(5))) == {1}
+    assert _zero_orders(2, 4, _level_counts(2, 4, [0, 6])) == {2}
 
 
 @settings(max_examples=300, deadline=None)

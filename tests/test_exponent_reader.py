@@ -28,14 +28,12 @@ from padictiles import (
     density,
     frame_branching_set,
     homogeneous_census_size,
-    l_truncation,
     lifted_spectrum,
     lifted_tiling_complement,
     spectrum_from_homogeneity,
     spectrum_orthogonality_defect,
     spectrum_to_tiling_complement,
     uniformity_check,
-    vanishing_level_set,
     verify_spectral_pair,
     verify_spectrum_witness,
     verify_tiling_pair,
@@ -58,14 +56,12 @@ EXPONENTS = [
     ("digits_in_frame-M2", lambda e: OMEGA.digits_in_frame(0, e), "M2", False),
     ("Ball.make-v", lambda e: Ball.make(CTX, e, 1, 1), "v", False),
     ("Ball.make-M", lambda e: Ball.make(CTX, 0, e, 1), "M", True),
-    ("Ball.around", lambda e: Ball.around(CTX, 3, e), "radius_exp", False),
     ("PrimeContext.pow", lambda e: CTX.pow(e), "e", False),
     ("PrimeContext.residue", lambda e: CTX.residue(5, e), "m", True),
     ("CyclotomicSum.make-n", lambda e: CyclotomicSum.make(CTX, e, {0: 1}), "n", True),
     ("CyclotomicSum.make-exponent", lambda e: CyclotomicSum.make(CTX, 2, {e: 1, 1: 1}), "exponent", False),
     ("vanishes", lambda e: vanishes(2, e, {0: 1, 1: 1}), "n", True),
     ("residue_counts", lambda e: residue_counts(2, e, [1, 2, 3]), "m", True),
-    ("vanishing_level_set", lambda e: vanishing_level_set(CTX, [0, 1], [e]), "levels", False),
     ("frame_branching_set", lambda e: frame_branching_set(2, e, [0, 1]), "M", True),
     ("verify_tiling_witness", lambda e: verify_tiling_witness(2, e, [0], [0]), "M", True),
     ("verify_spectrum_witness", lambda e: verify_spectrum_witness(CTX, e, [0], [0]), "M", True),
@@ -83,7 +79,6 @@ EXPONENTS = [
     ("zero_sphere_scan", lambda e: zero_sphere_scan(E, [e]), "levels", False),
     ("density", lambda e: density(E, 0, [e]), "k_range", False),
     ("uniformity_check", lambda e: uniformity_check(E, e, []), "n", False),
-    ("l_truncation", lambda e: l_truncation(CTX, e), "k", True),
     ("verify_tiling_pair", lambda e: verify_tiling_pair(OMEGA, E, e), "window_exp", False),
     ("verify_spectral_pair", lambda e: verify_spectral_pair(OMEGA, E, e), "window_exp", False),
     ("spectrum_to_tiling_complement", lambda e: spectrum_to_tiling_complement(OMEGA, E, e), "verify_window_exp",
@@ -145,7 +140,6 @@ def test_a_float_exponent_that_was_accepted_is_refused():
 
 
 @pytest.mark.parametrize("call, message", [
-    ("Ball.around(CTX, 3, 2.5)", "a ball takes an int radius_exp: radius_exp=2.5"),
     ("verify_spectral_pair(OMEGA, E, 1.5)", "a spectral check takes an int window_exp: window_exp=1.5"),
     ("lifted_spectrum(OMEGA, 2.0)", "a lift takes an int extra_exp >= 0: extra_exp=2.0"),
     ("classify_all(2, 2.0)", "a census takes an int M >= 0: M=2.0"),

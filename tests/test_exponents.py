@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import v_p
 import padictiles.copen
 import padictiles.cyclotomic
 import padictiles.padic
@@ -68,11 +69,11 @@ def _reference_scan(e: UniformDiscreteSet, levels) -> dict[int, SphereStatus]:
         if 0 in e.elements:
             first = -e.window_exp
         else:
-            first = -max(ctx.valuation(x) for x in e.elements if x != 0)
+            first = -max(v_p(ctx.p, x) for x in e.elements if x != 0)
         xi = ctx.pow(n)
         seen = last = False
         for k in range(max(n, first), e.window_exp + 1):
-            roots = [character(ctx, xi, x) for x in e.elements if ctx.valuation(x) >= -k]
+            roots = [character(ctx, xi, x) for x in e.elements if v_p(ctx.p, x) >= -k]
             last = CyclotomicSum.from_roots(ctx, roots).is_zero()
             if last:
                 seen = True
@@ -114,7 +115,7 @@ def test_scan_matches_reference_on_lifted_spectra(p, M):
         assert got[0] == "statuses"
         assert got == _outcome(_reference_scan, lam, levels)
         # perturbed truncations: drop an outermost element, add a stray one
-        outer = max(lam.elements, key=lambda x: -ctx.valuation(x) if x else -w)
+        outer = max(lam.elements, key=lambda x: -v_p(ctx.p, x) if x else -w)
         for elems in (
             [x for x in lam.elements if x != outer],
             list(lam.elements) + [F(1, p**w) + outer],

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padictiles.cyclotomic import _level_counts, _zero_orders, vanishing_level_set
+from conftest import v_p
+from padictiles.copen import normalize_set
+from padictiles.cyclotomic import CyclotomicSum
 from padictiles.decide import homogeneous_census_size
 
 from padictiles.padic import (
     Ball,
-    BallRelation,
-    INF,
     PrimeContext,
     RootOfUnity,
     ScopeTooLarge,
@@ -25,8 +25,6 @@ from padictiles.padic import (
     _digit_lattice,
     _is_prime,
     _require_ints,
-    ball_member,
-    ball_relation,
     character,
 )
 from padictiles.pairs import UniformDiscreteSet
@@ -78,33 +76,6 @@ def test_prime_context_on_large_and_pseudoprime_inputs():
         PrimeContext(2**89 - 1)
 
 
-def test_valuation_frozen_values():
-    c2, c3, c5 = PrimeContext(2), PrimeContext(3), PrimeContext(5)
-    assert c2.valuation(12) == 2
-    assert c3.valuation(12) == 1
-    assert c2.valuation(F(5, 6)) == -1
-    assert c3.valuation(F(5, 6)) == -1
-    assert c5.valuation(F(5, 6)) == 1
-    assert c2.valuation(0) == INF
-    assert c2.valuation(F(-8)) == 3
-
-
-def test_valuation_is_additive_and_ultrametric():
-    rng = random.Random(11)
-    for p in (2, 3, 5):
-        ctx = PrimeContext(p)
-        for _ in range(200):
-            x = F(rng.randint(-50, 50), rng.randint(1, 50))
-            y = F(rng.randint(-50, 50), rng.randint(1, 50))
-            if x and y:
-                assert ctx.valuation(x * y) == ctx.valuation(x) + ctx.valuation(y)
-            vs = ctx.valuation(x + y)
-            lo = min(ctx.valuation(x), ctx.valuation(y))
-            assert vs >= lo
-            if x and y and ctx.valuation(x) != ctx.valuation(y):
-                assert vs == lo
-
-
 def test_frac_part_frozen_values():
     assert PrimeContext(3).frac_part(F(1, 6)) == F(2, 3)
     assert PrimeContext(2).frac_part(F(5, 6)) == F(1, 2)
@@ -123,8 +94,8 @@ def test_frac_part_characterization():
             x = F(rng.randint(-400, 400), rng.randint(1, 400))
             f = ctx.frac_part(x)
             assert 0 <= f < 1
-            assert ctx.valuation(x - f) >= 0 or x == f
-            v = ctx.valuation(x)
+            assert v_p(p, x - f) >= 0 or x == f
+            v = v_p(p, x)
             expected_den = p ** (-v) if (x != 0 and v < 0) else 1
             assert f.denominator == expected_den
 
@@ -147,7 +118,7 @@ def test_residue_inverts_unit_denominators():
             m = rng.randint(1, 4)
             r = ctx.residue(x, m)
             assert 0 <= r < p**m
-            assert ctx.valuation(x - r) >= m
+            assert v_p(p, x - r) >= m
 
 
 def test_root_of_unity_canonical_form():
@@ -222,66 +193,23 @@ def test_ball_make_preserves_membership():
             b = Ball.make(ctx, v, m, c)
             for _ in range(8):
                 x = F(rng.randint(-30, 30), rng.choice([1, p, p * p, 3, 7]))
-                raw = ctx.valuation(x - c * ctx.pow(v)) >= v + m
-                assert ball_member(x, b) == raw
+                raw = v_p(p, x - c * ctx.pow(v)) >= v + m
+                assert (v_p(p, x - b.c * ctx.pow(b.v)) >= b.v + b.M) == raw
 
 
-def test_ball_around_and_measure():
+def test_ball_measure():
+    # the balls of radius 3**-2 and 3 about 2/3: 3**-1 * (2 + 27 Z_3) = 2/3 + 9 Z_3, and 3**-1 Z_3
     ctx = PrimeContext(3)
-    x = F(2, 3)
-    b = Ball.around(ctx, x, -2)
-    assert ball_member(x, b)
-    assert b.measure() == F(1, 9)
-    assert b.radius_exp() == -2
-    # a radius at least |x| swallows the center into the ball around 0
-    wide = Ball.around(ctx, x, 1)
-    assert (wide.v, wide.M, wide.c) == (-1, 0, 0)
-    assert wide.measure() == 3
-
-
-def _relation_oracle(ctx, a, b):
-    # nested-or-disjoint, decided from memberships of the two centers
-    a_in_b = ball_member(a.center(), b) and a.radius_exp() <= b.radius_exp()
-    b_in_a = ball_member(b.center(), a) and b.radius_exp() <= a.radius_exp()
-    if a_in_b and b_in_a:
-        return BallRelation.EQUAL
-    if a_in_b:
-        return BallRelation.FIRST_INSIDE_SECOND
-    if b_in_a:
-        return BallRelation.SECOND_INSIDE_FIRST
-    return BallRelation.DISJOINT
-
-
-def test_ball_relation_matches_membership_oracle():
-    rng = random.Random(37)
-    for p in (2, 3):
-        ctx = PrimeContext(p)
-        for _ in range(400):
-            a = Ball.make(ctx, rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 26))
-            b = Ball.make(ctx, rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 26))
-            assert ball_relation(a, b) == _relation_oracle(ctx, a, b)
-
-
-def test_ball_relation_never_partial():
-    # ultrametric dichotomy: when the relation says disjoint, no point of a
-    # lies in b (spot-checked on the digit grid of a)
-    ctx = PrimeContext(2)
-    rng = random.Random(41)
-    for _ in range(200):
-        a = Ball.make(ctx, rng.randint(-1, 2), rng.randint(0, 3), rng.randint(0, 15))
-        b = Ball.make(ctx, rng.randint(-1, 2), rng.randint(0, 3), rng.randint(0, 15))
-        if ball_relation(a, b) is not BallRelation.DISJOINT:
-            continue
-        for t in range(4):
-            x = a.center() + t * ctx.pow(a.v + a.M)
-            assert ball_member(x, a)
-            assert not ball_member(x, b)
+    assert Ball.make(ctx, -1, 3, 2).measure() == F(1, 9)
+    assert Ball.make(ctx, -1, 0, 0).measure() == 3
 
 
 def test_context_mixing_is_rejected():
     c2, c3 = PrimeContext(2), PrimeContext(3)
-    with pytest.raises(ValueError):
-        ball_relation(Ball.make(c2, 0, 0, 0), Ball.make(c3, 0, 0, 0))
+    with pytest.raises(ValueError, match="^ball context differs$"):
+        normalize_set(c2, [Ball.make(c2, 0, 0, 0), Ball.make(c3, 0, 0, 0)])
+    with pytest.raises(ValueError, match="^CyclotomicSum contexts differ$"):
+        CyclotomicSum.make(c2, 1, {1: 1}) + CyclotomicSum.make(c3, 1, {1: 1})
 
 
 def test_the_int_check_names_the_first_bad_element():
@@ -367,25 +295,13 @@ def _reference_make(context, window_exp, elements):
     if not elems:
         raise ValueError("truncation must contain at least one element")
     for x in elems:
-        if x != 0 and context.valuation(x) < -window_exp:
+        if x != 0 and v_p(context.p, x) < -window_exp:
             raise WindowTooSmall(f"element {x} lies outside the declared window B(0, p**{window_exp})")
     p = context.p
     # p**bits(d) is a multiple of the p-part of d, so the gcd is that p-part
     unit = math.lcm(*(x.denominator // math.gcd(x.denominator, p ** x.denominator.bit_length()) for x in elems))
     scale = context.pow(window_exp) * unit
     return tuple(int(x * scale) for x in elems), unit
-
-
-def _reference_vanishing_level_set(context, elements, levels):
-    """vanishing_level_set by its Fraction path, before the one element reader."""
-    p = context.p
-    elems = [F(e) for e in elements]
-    levels = sorted(set(levels))
-    V = min((context.valuation(c) for c in elems if c != 0), default=0)
-    depth = max([0] + [-(i + V) for i in levels])
-    residues = [context.residue(c * context.pow(-V), depth) for c in elems]
-    zero = _zero_orders(p, depth, _level_counts(p, depth, residues))
-    return frozenset(i for i in levels if max(0, -(i + V)) in zero)
 
 
 def _outcome(f, *args):
@@ -414,9 +330,7 @@ def test_the_element_reader_equals_the_fraction_path(data):
     p = data.draw(st.sampled_from([2, 3, 5]))
     ctx, xs = PrimeContext(p), data.draw(_elements(p))
     window = data.draw(st.integers(-6, 8))
-    levels = data.draw(st.lists(st.integers(-12, 6), max_size=5))
     made = _outcome(UniformDiscreteSet.make, ctx, window, xs)
     if isinstance(made, UniformDiscreteSet):
         made = made.numerators, made.unit
     assert made == _outcome(_reference_make, ctx, window, xs)
-    assert _outcome(vanishing_level_set, ctx, xs, levels) == _reference_vanishing_level_set(ctx, xs, levels)
