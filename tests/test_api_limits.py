@@ -46,6 +46,10 @@ from padictiles import (
 _DEEP_TREE = "is_p_homogeneous(CompactOpenSet.make(PrimeContext(2), -2047, 4094, range(0, 3 * 2**16, 3)))"
 _DEEP_SCAN = "zero_sphere_scan(UniformDiscreteSet(PrimeContext(2), 1000, tuple(range(4096))), range(-1000, 1001))"
 _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [x << 1980 for x in range(16384)])"
+# The two folds of a set's classes through its levels: the spectral check's valuations of D - D, and the level counts
+# that the zero orders are read from
+_DEEP_VALUATIONS = "decide._valuations(2, 2000, tuple(range(1, 16385)))"
+_DEEP_LEVELS = "cyclotomic._zero_orders(2, 2000, cyclotomic._level_counts(2, 2000, range(1, 16385)))"
 
 
 @pytest.mark.parametrize("call, names", [
@@ -62,6 +66,8 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
     pytest.param("CompactOpenSet.make(PrimeContext(3), 0, 1, [1]).digits_in_frame(-10**8, 10**8 + 1)",
                  "a refined frame is limited to p^|v2| of at most 2048 bits: p=3, v2=-100000000",
                  id="digits_in_frame_far_above"),
+    pytest.param("zero_sphere_scan(UniformDiscreteSet.make(PrimeContext(2), 0, [0, 1]), range(-10**6, 0, 10**5))",
+                 "of at most 2048 bits: p=2, depth=1000000", id="zero_sphere_scan_far_level"),
     pytest.param("homogeneous_census_size(2, 40, range(39))",
                  "a census size is limited to q <= 262144: p=2, M=40", id="homogeneous_census_size"),
     pytest.param("spectrum_orthogonality_defect(2, 10**9, [0, 1], [0, 1])",
@@ -83,8 +89,19 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
     pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball(0, -10**9)",
                  "a ball count is limited to p^|m| of at most 4115 bits: p=2, m=1000000002",
                  id="count_in_ball"),
+    pytest.param("Ball.make(PrimeContext(2), 0, 10**9, 1)",
+                 "a ball is limited to p^|M| of at most 2048 bits: p=2, M=1000000000", id="Ball.make_M"),
     pytest.param("Ball.make(PrimeContext(3), 10**9, 0, 0).measure()",
                  "a ball is limited to p^|v| of at most 2048 bits: p=3, v=1000000000", id="Ball.measure"),
+    # two balls, one nested in the other or far apart, whose union is more digits than a frame may hold
+    pytest.param("normalize_set(PrimeContext(2), [Ball.make(PrimeContext(2), 0, 40, 1), "
+                 "Ball.make(PrimeContext(2), 0, 0, 0)])",
+                 "normalizing a union of balls is limited to q <= 262144: p=2, levels below a ball=40",
+                 id="normalize_set"),
+    pytest.param("normalize_set(PrimeContext(2), [Ball.make(PrimeContext(2), 2047, 0, 0), "
+                 "Ball.make(PrimeContext(2), -2047, 0, 0)])",
+                 "normalizing a union of balls is limited to q <= 262144: p=2, levels below a ball=4094",
+                 id="normalize_set_far_apart"),
     pytest.param("verify_spectral_pair(CompactOpenSet.make(PrimeContext(3), 0, 1, [0]), "
                  "UniformDiscreteSet.make(PrimeContext(3), 2, [0, 1]), -10**9).verified_window.measure()",
                  "a ball's measure is limited to p^|v + M| of at most 4096 bits: p=3, v + M=1000000000",
@@ -116,17 +133,27 @@ _DEEP_SPECTRUM = "verify_spectrum_witness(PrimeContext(2), 2000, range(16384), [
                  "(|D|^2 + min(|D|^2, p^M)·(8 + bits // 128)): |D| = 21846, p=2, M=16",
                  id="verify_spectral_pair_dense"),
     # the lattice bound counted the free levels one exponent at a time: 2.2-2.5 s each at k = 5·10^7
+    pytest.param("pairs._lattice_truncation(PrimeContext(2), [0], 40, 40)",
+                 "a truncation of 1 integers at depth k is limited to q <= 262144: p=2, k=40, q = 2^40 > 262144",
+                 id="lattice_truncation"),
+    pytest.param("pairs._lattice_truncation(PrimeContext(2), [0], 10**12, 10**12)",
+                 "a truncation of 1 integers at depth k is limited to q <= 262144: p=2, k=1000000000000",
+                 id="lattice_truncation_far"),
     pytest.param("CompactOpenSet.make(PrimeContext(2), 0, 1, [0]).digits_in_frame(0, 10**12)",
                  "a refined frame is limited to q <= 262144: p=2, levels=999999999999", id="digits_in_frame_far"),
     pytest.param("lifted_spectrum(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)",
                  "p=2, k=1000000000000, q = 2^1000000000000 > 262144", id="lifted_spectrum_far"),
     pytest.param("lifted_tiling_complement(CompactOpenSet.make(PrimeContext(2), 0, 1, [0]), 10**12)",
                  "p=2, k=1000000000000, q = 2·2^1000000000000 > 262144", id="lifted_tiling_complement_far"),
+    pytest.param("lifted_tiling_complement(CompactOpenSet.make(PrimeContext(2), 0, 2, [0, 3]), 18)",
+                 "p=2, k=18, q = 2·2^18 > 262144", id="lifted_tiling_complement"),
     pytest.param(_DEEP_TREE, "a digit-tree test is limited to 1048576 classes (count·(levels - e), "
                  "p^e <= count < p^(e+1)): p=2, count=65536, levels=4094", id="is_p_homogeneous_deep"),
     pytest.param(_DEEP_SCAN, "a level fold is limited to 1048576 classes (count·(levels - e), "
                  "p^e <= count < p^(e+1)): p=2, count=4096, levels=2000", id="zero_sphere_scan_deep"),
     pytest.param(_DEEP_SPECTRUM, "p=2, count=16384, levels=2000", id="verify_spectrum_witness_deep"),
+    pytest.param(_DEEP_VALUATIONS, "p=2, count=16384, levels=2000", id="valuations_deep"),
+    pytest.param(_DEEP_LEVELS, "p=2, count=16384, levels=2000", id="level_counts_deep"),
 ])
 def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, call, names):
     # each was still running when a 5 s timeout ended it, unless its row says otherwise
@@ -264,6 +291,15 @@ def test_the_numeric_guard_refuses_a_float_or_a_string():
     assert spectrum_orthogonality_defect(2, 2, [0, 1], [0, 2]) < 1e-9
 
 
+def test_the_sphere_scan_refuses_a_level_that_is_not_an_int():
+    with pytest.raises(ValueError, match=r"^element -0\.5 of levels is not an int$"):
+        zero_sphere_scan(UniformDiscreteSet.make(PrimeContext(2), 0, [0, 1]), [-0.5, -1])
+    with pytest.raises(ValueError, match=r"^element 0\.5 of k_range is not an int$"):
+        density(UniformDiscreteSet.make(PrimeContext(2), 0, [0, 1]), 0, [0.5, 0])
+    got = zero_sphere_scan(UniformDiscreteSet.make(PrimeContext(2), 0, [0, 1]), iter([-1, 0]))
+    assert got == {-1: SphereStatus.IN_ZERO_SET, 0: SphereStatus.NOT_IN_ZERO_SET}
+
+
 def test_the_census_size_refuses_a_level_that_is_not_an_int():
     # returned 32
     with pytest.raises(ValueError, match=r"element 0\.5 of levels is not an int in range\(M\) = range\(3\)"):
@@ -377,7 +413,8 @@ def test_a_union_refines_to_the_frame_of_its_lowest_v():
 _NOT_A_NUMBER = [("float('inf')", "float"), ("float('nan')", "float"), ("0.5", "float"), ("'1/2'", "str")]
 
 
-@pytest.mark.parametrize("call", ["UniformDiscreteSet.make(PrimeContext(2), 0, [0, {x}])"])
+@pytest.mark.parametrize("call", ["UniformDiscreteSet.make(PrimeContext(2), 0, [0, {x}])",
+                                  "UniformDiscreteSet.make(PrimeContext(3), -1, iter([3, {x}]))"])
 @pytest.mark.parametrize("x, kind", _NOT_A_NUMBER, ids=[x for x, _ in _NOT_A_NUMBER])
 def test_the_element_reader_refuses_what_is_not_an_int_or_a_fraction(call, x, kind):
     # inf ended in an OverflowError, which is not a ValueError, and 0.5 and '1/2' were read as 1/2
@@ -396,6 +433,9 @@ def test_a_window_refusal_names_the_position_of_the_element_not_its_digits():
 
 @pytest.mark.parametrize("call, name", [
     pytest.param("UniformDiscreteSet.make(PrimeContext(2), 0, [2**(2*10**6)])", "returned", id="make_deep_int"),
+    pytest.param("zero_sphere_scan(UniformDiscreteSet.make(PrimeContext(2), 0, [2**(2*10**6), 0]), [0])", "returned",
+                 id="zero_sphere_scan_deep_int"),
+    pytest.param("Ball.make(PrimeContext(2), 0, 10, 2**(2*10**6))", "returned", id="Ball.make_deep_int"),
     pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2047, [padic.Fraction(1, 2**10**7)])", "WindowTooSmall",
                  id="make_deep_denominator"),
     pytest.param("UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball("
@@ -413,7 +453,16 @@ _DEEP = "2**(2*10**6)"
 @pytest.mark.parametrize("call", [
     pytest.param(f"copen.indicator_fourier(CompactOpenSet.make(PrimeContext(2), 0, 2, [1, 2]), {_DEEP})",
                  id="indicator_fourier"),
+    pytest.param(f"copen.indicator_fourier(CompactOpenSet.make(PrimeContext(2), 0, 2, [1, 2]), "
+                 f"padic.Fraction(1, {_DEEP}))",
+                 id="indicator_fourier_deep_denominator"),
     pytest.param(f"density(UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]), {_DEEP}, [0, 2])", id="density"),
+    pytest.param(f"UniformDiscreteSet.make(PrimeContext(2), 2, [0, 1]).count_in_ball({_DEEP}, 0)", id="count_in_ball"),
+    pytest.param(f"copen.autocorrelation(CompactOpenSet.make(PrimeContext(2), 0, 2, [1, 2]), {_DEEP})",
+                 id="autocorrelation"),
+    # a point of valuation 0 against a bound of as many bits: a capped valuation by gcd with p**(bound + 1) took 9.4 s
+    pytest.param("padic._valuation_at_least(2, padic.Fraction(3**1262000), 2*10**6)",
+                 id="valuation_at_least_far_bound"),
 ])
 def test_a_point_of_a_deep_valuation_is_compared_with_its_bound_at_once(api_child, call):
     # indicator_fourier took 11.5-11.8 s in a full valuation of the point
@@ -422,9 +471,13 @@ def test_a_point_of_a_deep_valuation_is_compared_with_its_bound_at_once(api_chil
 
 
 def test_a_clamped_comparison_answers_as_the_full_valuation():
-    # the two calls above compare v_p of a point with a bound through padic._valuation_at_least
+    # the calls above compare v_p of a point with a bound through padic._valuation_at_least or _clamped_valuation
     ctx = PrimeContext(2)
     om = CompactOpenSet.make(ctx, 0, 2, [1, 2])
+    assert copen.autocorrelation(om, 2**4000) == copen.autocorrelation(om, 0) == om.measure()
+    assert copen.autocorrelation(om, 1 + 2**4000) == copen.autocorrelation(om, 1)
+    assert UniformDiscreteSet.make(ctx, 2, [0, 1]).count_in_ball(2**4000, 0) == 2
+    assert UniformDiscreteSet.make(ctx, 2, [0, 1]).count_in_ball(2**4000 + 1, -1) == 1
     assert copen.indicator_fourier(om, 2**4000) == copen.indicator_fourier(om, 0)
     assert copen.indicator_fourier(om, padic.Fraction(1, 2**4000)).sum.coeffs == {}
     e = UniformDiscreteSet.make(ctx, 2, [0, 1])

@@ -167,6 +167,20 @@ def test_digits_in_frame_is_bounded_by_the_lattice_limit():
         om.digits_in_frame(0, 20)
 
 
+def test_digit_cells_partition_the_set():
+    # the balls p**v * (d + p**M Z_p) of the digits are pairwise disjoint, and their union is the set
+    rng = random.Random(223)
+    for p in (2, 3):
+        for _ in range(60):
+            om, _ = _random_set(rng, p)
+            cells = [Ball.make(om.context, om.v, om.M, d) for d in om.digits]
+            assert sum(c.measure() for c in cells) == om.measure()
+            assert normalize_set(om.context, cells) == om
+            for i in range(len(cells)):
+                for j in range(i + 1, len(cells)):
+                    assert normalize_set(om.context, [cells[i], cells[j]]).measure() == 2 * cells[i].measure()
+
+
 def test_normalize_set_merges_cover():
     ctx = PrimeContext(2)
     quarters = [Ball.make(ctx, 0, 2, c) for c in range(4)]

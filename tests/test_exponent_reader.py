@@ -56,6 +56,8 @@ EXPONENTS = [
     ("digits_in_frame-M2", lambda e: OMEGA.digits_in_frame(0, e), "M2", False),
     ("Ball.make-v", lambda e: Ball.make(CTX, e, 1, 1), "v", False),
     ("Ball.make-M", lambda e: Ball.make(CTX, 0, e, 1), "M", True),
+    ("Ball.make-c", lambda e: Ball.make(CTX, 0, 1, e), "c", False),
+    ("PrimeContext-p", lambda e: PrimeContext(e), "p", True),
     ("PrimeContext.pow", lambda e: CTX.pow(e), "e", False),
     ("PrimeContext.residue", lambda e: CTX.residue(5, e), "m", True),
     ("CyclotomicSum.make-n", lambda e: CyclotomicSum.make(CTX, e, {0: 1}), "n", True),
@@ -69,6 +71,7 @@ EXPONENTS = [
     ("spectrum_from_homogeneity", lambda e: spectrum_from_homogeneity(DS, [e]), "levels", True),
     ("complement_from_homogeneity", lambda e: complement_from_homogeneity(DS, [e]), "levels", True),
     ("homogeneous_census_size", lambda e: homogeneous_census_size(2, e, []), "M", True),
+    ("homogeneous_census_size-levels", lambda e: homogeneous_census_size(2, 3, [e]), "levels", True),
     ("classify_all-M", lambda e: classify_all(2, e), "M", True),
     ("classify_all-sample_size", lambda e: classify_all(2, 2, "sample", sample_size=e), "sample_size", True),
     ("classify_all-jobs", lambda e: classify_all(2, 1, jobs=e), "jobs", True),
@@ -140,6 +143,7 @@ def test_a_float_exponent_that_was_accepted_is_refused():
 
 
 @pytest.mark.parametrize("call, message", [
+    ("Ball.make(CTX, 0, 1, 2.5)", "a ball takes an int c: c=2.5"),
     ("verify_spectral_pair(OMEGA, E, 1.5)", "a spectral check takes an int window_exp: window_exp=1.5"),
     ("lifted_spectrum(OMEGA, 2.0)", "a lift takes an int extra_exp >= 0: extra_exp=2.0"),
     ("classify_all(2, 2.0)", "a census takes an int M >= 0: M=2.0"),

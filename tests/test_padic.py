@@ -22,6 +22,7 @@ from padictiles.padic import (
     RootOfUnity,
     ScopeTooLarge,
     WindowTooSmall,
+    _clamped_valuation,
     _digit_lattice,
     _is_prime,
     _require_ints,
@@ -74,6 +75,34 @@ def test_prime_context_on_large_and_pseudoprime_inputs():
         assert not _is_prime(bad)
     with pytest.raises(ValueError, match="not decided exactly"):
         PrimeContext(2**89 - 1)
+
+
+def test_valuation_frozen_values():
+    # the library's one valuation of a rational, clamped to [-k, k]: 0 and every value past k read as the bound
+    assert _clamped_valuation(2, F(12), 10) == 2 and _clamped_valuation(3, F(12), 10) == 1
+    assert _clamped_valuation(2, F(5, 6), 10) == -1 and _clamped_valuation(3, F(5, 6), 10) == -1
+    assert _clamped_valuation(5, F(5, 6), 10) == 1 and _clamped_valuation(2, F(-8), 10) == 3
+    assert _clamped_valuation(2, F(0), 10) == 10
+    assert _clamped_valuation(2, F(2**50), 10) == 10 and _clamped_valuation(2, F(1, 2**50), 10) == -10
+    assert PrimeContext(2).frac_exponent(F(5, 6))[0] == 1 and PrimeContext(5).frac_exponent(F(5, 6)) == (0, 0)
+
+
+def test_valuation_is_additive_and_ultrametric():
+    rng = random.Random(11)
+    for p in (2, 3, 5):
+        def val(x):
+            return _clamped_valuation(p, x, 64)  # exact here: |v_p| <= 12 for these x, 64 for 0
+        for _ in range(200):
+            x = F(rng.randint(-50, 50), rng.randint(1, 50))
+            y = F(rng.randint(-50, 50), rng.randint(1, 50))
+            assert val(x) == (v_p(p, x) if x else 64)
+            if x and y:
+                assert val(x * y) == val(x) + val(y)
+            vs = val(x + y)
+            lo = min(val(x), val(y))
+            assert vs >= lo
+            if x and y and val(x) != val(y):
+                assert vs == lo
 
 
 def test_frac_part_frozen_values():
@@ -202,6 +231,45 @@ def test_ball_measure():
     ctx = PrimeContext(3)
     assert Ball.make(ctx, -1, 3, 2).measure() == F(1, 9)
     assert Ball.make(ctx, -1, 0, 0).measure() == 3
+
+
+def _inside(ctx, a: Ball, b: Ball) -> bool:
+    """a is a subset of b: a's radius is at most b's and a point of a lies in b."""
+    return a.v + a.M >= b.v + b.M and v_p(ctx.p, a.c * ctx.pow(a.v) - b.c * ctx.pow(b.v)) >= b.v + b.M
+
+
+def test_two_balls_are_nested_or_disjoint():
+    # the union of two balls is the larger when one holds the other, and otherwise measures their sum
+    rng = random.Random(37)
+    for p in (2, 3):
+        ctx = PrimeContext(p)
+        for _ in range(400):
+            a = Ball.make(ctx, rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 26))
+            b = Ball.make(ctx, rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 26))
+            union = normalize_set(ctx, [a, b])
+            if _inside(ctx, a, b):
+                assert union == normalize_set(ctx, [b])
+            elif _inside(ctx, b, a):
+                assert union == normalize_set(ctx, [a])
+            else:
+                assert union.measure() == a.measure() + b.measure()
+            assert union.measure() in (max(a.measure(), b.measure()), a.measure() + b.measure())
+
+
+def test_a_ball_is_the_union_of_its_cells():
+    # the p**k balls k levels below a ball partition it: their union is the ball, and without one of them the
+    # union is smaller by that cell's measure
+    rng = random.Random(41)
+    for p in (2, 3):
+        ctx = PrimeContext(p)
+        for _ in range(100):
+            b = Ball.make(ctx, rng.randint(-2, 2), rng.randint(0, 3), rng.randint(0, 26))
+            k = rng.randint(1, 2)
+            cells = [Ball.make(ctx, b.v, b.M + k, b.c + t * p**b.M) for t in range(p**k)]
+            assert sum(c.measure() for c in cells) == b.measure()
+            assert normalize_set(ctx, cells) == normalize_set(ctx, [b])
+            rest = normalize_set(ctx, cells[1:])
+            assert rest.measure() == b.measure() - cells[0].measure() and rest != normalize_set(ctx, [b])
 
 
 def test_context_mixing_is_rejected():

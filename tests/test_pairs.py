@@ -38,6 +38,7 @@ from padictiles.pairs import (
     SphereStatus,
     UniformDiscreteSet,
     WindowTooSmall,
+    _lattice_truncation,
     _rat,
     density,
     lifted_spectrum,
@@ -72,6 +73,18 @@ def test_n_e_values():
     assert UniformDiscreteSet.make(ctx, 0, [0, 3]).n_E() == 0
     assert UniformDiscreteSet.make(ctx, 0, [0, 4, 9]).n_E() == 2
     assert UniformDiscreteSet.make(ctx, 0, [7]).n_E() is None
+
+
+def test_the_lattice_truncation_represents_cosets():
+    # the lifts build T = U + {j / p**k} and Λ from this lattice: one representative per coset of Z_p in B(0, p**k)
+    ctx = PrimeContext(2)
+    reps = _lattice_truncation(ctx, [0], 2, 2).elements
+    assert reps == (0, F(1, 4), F(1, 2), F(3, 4)) == tuple(_representatives(2, 2))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            assert v_p(2, reps[i] - reps[j]) < 0
+    assert _lattice_truncation(PrimeContext(3), [0], 0, 0).elements == (0,)
+    assert _lattice_truncation(PrimeContext(3), [0, 1], 1, 1).elements == (0, F(1, 3), F(2, 3), 1, F(4, 3), F(5, 3))
 
 
 def test_n_f_frozen_values():
