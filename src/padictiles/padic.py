@@ -80,6 +80,10 @@ _MAX_TREE_BITS = 2 * _MAX_EXP_BITS  # of p^M in a frame: |v| and |v + M| each wi
 # Largest p^m, in bits, that a residue or a residue list reduces by: the pair checks ask for depths up to a
 # window plus a frame's scale (each within _MAX_EXP_BITS) plus the at most 2^18 cells below the frame.
 _MAX_RESIDUE_BITS = 2 * _MAX_EXP_BITS + _MAX_Q.bit_length()
+# Largest denominator, in bits, whose p-adic fractional part is read: at 2^18 bits the valuation took 0.2-0.3 s
+# for p = 2, 3, 5, 7, 101 and 1000003, against 0.65 s at 500,000 bits and 10.7 s at 2,000,000 for p = 2 (2-core
+# Xeon, Python 3.11.7).  Every denominator a command parses is far below it (Python's 4,300-digit limit).
+_MAX_FRAC_BITS = 2**18
 
 
 def _check_exp(p: int, e, what: str, name: str, bits: int = _MAX_EXP_BITS, nonneg: bool = False) -> int:
@@ -184,7 +188,8 @@ class _LatticeMemo:
 
 # Kept weight of the lattice memo: the lattices that the benchmark's census, roundtrip and frontier (seed 1)
 # workloads build, each from an empty memo, weigh 14,065 in all (176 of them), and 2^16 holds at most 2^16
-# ints, about 2.5 MB.
+# ints, about 2.5 MB.  A lifted truncation is kept as its pairs.UniformDiscreteSet, so that its block depth is
+# derived once: the same numerators, weighed the same, in an object of under 100 bytes more.
 _LATTICES = _LatticeMemo(2**16)
 
 
@@ -301,10 +306,14 @@ class PrimeContext:
 
         n = max(0, -v_p(y)).  When n > 0 the numerator of y is a unit and
         y * p**n = numerator / unit-part-of-denominator, so k is one modular
-        inverse: k = y * p**n mod p**n, and p does not divide it.
+        inverse: k = y * p**n mod p**n, and p does not divide it.  A denominator of more than
+        _MAX_FRAC_BITS bits is refused (ScopeTooLarge) before any valuation.
         """
         y = Fraction(y)
         den = y.denominator
+        if den.bit_length() > _MAX_FRAC_BITS:
+            raise ScopeTooLarge(f"a fractional part is limited to denominators of at most {_MAX_FRAC_BITS} bits: "
+                                f"p={self.p}, the denominator of y has {den.bit_length()} bits")
         if den % self.p:
             return 0, 0
         n = _capped_valuation(self.p, den, den.bit_length())

@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from operator import lt, sub
 from typing import Iterable
 
 from .copen import (
@@ -34,8 +35,8 @@ from .decide import (
     complement_from_homogeneity,
 )
 from .padic import (_LATTICES, _MAX_EXP_BITS, _MAX_FOLD, _MAX_RESIDUE_BITS, Ball, PrimeContext, ScopeTooLarge,
-                    WindowTooSmall, _capped_valuation, _check_exp, _check_q, _clamped_valuation, _digit_lattice,
-                    _read_elements, _read_int, _require_ints, _valuation_at_least)
+                    WindowTooSmall, _capped_valuation, _check_exp, _check_fold, _check_q, _clamped_valuation,
+                    _digit_lattice, _read_elements, _read_int, _require_ints, _valuation_at_least)
 
 __all__ = [
     "WindowTooSmall",
@@ -107,12 +108,30 @@ class UniformDiscreteSet:
     unit the lcm of the unit parts of the denominators (1 for every
     truncation the library builds), as make reads ints and Fractions by
     padic._read_elements.  `elements` derives the Fractions.
+
+    block_depth is derived, never passed, and equality ignores it: the largest
+    k <= max(window_exp, 0) such that, with unit 1, the numerators are
+    B·p**k ⊕ [0, p**k) for a set B of heads, and 0 otherwise.  A lifted
+    truncation p**-M·(Λ₀ + L) at window M + k has block depth k or more, and
+    the zero-sphere scan, the tiling check and the ball count about 0 read
+    its heads alone.
     """
 
     context: PrimeContext
     window_exp: int
     numerators: tuple[int, ...]
     unit: int = 1
+    block_depth: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # strictly increasing numerators are a block at depth k iff each run of P = p**k starts at a multiple of P
+        # and spans P - 1; a block at depth k + 1 is one at depth k, so k grows while the next depth holds
+        nums, p, k = self.numerators, self.context.p, 0
+        if nums and self.unit == 1 and all(map(lt, nums, nums[1:])):
+            while (k < self.window_exp and not len(nums) % (P := p ** (k + 1)) and not any(map(P.__rmod__, nums[::P]))
+                   and set(map(sub, nums[P - 1::P], nums[::P])) == {P - 1}):
+                k += 1
+        object.__setattr__(self, "block_depth", k)
 
     @classmethod
     def make(cls, context: PrimeContext, window_exp: int, elements: Iterable) -> "UniformDiscreteSet":
@@ -163,12 +182,16 @@ class UniformDiscreteSet:
     def count_in_ball(self, center, radius_exp: int) -> int:
         """Card(E ∩ B(center, p**radius_exp)): x * p**w and center * p**w agree
         mod p**(w - radius_exp), for a scale w making both p-adic integers.  About 0 that
-        is w = W and the numerators divisible by p**(W - radius_exp) (unit is prime to p)."""
+        is w = W and the numerators divisible by p**a, a = W - radius_exp (unit is prime to p).
+        A block set of depth k is one of depth h = min(a, k) too, its numerators b·p**h + j with j < p**h:
+        p**a divides one iff j = 0 and p**a divides its head b·p**h, so only the heads are read (all of them
+        when a <= k, |B|·p**(k - a) in all)."""
         ctx, radius_exp = self.context, _read_int(radius_exp, "a ball count", "radius_exp")
         c = center if type(center) is int else Fraction(center)
         if c == 0:
-            q = ctx.p ** _check_exp(ctx.p, max(self.window_exp - radius_exp, 0), "a ball count", "m", _MAX_RESIDUE_BITS)
-            return sum([n % q == 0 for n in self.numerators])
+            a = _check_exp(ctx.p, max(self.window_exp - radius_exp, 0), "a ball count", "m", _MAX_RESIDUE_BITS)
+            q = ctx.p**a
+            return sum([n % q == 0 for n in self.numerators[:: ctx.p ** min(a, self.block_depth)]])
         # -v_p(c) is read up to |W| + _MAX_EXP_BITS, where residues() refuses the scale w - W
         w = max(self.window_exp, -_clamped_valuation(ctx.p, c, abs(self.window_exp) + _MAX_EXP_BITS))
         m = max(w - radius_exp, 0)
@@ -193,11 +216,12 @@ def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: 
 
 def _kept_truncation(ctx: PrimeContext, key: tuple, ints, levels: int, k: int, window: int) -> UniformDiscreteSet:
     """_lattice_truncation(ctx, ints, k, window) for the ints in [0, p**levels) of a lattice that key determines,
-    its numerators kept in padic._LATTICES under key + (k, window), weighing |ints|·p**k·(levels + k)."""
+    the truncation itself kept in padic._LATTICES under key + (k, window), so that its block depth is derived
+    once, weighing |ints|·p**k·(levels + k)."""
     def build():
-        nums = _lattice_truncation(ctx, ints, k, window).numerators
-        return nums, len(nums) * max(levels + k, 1)
-    return UniformDiscreteSet(ctx, window, _LATTICES.get((*key, k, window), build))
+        t = _lattice_truncation(ctx, ints, k, window)
+        return t, len(t.numerators) * max(levels + k, 1)
+    return _LATTICES.get((*key, k, window), build)
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,29 +303,50 @@ def zero_sphere_scan(e: UniformDiscreteSet, levels: Iterable[int]) -> dict[int, 
 
 
 def _scan(e: UniformDiscreteSet, levels) -> dict[int, SphereStatus]:
-    """zero_sphere_scan on sorted distinct int levels, a list or a range."""
-    p, w = e.context.p, e.window_exp
+    """zero_sphere_scan on sorted distinct int levels, a list or a range.
+
+    A block set (block depth k > 0, so k <= W) is scanned through its heads B.  Element (b·p**k + j) / p**W lies
+    in the truncation at p**t iff p**(W-t) divides b·p**k + j.  For t < W - k that is j = 0 and p**(W-k-t) | b:
+    B's own truncation at p**t, read at window W - k.  For t >= W - k it is every b with the j that p**(W-t)
+    divides, so at ξ = p**n the sum is (the whole sum over B at window W - k) times G_t, the sum of ζ**j over
+    those j, ζ of order p**(W-n): p**(k-W+t) terms in a row of a root of order p**max(t-n, 0), zero iff
+    W - k <= n < t.  So at levels W - k <= n < W every truncation past n vanishes (InZeroSet), at n = W none
+    does (NotInZeroSet), and below W - k no G_t vanishes: each truncated sum vanishes iff B's at min(t, W - k)
+    does, and B's scan gives the status and any NotASpectrumEvidence at the same level and truncation.  That scan
+    starts at the caller's first truncation (p**-W when B holds 0), and every bound it checks is the caller's.
+    """
+    p, w, k = e.context.p, e.window_exp, e.block_depth
     lowest = min(0, levels[0]) if levels else 0
     depth = _check_exp(p, max(0, w - lowest), f"a zero-sphere scan of window {w} down to level {lowest}", "depth")
-    res, out = e.residues(w, depth), dict.fromkeys(levels)  # first: W minus the deepest order holding class 0
-    first = -w if 0 in e.numerators else w - bisect_left(
-        range(1, depth + 1), True, key=lambda t: all(r % q for q in [p**t] for r in res))
+    hw, hd, out = w - k, depth - k, dict.fromkeys(levels)  # B's window and depth
+    if k:  # the caller's residues mod p**depth are B's mod p**hd times the p**k of each block: its fold bound
+        P, Q = p**k, p**hd
+        res = [n // P % Q for n in e.numerators[::P]]
+        _check_fold(p, len(set(res)) * P, depth, "a level fold")
+    else:
+        res = e.residues(w, depth)
+    first = -w if 0 in e.numerators else hw - bisect_left(  # first: B's window minus its deepest order holding 0
+        range(1, hd + 1), True, key=lambda t: all(r % q for q in [p**t] for r in res))
 
-    def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level W - j is nonzero
-        n, k1 = w - j, max(w - j + 1, first)
-        if n in out and k1 < w:  # the first truncation from k1 on where the sum is nonzero
-            k = next(k for k in range(k1, w + 1) for q in [p ** (w - k)] if not _vanishes(
+    def walk(j: int, counts: dict[int, int]) -> None:  # the whole sum at level hw - j is nonzero
+        n, k1 = hw - j, max(hw - j + 1, first)
+        if n in out and k1 < hw:  # the first truncation from k1 on where the sum is nonzero
+            t = next(t for t in range(k1, hw + 1) for q in [p ** (hw - t)] if not _vanishes(
                 p, j, {r: a for r, a in counts.items() if not r % q}))
-            if k > k1:
-                raise NotASpectrumEvidence(n, k, f"sphere level {n}: truncated sum vanished then came "
-                                                 f"back nonzero at p**{k}")
+            if t > k1:
+                raise NotASpectrumEvidence(n, t, f"sphere level {n}: truncated sum vanished then came "
+                                                 f"back nonzero at p**{t}")
 
-    stop = max(0, w - 1 - levels[-1]) if levels else depth
-    zero = _zero_orders(p, depth, islice(_level_counts(p, depth, res), depth + 1 - stop), walk)
+    low = levels[:bisect_left(levels, hw)] if k else levels  # the levels B's scan decides
+    stop = max(0, hw - 1 - low[-1]) if low else hd
+    zero = _zero_orders(p, hd, islice(_level_counts(p, hd, res), hd + 1 - stop), walk)
     for n in levels:
         if n > w:
             raise WindowTooSmall(f"sphere level {n} needs the truncation at p**{n}, window is p**{w}")
-        out[n] = SphereStatus.IN_ZERO_SET if first <= w and w - n in zero else SphereStatus.NOT_IN_ZERO_SET
+        if k and n >= hw:
+            out[n] = SphereStatus.IN_ZERO_SET if n < w else SphereStatus.NOT_IN_ZERO_SET
+        else:
+            out[n] = SphereStatus.IN_ZERO_SET if first <= hw and hw - n in zero else SphereStatus.NOT_IN_ZERO_SET
     return out
 
 
@@ -353,8 +398,16 @@ def verify_tiling_pair(
     are irrelevant; the declared window of T must reach everything relevant.
 
     Each t enters as r = t * p**W mod p**(W + s) (W the window of T): it is
-    relevant iff p**(W - need) divides r, and then v_p(t) >= -need >= v2
+    relevant iff p**a divides r, a = W - need, and then v_p(t) >= -need >= v2
     (as ℓ >= v), so its shift t * p**-v2 mod p**(s - v2) is r * p**(s - v2) // p**(W + s).
+
+    A block set T, numerators B·p**k ⊕ [0, p**k), is a block set at every depth h <= k.  With c = W + v2
+    (c <= a) and a <= h, the relevant numerators are b·p**h + p**a·i, i < p**(h - a), shifted to
+    b·H + p**(a - c)·i mod p**(s - v2), H = p**(h - c).  Take the largest such h with H dividing q and every
+    frame digit d.  Then d + b·H is 0 mod H, so a cell x holds the count of the cell x - (x mod H) from the
+    heads alone, when x mod H is a p**(a - c)·i; every target x is, as the window's step is p**(a - c) or
+    coarser.  So counting the heads into the targets divisible by H decides the verdict, and the first
+    failing target, x - (x mod H) <= x, is among them with its count.  h = 0 (no block) counts every translate.
     """
     ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a tiling check", "window_exp")
     need = max(window_exp, -local_constancy_parameter(omega))
@@ -368,25 +421,29 @@ def verify_tiling_pair(
     q = p**m2
     base = omega.digits_in_frame(v2, m2)
     step = p ** max(0, -window_exp - v2)
-    counts = [0] * (q // step)  # counts[i] is the coverage of the window's cell i * step
-    by_offset: dict[int, list[int]] = {}  # d + shift is a target iff d = -shift mod step
+    a, c = w - need, w + v2
+    if (h := t_set.block_depth and min(t_set.block_depth, c + _capped_valuation(p, gcd(q, *base), m2))) < a:
+        h = 0
+    cell = max(step, p ** (h - c)) if h else step
+    counts = [0] * (q // cell)  # counts[i] is the coverage of the window's cell i * cell
+    by_offset: dict[int, list[int]] = {}  # d + shift is a target iff d = -shift mod cell
     for d in base:
-        by_offset.setdefault(d % step, []).append(d)
-    cut, top = p ** (w - need), p ** (w + s_res)
-    for r in t_set.residues(w, w + s_res):
+        by_offset.setdefault(d % cell, []).append(d)
+    cut, top = p**a, p ** (w + s_res)
+    for r in [n % top for n in t_set.numerators[:: p**h]] if h else t_set.residues(w, w + s_res):
         if r % cut:
             continue
         shift = r * q // top
-        for d in by_offset.get(-shift % step, ()):
-            counts[(d + shift) % q // step] += 1
+        for d in by_offset.get(-shift % cell, ()):
+            counts[(d + shift) % q // cell] += 1
     failure = None
     if counts.count(1) != len(counts):
         i = next(i for i, k in enumerate(counts) if k != 1)  # the first failing cell
-        failure = Failure(i * step * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
+        failure = Failure(i * cell * ctx.pow(v2), Fraction(counts[i]), Fraction(1))
     return PairReport(
         kind="tiling",
         verified_window=Ball(ctx, -window_exp, 0, 0),  # canonical; make would bound v, not every window
-        checked_points=len(counts),
+        checked_points=q // step,
         failure=failure,
     )
 

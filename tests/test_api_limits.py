@@ -337,6 +337,19 @@ def test_a_valuation_in_the_thousands_of_digits_takes_no_time(api_child):
     assert padic._capped_valuation(3, 5 * 3**100000, 10**6) == 100000 and padic._capped_valuation(2, 7, 3) == 0
 
 
+def test_a_fractional_part_refuses_a_denominator_of_millions_of_bits_at_once(api_child):
+    # the valuation of 2^(2·10^6) took 10.7 s and that of 2^500,000 0.65 s; frac_part and character read it too
+    for call in ("PrimeContext(2).frac_exponent(padic.Fraction(1, 2**(2 * 10**6)))",
+                 "PrimeContext(2).frac_part(padic.Fraction(3, 2**(2 * 10**6)))",
+                 "character(PrimeContext(2), padic.Fraction(1, 2**(2 * 10**6)), 1)"):
+        name, message, seconds = api_child.run(call)
+        assert name == "ScopeTooLarge" and seconds < 1
+        assert message == ("a fractional part is limited to denominators of at most 262144 bits: p=2, "
+                           "the denominator of y has 2000001 bits")
+    name, _, _ = api_child.run(f"PrimeContext(3).frac_exponent(padic.Fraction(1, 2**{padic._MAX_FRAC_BITS - 1}))")
+    assert name == "returned"
+
+
 def test_the_digit_readers_refuse_a_digit_that_is_not_an_int():
     # each read a digit through int(): the first set was {0, 1, 2, 3}, a tile and spectral, the second
     # DigitSet had C == (1, 3), the CompactOpenSet had digits (0, 1), and the ball had c = 1.5 and held 1.5

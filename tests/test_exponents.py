@@ -152,6 +152,37 @@ def test_scan_errors_match_reference():
         assert want is None or got == want
 
 
+def _block(p: int, w: int, heads, k: int, unit: int = 1) -> UniformDiscreteSet:
+    """The elements (b·p**k + j) / (p**w·unit), b in heads and j < p**k, read by make."""
+    return UniformDiscreteSet.make(PrimeContext(p), w, [(b * p**k + j) * F(p) ** -w / unit for b in heads
+                                                        for j in range(p**k)])
+
+
+def test_scan_errors_match_reference_on_block_sets():
+    # block sets are scanned through their heads; every status, NotASpectrumEvidence and WindowTooSmall
+    # must be the reference's, at every window and block depth, with the reduction left out where it may
+    # not apply: a unit > 1, or a window below the depth of the block (the numerators 0, 1 of the set
+    # below of test_scan_errors_match_reference, at window -1, are no block)
+    assert UniformDiscreteSet.make(PrimeContext(2), -1, [0, 2]).block_depth == 0
+    omega = CompactOpenSet.make(PrimeContext(2), 0, 2, (0, 3))
+    cases = [(lifted_spectrum(omega, k), k) for k in (0, 1, 2, 3)]
+    cases += [(_block(2, w, heads, k), k) for w, heads, k in (
+        (2, (0, 4, 8), 1),  # 0 in B: its scan starts at p**-W, and level -3 vanishes at p**-2, not at p**-1
+        (3, (0, 2), 3), (3, (1, 2), 3), (3, (1, 2), 2), (2, (-3, 5, 6), 2), (0, (0, 1), 0))]
+    cases += [(_block(3, 2, (0, 4, 7), 1), 1), (_block(3, 3, (1, 2, 9), 2), 2), (_block(5, 2, (0, 3), 1), 1)]
+    cases += [(_block(2, 3, (0, 2), 3, unit=3), 0), (_block(2, -1, (0,), 1), 0), (_block(2, -2, (0, 1), 2), 0)]
+    evidence = 0
+    for e, k in cases:
+        assert e.block_depth >= k and (e.block_depth == 0) == (k == 0)
+        w = e.window_exp
+        for levels in (range(-w - 3, w + 1), range(0, w + 1), [w], [w + 1], range(-3, w + 2), [max(w - 1, -3)]):
+            got = _outcome(zero_sphere_scan, e, levels)
+            assert got == _outcome(_reference_scan, e, levels)
+            evidence += got[0] == "evidence"
+    assert _outcome(zero_sphere_scan, cases[4][0], [-3]) == ("evidence", -3, -1)
+    assert evidence >= 2
+
+
 _primes = st.sampled_from([2, 3, 5, 7])
 
 

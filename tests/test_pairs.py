@@ -627,12 +627,12 @@ def _homogeneous_frames():
     return list(seen.values())
 
 
-def _variants(e, shift):
-    """E, E + shift (a unit, times p**-w when the window w is negative), and
+def _variants(e, *shifts):
+    """E, E + shift for each shift (a unit, times p**-w when the window w is negative), and
     E with one element dropped."""
     ctx, w = e.context, e.window_exp
-    shift *= ctx.pow(max(-w, 0))
-    out = [e, UniformDiscreteSet.make(ctx, w, [x + shift for x in e.elements])]
+    out = [e] + [UniformDiscreteSet.make(ctx, w, [x + shift * ctx.pow(max(-w, 0)) for x in e.elements])
+                 for shift in shifts]
     if len(e.elements) > 1:
         out.append(UniformDiscreteSet.make(ctx, w, e.elements[: len(e.elements) // 2]
                                            + e.elements[len(e.elements) // 2 + 1 :]))
@@ -645,33 +645,60 @@ def _scaled(ctx, e, v):
 
 
 def test_window_checks_equal_the_fraction_reference():
+    # the lifted truncations at every depth k are block sets, read through their heads; their variants shift
+    # the heads by 1, hold a unit > 1 (not a block) or drop an element, and the windows -1 and 3 give the tiling
+    # check a step > 1 and cells coarser than the block
     for om in _homogeneous_frames():
         ctx, p = om.context, om.context.p
         assert n_f_of(om) == _reference_n_f_of(om)
         base = CompactOpenSet(ctx, 0, om.M, om.digits)
-        lam0, t0 = lifted_spectrum(base, 2), lifted_tiling_complement(base, 2)
-        assert lam0 == _reference_lifted_spectrum(base, 2)
         u0 = complement_from_homogeneity(
             DigitSet.make(ctx, om.M, om.digits), frame_branching_set(p, om.M, om.digits)
         ).elements
-        assert t0 == UniformDiscreteSet.make(ctx, 2, [x + l for x in u0 for l in _representatives(p, 2)])
-        if om.v >= 0:
-            assert lifted_spectrum(om, 2) == _reference_lifted_spectrum(om, 2)
         shift = F(1, 3) if p == 2 else F(1, 2)
-        for lam in _variants(_scaled(ctx, lam0, -om.v), shift):
-            levels = range(-lam.window_exp - 3, lam.window_exp + 1)
-            assert _outcome(zero_sphere_scan, lam, levels) == _outcome(
-                _reference_zero_sphere_scan, lam, levels
+        for k in (0, 1, 2, 3):
+            lam0, t0 = lifted_spectrum(base, k), lifted_tiling_complement(base, k)
+            assert lam0 == _reference_lifted_spectrum(base, k)
+            assert t0 == UniformDiscreteSet.make(ctx, k, [x + l for x in u0 for l in _representatives(p, k)])
+            assert min(lam0.block_depth, t0.block_depth) >= k
+            if om.v >= 0:
+                assert lifted_spectrum(om, k) == _reference_lifted_spectrum(om, k)
+            lams = _variants(_scaled(ctx, lam0, -om.v), shift, 1)
+            for lam in lams:
+                levels = range(-lam.window_exp - 3, lam.window_exp + 1)
+                assert _outcome(zero_sphere_scan, lam, levels) == _outcome(
+                    _reference_zero_sphere_scan, lam, levels
+                )
+                for radius in range(lam.window_exp - k - 2, lam.window_exp + 1):  # p**(W - radius) past p**k too
+                    assert lam.count_in_ball(0, radius) == _reference_count_in_ball(lam, 0, radius)
+            for lam in lams[:2] + lams[3:] if k == 2 else ():  # the spectral check reads no block
+                for window in (0, 2):
+                    assert _report(verify_spectral_pair, om, lam, window) == _report(
+                        _reference_verify_spectral_pair, om, lam, window
+                    )
+            for t_set in _variants(_scaled(ctx, t0, om.v), shift, 1):
+                for window in (-1, 0, 2, 3):
+                    assert _report(verify_tiling_pair, om, t_set, window) == _report(
+                        _reference_verify_tiling_pair, om, t_set, window
+                    )
+
+
+def test_a_failing_block_complement_fails_where_the_reference_does():
+    # U' = {1, 2} does not complement D = {0, 3}: at window 3 the cell of ξ = 1 is covered twice, the first
+    # failure found in the heads' count as in the reference's count of all 16 translates
+    ctx = PrimeContext(2)
+    omega = CompactOpenSet.make(ctx, 0, 2, (0, 3))
+    for heads in ((1, 2), (0, 2)):
+        t_set = UniformDiscreteSet.make(ctx, 3, [u + F(j, 8) for u in heads for j in range(8)])
+        assert t_set.block_depth == 3
+        for window in (-1, 0, 2, 3):
+            assert _report(verify_tiling_pair, omega, t_set, window) == _report(
+                _reference_verify_tiling_pair, omega, t_set, window
             )
-            for window in (0, 2):
-                assert _report(verify_spectral_pair, om, lam, window) == _report(
-                    _reference_verify_spectral_pair, om, lam, window
-                )
-        for t_set in _variants(_scaled(ctx, t0, om.v), shift):
-            for window in (0, 2):
-                assert _report(verify_tiling_pair, om, t_set, window) == _report(
-                    _reference_verify_tiling_pair, om, t_set, window
-                )
+        report = verify_tiling_pair(omega, t_set, 3)
+        assert report.checked_points == 32
+        assert report.failure is None if heads == (0, 2) else report.failure.to_json_dict() == {
+            "xi": "1/1", "lhs": "2/1", "rhs": "1/1"}
 
 
 def test_scan_starts_at_the_shell_of_zero():
@@ -697,6 +724,37 @@ def test_the_scan_reads_every_sum_from_its_one_fold(monkeypatch):
     assert zero_sphere_scan(passing, [-5, -1, 0]) == _reference_zero_sphere_scan(passing, [-5, -1, 0])
     assert len(folds) == 2 and not valuations
     assert not hasattr(pairs, "residue_counts")
+    # a lifted spectrum, |Λ₀| = 2 heads times a block of 2^3: its one fold reads the 2 heads, not the 16 elements
+    lam = lifted_spectrum(CompactOpenSet.make(ctx, 0, 2, (0, 3)), 3)
+    assert (len(lam.numerators), lam.block_depth) == (16, 3)
+    levels = range(-lam.window_exp, lam.window_exp + 1)
+    assert zero_sphere_scan(lam, levels) == _reference_zero_sphere_scan(lam, levels)
+    assert len(folds) == 3 and len(folds[-1][2]) == 2 and not valuations
+
+
+def test_the_block_depth_is_derived_not_passed():
+    ctx = PrimeContext(2)
+    with pytest.raises(TypeError):
+        UniformDiscreteSet(ctx, 3, (0, 1), 1, 1)
+    # by hand: B·2^k ⊕ [0, 2^k) up to k <= max(window_exp, 0), with unit 1 and strictly increasing numerators
+    for nums, w, unit, depth in (((0, 1, 2, 3, 8, 9, 10, 11), 3, 1, 2), ((0, 1, 2, 3, 8, 9, 10, 11), 1, 1, 1),
+                                 ((0, 1, 2, 3), 0, 1, 0), ((0, 1, 2, 3), -2, 1, 0), ((0, 1, 2, 3), 5, 3, 0),
+                                 ((0, 1, 3, 4), 3, 1, 0), ((1, 2), 3, 1, 0), ((0, 1, 1, 3), 3, 1, 0),
+                                 ((2, 3, 0, 1), 3, 1, 0), ((0, 3, 1, 2), 3, 1, 0), ((), 3, 1, 0), ((-4, -3), 2, 1, 1)):
+        e = UniformDiscreteSet(ctx, w, nums, unit)
+        assert e.block_depth == depth, nums
+        twin = UniformDiscreteSet(ctx, w, nums, unit)
+        object.__setattr__(twin, "block_depth", depth + 1)  # equality and hash do not read it
+        assert e == twin and hash(e) == hash(twin) and "block_depth" not in repr(e)
+    for p, heads, k in ((3, (0, 4), 1), (3, (1, 2, 7), 2), (5, (0,), 1)):
+        nums = tuple(b * p**k + j for b in heads for j in range(p**k))
+        assert UniformDiscreteSet(PrimeContext(p), k, nums).block_depth == k
+    # the lifted witnesses derive it as every other truncation does, and compare equal to the references
+    omega = CompactOpenSet.make(ctx, 0, 3, (0, 1, 4, 5))
+    for k in (0, 1, 3):
+        lam = lifted_spectrum(omega, k)
+        assert lam == _reference_lifted_spectrum(omega, k) and lam.block_depth == k
+        assert lifted_tiling_complement(omega, k).block_depth == k
 
 
 def test_a_deep_scan_holds_the_counts_of_one_level_at_a_time():
