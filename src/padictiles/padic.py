@@ -158,9 +158,13 @@ class _LatticeMemo:
     """The lattices the library builds from a branching set alone, least recently used first: a key of
     small ints (p, M, levels; no caller's digits) -> (value, weight), the weight being the kept elements
     times their levels (the measure of _check_fold).  The kept weight stays within the budget, the least
-    recently used entries leaving first; a value heavier than the budget is returned but not kept.  Only
-    the lattices are kept: every check that reads a caller's set runs on every call.  A lock guards each
-    lookup and each insertion, not the build, so two threads may build one lattice and keep it once."""
+    recently used entries leaving first; a value heavier than the budget is returned but not kept.  Beside
+    the lifted truncations that pairs._kept_truncation builds, under their keys extended by small ints, it
+    keeps the facts that the pair checks derive from such a truncation alone: the zero-sphere statuses up to
+    n_f, the ball count about 0 at n_f, and the spectral check's grouping of the residues and its coset tests
+    (pairs._fact).  Every check that reads a caller's set runs on every call, and a build that raises keeps
+    nothing.  A lock guards each lookup and each insertion, not the build, so two threads may build one
+    lattice and keep it once."""
 
     def __init__(self, budget: int):
         self.budget, self.weight, self.entries, self.lock = budget, 0, OrderedDict(), threading.Lock()
@@ -186,10 +190,11 @@ class _LatticeMemo:
             self.weight = 0
 
 
-# Kept weight of the lattice memo: the lattices that the benchmark's census, roundtrip and frontier (seed 1)
-# workloads build, each from an empty memo, weigh 14,065 in all (176 of them), and 2^16 holds at most 2^16
-# ints, about 2.5 MB.  A lifted truncation is kept as its pairs.UniformDiscreteSet, so that its block depth is
-# derived once: the same numerators, weighed the same, in an object of under 100 bytes more.
+# Kept weight of the lattice memo: the lattices and facts that the benchmark's census, roundtrip and frontier
+# (seed 1) workloads keep, each from an empty memo, weigh 14,623 in all (272 of them; the roundtrip's 96 facts
+# weigh 558), and 2^16 holds at most 2^16 ints, about 2.5 MB.  A lifted truncation is kept as its
+# pairs.UniformDiscreteSet, so that its block depth is derived once: the same numerators, weighed the same, in
+# an object of under 100 bytes more.
 _LATTICES = _LatticeMemo(2**16)
 
 

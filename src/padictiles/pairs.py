@@ -115,6 +115,10 @@ class UniformDiscreteSet:
     truncation p**-M·(Λ₀ + L) at window M + k has block depth k or more, and
     the zero-sphere scan, the tiling check and the ball count about 0 read
     its heads alone.
+
+    memo_key is derived too: the padic._LATTICES key of a truncation that
+    _kept_truncation built, and None for every other.  The facts that the
+    pair checks derive from such a truncation alone are kept under it.
     """
 
     context: PrimeContext
@@ -122,6 +126,7 @@ class UniformDiscreteSet:
     numerators: tuple[int, ...]
     unit: int = 1
     block_depth: int = field(init=False, repr=False, compare=False)
+    memo_key: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # strictly increasing numerators are a block at depth k iff each run of P = p**k starts at a multiple of P
@@ -216,12 +221,23 @@ def _lattice_truncation(ctx: PrimeContext, ints: Iterable[int], k: int, window: 
 
 def _kept_truncation(ctx: PrimeContext, key: tuple, ints, levels: int, k: int, window: int) -> UniformDiscreteSet:
     """_lattice_truncation(ctx, ints, k, window) for the ints in [0, p**levels) of a lattice that key determines,
-    the truncation itself kept in padic._LATTICES under key + (k, window), so that its block depth is derived
-    once, weighing |ints|·p**k·(levels + k)."""
+    the truncation itself kept in padic._LATTICES under key + (k, window), its memo_key, so that its block depth
+    is derived once, weighing |ints|·p**k·(levels + k)."""
+    key = (*key, k, window)
+
     def build():
         t = _lattice_truncation(ctx, ints, k, window)
+        object.__setattr__(t, "memo_key", key)
         return t, len(t.numerators) * max(levels + k, 1)
-    return _LATTICES.get((*key, k, window), build)
+    return _LATTICES.get(key, build)
+
+
+def _fact(e: UniformDiscreteSet, key: tuple, build):
+    """The value of build() -> (value, weight), a fact about e alone that key (a name and small ints) determines with e: kept
+    in padic._LATTICES under e.memo_key + key, weighed and evicted as a lattice is, when _kept_truncation built e,
+    and derived on every call otherwise.  A build that raises keeps nothing; a kept value is shared, so it is
+    only read."""
+    return build()[0] if e.memo_key is None else _LATTICES.get(e.memo_key + key, build)
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,6 +490,10 @@ def verify_spectral_pair(
     valuation j of D - D (all below m, the bits of the widest difference; folded only within _MAX_FOLD and when a
     class holds |D| elements, so it refuses nothing), each δ != 0 adds 0 and a class of |D| elements leaves
     N(0)·|D| = |D|²: it passes.
+
+    For a Λ that _kept_truncation built, the grouping (keyed by e, the step p**g and the cut) and each coset test
+    (keyed by p**g and its order) are read from padic._LATTICES once derived; the window, bound and class-size
+    checks, the valuations of D - D, any expansion and the density run on every call.
     """
     ctx, p, window_exp = omega.context, omega.context.p, _read_int(window_exp, "a spectral check", "window_exp")
     vm = omega.v + omega.M
@@ -490,15 +510,22 @@ def verify_spectral_pair(
     step = p ** (w - max(window_exp, ell))  # below ℓ the one representative is 0
     reps = range(p ** max(window_exp - ell, 0))
     # the representatives read the classes mod cut that are multiples of step, and step and cut are powers
-    # of p: only the residues divisible by the smaller are grouped
-    g, by_class = min(step, cut), {}
-    kept = [r for r in lam.residues(w, e) if not r % g]
-    for r in kept:
-        by_class.setdefault(r % cut, []).append(r)
+    # of p: only the residues divisible by the smaller, p**g (ℓ <= v + M), are grouped
+    g = w - need
+
+    def group():
+        by_class, G = {}, p**g
+        kept = [r for r in lam.residues(w, e) if not r % G]
+        for r in kept:
+            by_class.setdefault(r % cut, []).append(r)
+        return (kept, by_class), len(kept) * max(e, 1)
+    kept, by_class = _fact(lam, ("classes", e, g, w - vm), group)
     digits = omega.digits
     m = min(omega.M, (max(digits) - min(digits)).bit_length())
-    whole = len(digits) * m <= _MAX_FOLD and len(digits) in map(len, by_class.values()) and all(
-        _vanishes(p, e - j, _residue_counts(p, e - j, kept)) for j in _valuations(p, m, digits))
+    # a coset test reads Λ's numerators divisible by p**g, mod p**(e - j) (as g, e - j <= e), so e does not key it
+    whole = len(digits) * m <= _MAX_FOLD and len(digits) in map(len, by_class.values()) and all(_fact(
+        lam, ("coset test", g, e - j), lambda: (_vanishes(p, e - j, _residue_counts(p, e - j, kept)), 1))
+        for j in _valuations(p, m, digits))
     target, qm, overlaps = len(digits) ** 2, p**omega.M, None
     failure = None
     passed: set[frozenset] = set()  # the identity reads only diffs: a multiset seen to pass passes again
@@ -548,12 +575,15 @@ def spectrum_to_tiling_complement(
     the spectrum's transform data; levels split into I (inside) and J
     (disjoint) or the scan raises.  U collects all digit sums over J; the
     candidate complement U + L must tile, and Card(U)·𝔪(Ω) = 1 exactly.
+    For a Λ that _kept_truncation built, the statuses and the count of Λ in
+    B(0, p**n_f) are read from padic._LATTICES once derived for that n_f;
+    n_f, Card(U)·𝔪(Ω) and the tiling check run on every call.
     """
     ctx, verify_window_exp = omega.context, _read_int(verify_window_exp, "a tiling complement", "verify_window_exp")
     if omega.v < 0:
         raise ValueError("the compact open set must sit inside Z_p (v >= 0); rescale first")
     nf = n_f_of(omega)
-    statuses = _scan(lam, range(0, nf))
+    statuses = _fact(lam, ("scan", nf), lambda: (_scan(lam, range(0, nf)), max(nf, 1)))
     inside = sorted([n for n, s in statuses.items() if s is SphereStatus.IN_ZERO_SET])
     disjoint = sorted([n for n, s in statuses.items() if s is SphereStatus.NOT_IN_ZERO_SET])
     key, top = ("complement", ctx.p, tuple(disjoint)), disjoint[-1] + 1 if disjoint else 0
@@ -572,7 +602,7 @@ def spectrum_to_tiling_complement(
     t_set = _kept_truncation(ctx, key, u, top, k, k)
     report = verify_tiling_pair(omega, t_set, verify_window_exp)
     derived = {**report.derived, "n_f": nf, "I": inside, "J": disjoint, "card_U": len(u), "measure": mu,
-               "spectrum_count_at_n_f": lam.count_in_ball(0, nf)}
+               "spectrum_count_at_n_f": _fact(lam, ("count", nf), lambda: (lam.count_in_ball(0, nf), 1))}
     return u, PairReport(report.kind, report.verified_window, report.checked_points, report.failure, derived)
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import padictiles
+from padictiles.padic import _LATTICES
 
 # Each line of stdin is a JSON array: the argv of cli.main.  Each answer is [exit code, stdout,
 # stderr, seconds in main]; an exception in main comes back as code None with its traceback.
@@ -144,3 +145,15 @@ def _homogeneous_sets(p: int, M: int) -> list[tuple[int, ...]]:
 def roundtrip_sets():
     """(p, M, digits) of the 835 homogeneous sets of Z/2^4 and Z/3^2, the sets of the benchmark's roundtrip."""
     return [(p, M, C) for p, M in ((2, 4), (3, 2)) for C in _homogeneous_sets(p, M)]
+
+
+@pytest.fixture(params=["cold", "warm"])
+def memo(request, monkeypatch):
+    """The lattice memo (padic._LATTICES) cold, a budget of 0 that keeps nothing, so that every lattice and
+    every fact kept beside a lifted witness is derived on every call, or warm: emptied, then filled by the
+    first call for each branching set.  It is emptied again afterwards."""
+    _LATTICES.clear()
+    if request.param == "cold":
+        monkeypatch.setattr(_LATTICES, "budget", 0)
+    yield request.param
+    _LATTICES.clear()

@@ -627,18 +627,6 @@ def test_the_memoised_recheck_follows_each_witness_of_one_set():
     assert not verify_spectrum_witness(ctx, 3, list(c), list(bad))
 
 
-@pytest.fixture(params=["cold", "warm"])
-def memo(request, monkeypatch):
-    """The lattice memo (padic._LATTICES) cold, a budget of 0 that keeps nothing, so that every lattice is
-    built on every call, or warm: emptied, then filled by the first call for each branching set.  It is
-    emptied again afterwards."""
-    _LATTICES.clear()
-    if request.param == "cold":
-        monkeypatch.setattr(_LATTICES, "budget", 0)
-    yield request.param
-    _LATTICES.clear()
-
-
 @pytest.mark.parametrize("p,M", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
 def test_the_spectrum_rechecked_on_t1s_counts_equals_the_recount_on_every_exhaustive_family(p, M, memo):
     # the census spectrum is rechecked on the count maps of T1; spectrum_from_homogeneity folds C itself

@@ -5,9 +5,11 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from padictiles.decide import (
     complement_from_homogeneity,
     spectrum_from_homogeneity,
 )
-from padictiles.padic import Ball, PrimeContext, ScopeTooLarge, character
+from padictiles.padic import _LATTICES, Ball, PrimeContext, ScopeTooLarge, character
 from padictiles.pairs import (
     Failure,
     NotASpectrumEvidence,
@@ -372,9 +374,10 @@ def test_a_complement_whose_measure_is_not_one_over_card_u_is_refused(omega, lam
     assert str(err.value) == message
 
 
-def test_the_roundtrip_reports_are_frozen_on_every_homogeneous_set():
+def test_the_roundtrip_reports_are_frozen_on_every_homogeneous_set(memo):
     # the benchmark's roundtrip on the 835 homogeneous sets of Z/2^4 and Z/3^2, one JSON line per set,
-    # against the sha256 of the bytes before the window checks counted in ints
+    # against the sha256 of the bytes before the window checks counted in ints; with the memo warm the 835
+    # sets read the facts of their 20 lifted spectra from it, and with the memo cold every set derives them
     digest = hashlib.sha256()
     for p, M in ((2, 4), (3, 2)):
         ctx = PrimeContext(p)
@@ -389,6 +392,98 @@ def test_the_roundtrip_reports_are_frozen_on_every_homogeneous_set():
                        "tiling": tiling.to_json_dict(), "spectral": verify_spectral_pair(om, lam, 2).to_json_dict()}
                 digest.update((json.dumps(row, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == "f43e7d8df27080be7b949c13674901e8d50bdd67af256f688e28933a946a9e10"
+
+
+@pytest.mark.parametrize("memo", ["warm"], indirect=True)
+def test_one_pass_derives_the_facts_of_each_lifted_spectrum_once(monkeypatch, roundtrip_sets, memo):
+    # the 835 sets share 20 lifted spectra, each with one n_f: from an empty memo, one pass scans each
+    # spectrum and counts its ball about 0 once, and a second pass derives neither again
+    scans, counts = [], []
+    scan, count_in_ball = pairs._scan, UniformDiscreteSet.count_in_ball
+    monkeypatch.setattr(pairs, "_scan", lambda e, levels: scans.append(e) or scan(e, levels))
+    monkeypatch.setattr(UniformDiscreteSet, "count_in_ball", lambda e, *a: counts.append(e) or count_in_ball(e, *a))
+    for run in range(2):
+        for p, M, C in roundtrip_sets:
+            om = CompactOpenSet.make(PrimeContext(p), 0, M, C)
+            lam = lifted_spectrum(om, 3)
+            _, tiling = spectrum_to_tiling_complement(om, lam, 3)
+            assert tiling.status == verify_spectral_pair(om, lam, 2).status == "Verified"
+        if run == 0:
+            assert len(scans) == len(counts) == len({e.memo_key for e in scans}) == 20
+    assert len(scans) == len(counts) == 20
+
+
+def _pipeline(omega, lam, window_exp):
+    """The complement built from lam and the spectral check's report, each as JSON or as the refusal."""
+    out = []
+    for call in (spectrum_to_tiling_complement, verify_spectral_pair):
+        try:
+            got = call(omega, lam, window_exp)
+            out.append([list(got[0]), got[1].to_json_dict()] if call is spectrum_to_tiling_complement
+                       else got.to_json_dict())
+        except (WindowTooSmall, NotASpectrumEvidence, ConstructionFailed) as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("memo", ["warm"], indirect=True)
+def test_a_refused_fact_is_kept_by_no_memo(memo):
+    # a kept truncation whose scan raises, and windows too small for the spectral check or for the scan up
+    # to n_f, raise on every call; no fact is kept for them
+    ctx = PrimeContext(2)
+    resurrecting = pairs._kept_truncation(ctx, ("test",), (0, 12, 14), 4, 0, 3)  # {0, 3/2, 7/4}
+    narrow = lifted_spectrum(CompactOpenSet.make(ctx, 0, 1, (0,)), 0)  # window 1
+    deep = CompactOpenSet.make(ctx, 2, 3, (0, 1, 4, 5))  # n_f = 4, and its spectral check needs p**4
+    cases = [(CompactOpenSet.make(ctx, 0, 1, (0,)), resurrecting, (
+                 "NotASpectrumEvidence", "sphere level 0: truncated sum vanished then came back nonzero at p**2")),
+             (deep, narrow, ("WindowTooSmall", "sphere level 2 needs the truncation at p**2, window is p**1"))]
+    for omega, lam, refusal in cases:
+        assert lam.memo_key is not None
+        kept = set(_LATTICES.entries)
+        for _ in range(2):
+            with pytest.raises(getattr(pairs, refusal[0])) as err:
+                spectrum_to_tiling_complement(omega, lam, 3)
+            assert str(err.value) == refusal[1]
+            with pytest.raises(WindowTooSmall) as err:
+                verify_spectral_pair(deep, lam, 2)
+            assert str(err.value) == f"spectrum declared to p**{lam.window_exp}, need p**4"
+        assert set(_LATTICES.entries) == kept
+
+
+def _kept_spectra_and_sets():
+    """Lifted spectra of a few homogeneous sets, each with every set of Z/2^3, or of Z/3^2 with at most three digits,
+    at v = 0, 1 and 2: checked against one spectrum, two sets may differ in n_f, v, v + M or ℓ alone."""
+    spectra = [(PrimeContext(p), M, C, k) for p, M, C, k in ((2, 2, (0, 3), 4), (2, 3, (0, 1, 4, 5), 3),
+                                                              (2, 1, (0,), 5), (3, 2, (0, 4, 8), 3))]
+    sets = {2: [C for r in range(1, 9) for C in combinations(range(8), r)],
+            3: [C for r in (1, 2, 3) for C in combinations(range(9), r)]}
+    return [(CompactOpenSet.make(ctx, 0, M, C), k, [CompactOpenSet.make(ctx, v, 2 if ctx.p == 3 else 3, D)
+                                                    for v in (0, 1, 2) for D in sets[ctx.p]])
+            for ctx, M, C, k in spectra]
+
+
+@pytest.mark.parametrize("memo", ["warm"], indirect=True)
+def test_the_facts_kept_beside_a_lifted_witness_equal_those_of_an_unkept_copy(memo):
+    # one kept spectrum against many sets fills the memo with its facts under keys holding n_f, e = W - v, the
+    # grouping's cut and step, and each order; an equal truncation built by a caller carries no key and derives
+    # every fact, so a scan, count or grouping key that left out n_f, e, the cut or the step, or a coset test key
+    # that left out the order, would read another set's fact here
+    checked = Counter()
+    for base, k, sets in _kept_spectra_and_sets():
+        lam = lifted_spectrum(base, k)
+        copy = UniformDiscreteSet.make(lam.context, lam.window_exp, lam.elements)
+        assert copy == lam and hash(copy) == hash(lam) and repr(copy) == repr(lam)
+        assert lam.memo_key is not None and copy.memo_key is None and replace(lam).memo_key is None
+        with pytest.raises(TypeError):
+            UniformDiscreteSet(lam.context, lam.window_exp, lam.numerators, memo_key=lam.memo_key)
+        for omega in sets:
+            for window in (0, 2):
+                got = built, spectral = _pipeline(omega, lam, window)
+                assert got == _pipeline(omega, copy, window), (base, omega, window)
+                checked[built[0] if isinstance(built, tuple) else "built"] += 1
+                checked[spectral[0] if isinstance(spectral, tuple) else spectral["status"]] += 1
+    assert len(_LATTICES.entries) > 100
+    assert set(checked) == {"built", "ConstructionFailed", "Verified", "FailedAt"} and min(checked.values()) > 50
 
 
 def test_lifted_witnesses_across_homogeneous_family():
@@ -569,10 +664,10 @@ def _reference_verify_spectral_pair(omega, lam, window_exp):
     reps = [t * ctx.pow(-window_exp) for t in range(p ** max(window_exp - ell, 0))]
     target = len(omega.digits) ** 2
     mu2 = omega.measure() ** 2
-    failure = None
+    failure, xs = None, lam.elements
     for xi in reps:
         total = CyclotomicSum.make(ctx, 0, {})
-        for x in lam.elements:
+        for x in xs:
             if v_p(ctx.p, xi - x) >= -vm:
                 f = indicator_fourier(omega, xi - x)
                 total = total + f.sum * f.sum.conjugate()
@@ -630,13 +725,16 @@ def _homogeneous_frames():
 def _variants(e, *shifts):
     """E, E + shift for each shift (a unit, times p**-w when the window w is negative), and
     E with one element dropped."""
-    ctx, w = e.context, e.window_exp
-    out = [e] + [UniformDiscreteSet.make(ctx, w, [x + shift * ctx.pow(max(-w, 0)) for x in e.elements])
-                 for shift in shifts]
-    if len(e.elements) > 1:
-        out.append(UniformDiscreteSet.make(ctx, w, e.elements[: len(e.elements) // 2]
-                                           + e.elements[len(e.elements) // 2 + 1 :]))
+    ctx, w, xs = e.context, e.window_exp, e.elements
+    out = [e] + [UniformDiscreteSet.make(ctx, w, [x + shift * ctx.pow(max(-w, 0)) for x in xs]) for shift in shifts]
+    if len(xs) > 1:
+        out.append(UniformDiscreteSet.make(ctx, w, xs[: len(xs) // 2] + xs[len(xs) // 2 + 1 :]))
     return out
+
+
+def _read_once(e):
+    """The context, window and elements of e, its elements derived once for the references that read them often."""
+    return SimpleNamespace(context=e.context, window_exp=e.window_exp, elements=e.elements)
 
 
 def _scaled(ctx, e, v):
@@ -663,23 +761,24 @@ def test_window_checks_equal_the_fraction_reference():
             assert min(lam0.block_depth, t0.block_depth) >= k
             if om.v >= 0:
                 assert lifted_spectrum(om, k) == _reference_lifted_spectrum(om, k)
-            lams = _variants(_scaled(ctx, lam0, -om.v), shift, 1)
-            for lam in lams:
+            lams = [(lam, _read_once(lam)) for lam in _variants(_scaled(ctx, lam0, -om.v), shift, 1)]
+            for lam, ref in lams:
                 levels = range(-lam.window_exp - 3, lam.window_exp + 1)
                 assert _outcome(zero_sphere_scan, lam, levels) == _outcome(
-                    _reference_zero_sphere_scan, lam, levels
+                    _reference_zero_sphere_scan, ref, levels
                 )
                 for radius in range(lam.window_exp - k - 2, lam.window_exp + 1):  # p**(W - radius) past p**k too
-                    assert lam.count_in_ball(0, radius) == _reference_count_in_ball(lam, 0, radius)
-            for lam in lams[:2] + lams[3:] if k == 2 else ():  # the spectral check reads no block
+                    assert lam.count_in_ball(0, radius) == _reference_count_in_ball(ref, 0, radius)
+            for lam, ref in lams[:2] + lams[3:] if k == 2 else ():  # the spectral check reads no block
                 for window in (0, 2):
                     assert _report(verify_spectral_pair, om, lam, window) == _report(
-                        _reference_verify_spectral_pair, om, lam, window
+                        _reference_verify_spectral_pair, om, ref, window
                     )
             for t_set in _variants(_scaled(ctx, t0, om.v), shift, 1):
+                ref = _read_once(t_set)
                 for window in (-1, 0, 2, 3):
                     assert _report(verify_tiling_pair, om, t_set, window) == _report(
-                        _reference_verify_tiling_pair, om, t_set, window
+                        _reference_verify_tiling_pair, om, ref, window
                     )
 
 
@@ -1072,11 +1171,20 @@ def test_the_spectral_check_folds_d_minus_d_only_for_a_class_of_d_elements(monke
         raise AssertionError("D - D was folded, and no class holds |D| elements")
     monkeypatch.setattr(pairs, "_valuations", refuse)
     assert verify_spectral_pair(omega, lam, 0).status == "Verified"
-    # each class of a lifted spectrum holds |D| elements, and the one fold decides them all
-    folds, valuations = [], decide._valuations
+    # each class of a lifted spectrum holds |D| elements, and the one fold decides them all; the coset tests on
+    # Λ's residues are kept beside Λ, so a second check folds D - D again and tests no coset
+    folds, tests, valuations, coset_test = [], [], decide._valuations, pairs._vanishes
     monkeypatch.setattr(pairs, "_valuations", lambda *args: folds.append(args) or valuations(*args))
+    monkeypatch.setattr(pairs, "_vanishes", lambda *args: tests.append(args) or coset_test(*args))
     om = CompactOpenSet.make(ctx, 0, 2, (0, 3))
-    assert verify_spectral_pair(om, lifted_spectrum(om, 2), 2).status == "Verified" and len(folds) == 1
+    _LATTICES.clear()
+    try:
+        lam = lifted_spectrum(om, 2)
+        assert verify_spectral_pair(om, lam, 2).status == "Verified" and len(folds) == 1
+        assert [order for _, order, _ in tests] == [4]  # D - D = {0, ±3}: j = 0, at order e - j = W - v = 4
+        assert verify_spectral_pair(om, lam, 2).status == "Verified" and len(folds) == 2 and len(tests) == 1
+    finally:
+        _LATTICES.clear()
 
 
 def test_the_scan_folds_to_its_deepest_level_as_a_full_fold_does(monkeypatch):
