@@ -116,9 +116,10 @@ _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 
 def _float_sum(q: int, counts: Mapping[int, int], u: int = 1) -> complex:
-    """sum_j counts[j] * exp(2*pi*i * u*j / q) in floats, for numeric() and decide's numeric guard: each angle
-    is 2*pi times the int quotient (u*j mod q)/q, rounded right at any q, and fsum rounds each part once.  Past
-    an OverflowError or ValueError a count beyond the float range reads ±inf, and +inf meeting -inf nan."""
+    """sum_j counts[j] * exp(2*pi*i * u*j / q) in floats, for numeric() and the diagnostic
+    decide.spectrum_orthogonality_defect, never a decision: each angle is 2*pi times the int quotient
+    (u*j mod q)/q, rounded right at any q, and fsum rounds each part once.  Past an OverflowError or
+    ValueError a count beyond the float range reads ±inf, and +inf meeting -inf nan."""
     try:
         terms = [cmath.rect(a, math.tau * (u * j % q / q)) for j, a in counts.items()]
         return complex(math.fsum(map(_REAL, terms)), math.fsum(map(_IMAG, terms)))

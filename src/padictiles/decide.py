@@ -9,7 +9,9 @@ at j levels has at least p^j elements.  Spectral half: the differences of a
 spectrum Λ have valuations in the zero-level set Z, so the digits at the
 levels in Z are injective on Λ and |Λ| <= p^|Z|; and p^|Z| divides |C|,
 because Φ_{p^(M-j)} divides C(X) for each j in Z and Φ_{p^s}(1) = p.
-Negative answers rest on the lemma; positive ones are re-verified exactly.
+Negative answers rest on the lemma; positive ones are re-verified exactly,
+a spectrum by the successor form of the coset test where T1 read the sums of
+squares (cyclotomic docstring).  No decision reads a float.
 The digit-tree homogeneity test is independent of both deciders, and the
 census treats any disagreement among the three as a fatal finding.
 """
@@ -138,14 +140,6 @@ def _orthogonal(p: int, M: int, levels) -> bool:
     return all(_vanishes(p, M - j, counts) for j, counts in levels)
 
 
-def _defect(p: int, M: int, levels) -> float:
-    """The numeric guard of spectrum_orthogonality_defect on the occurring levels of its lam, at the units
-    1 and 1 + p: the sum at -1 is the complex conjugate of the sum at 1, of the same modulus.  Each sum
-    is taken by cyclotomic._float_sum, which forms every angle from an int quotient, right at any order."""
-    return max((abs(_float_sum(n, counts, u)) for j, counts in levels for n in [p ** (M - j)]
-                for u in {1 % n, (1 + p) % n}), default=0.0)
-
-
 def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
     """Exact orthogonality: sum over C of the root at d*c vanishes per difference d of lam.
 
@@ -163,16 +157,18 @@ def verify_spectrum_witness(context: PrimeContext, M: int, C, lam) -> bool:
 
 
 def spectrum_orthogonality_defect(p: int, M: int, C, lam) -> float:
-    """Largest |character sum over C| at the differences of lam, numerically; a guard, never a decider.
+    """Largest |character sum over C| at the differences of lam, in floats: a diagnostic; no decision reads it.
 
     Per verify_spectrum_witness only the valuation j of d matters; the sum is taken
-    at u*p^j for the units u in {1, 1 + p}, with fsum over the counts of C mod p^(M-j)
-    (at -1 it is the complex conjugate of the sum at 1).
+    at u*p^j for the units u in {1, 1 + p} over the counts of C mod p^(M-j) (at -1 it is
+    the complex conjugate of the sum at 1, of the same modulus), each by cyclotomic._float_sum,
+    which forms every angle from an int quotient, right at any order.
     M and the elements of C and lam must be ints, M >= 0 (ValueError), as in the exact recheck.
     """
     M = _check_exp(p, M, "a spectrum check", "M", nonneg=True)
     C, lam = _require_ints(C=C, lam=lam)
-    return _defect(p, M, _levels_at(p, M, C, _valuations(p, M, lam)))
+    return max((abs(_float_sum(n, counts, u)) for j, counts in _levels_at(p, M, C, _valuations(p, M, lam))
+                for n in [p ** (M - j)] for u in {1 % n, (1 + p) % n}), default=0.0)
 
 
 @lru_cache(maxsize=1)
@@ -279,7 +275,7 @@ def is_spectral_zmod(C: DigitSet) -> Witness | None:
     Otherwise Λ is every number whose base-p digits outside Z are 0; two
     first differ at some j in Z, so their difference has valuation j.  That
     is the homogeneity spectrum at branching levels {M-1-j : j in Z}, which
-    is rechecked exactly and by the numeric guard on the count maps of T1.
+    is rechecked exactly, by the successor form, on the count maps of T1.
     They leave T1's cache here, which is_tile_zmod alone does not empty.
     """
     t1 = _t1_levels(C)
@@ -294,10 +290,10 @@ def spectrum_from_homogeneity(C: DigitSet, levels) -> Witness:
     """Spectrum for a homogeneous digit set from its branching levels.
 
     Candidate: all sums of a_i * p^(M-1-i) over branching levels i with
-    digits a_i in [0, p).  Verified exactly and by the numeric guard, on one
-    pass over the occurring levels of Λ, before return; a failure raises
-    rather than patching; a level not an int in range(M) is a ValueError.  A
-    repeated level repeats elements, so the valuation M occurs and fails.
+    digits a_i in [0, p).  Verified exactly, on one pass over the occurring
+    levels of Λ, before return; a failure raises rather than patching; a
+    level not an int in range(M) is a ValueError.  A repeated level repeats
+    elements, so the valuation M occurs and fails.
     """
     return _spectrum_from_homogeneity(C, *_require_ints(stop=C.M, levels=levels))
 
@@ -306,16 +302,14 @@ def _spectrum_from_homogeneity(C: DigitSet, levels, maps=None) -> Witness:
     """spectrum_from_homogeneity of int levels in range(M), which the library's callers hold; the recheck
     reads C's counts from maps when the caller holds them (_levels_at).  p**M is bounded before any
     lattice is sought (ScopeTooLarge); Λ and its valuations come from _homogeneity_spectrum, and the
-    size test, the exact recheck and the guard read C on every call."""
+    size test and the exact recheck read C on every call."""
     M, p = C.M, C.context.p
     _check_exp(p, M, "a spectrum check", "M")
     lam, occurring = _homogeneity_spectrum(p, M, tuple(sorted(levels)))
-    if len(lam) != len(C.C) or not _orthogonal(p, M, counts := _levels_at(p, M, C.C, occurring, maps)):
+    if len(lam) != len(C.C) or not _orthogonal(p, M, _levels_at(p, M, C.C, occurring, maps)):
         raise ConstructionFailed(
             f"homogeneity spectrum formula failed for C={C.C}, levels={sorted(levels)}"
         )
-    if _defect(p, M, counts) >= 1e-9:
-        raise ConstructionFailed(f"numeric guard failed for C={C.C}, levels={sorted(levels)}")
     return Witness(WitnessKind.SPECTRUM, p, M, lam)
 
 

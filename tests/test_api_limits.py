@@ -163,7 +163,7 @@ def test_a_call_that_ran_until_killed_raises_scope_too_large_at_once(api_child, 
 
 def test_each_argument_is_read_once():
     # each case read its argument twice, so a one-shot iterable was used up by the int check: the tiling
-    # check raised TypeError on a tiling of Z/2, as did the spectrum check on a spectrum, the numeric guard
+    # check raised TypeError on a tiling of Z/2, as did the spectrum check on a spectrum, the orthogonality defect
     # read C as empty (0.0, against 1.0 for the list), and the constructors failed with "levels=[]"
     ctx = PrimeContext(2)
     assert verify_tiling_witness(2, 1, (x for x in [0]), [0, 1])

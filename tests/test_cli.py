@@ -677,7 +677,8 @@ def test_a_density_center_outside_the_window_exits_3_naming_k_and_the_window(cli
 
 
 def test_the_numeric_guard_takes_every_depth_the_exact_recheck_admits(cli_child):
-    # ended in an OverflowError traceback: the guard's angle step 2j * pi / n has no float past n = 2^1023
+    # ended in an OverflowError traceback while make-spectrum ran the float guard: its angle step 2j * pi / n
+    # has no float past n = 2^1023.  make-spectrum reads no float now; the diagnostic keeps that depth
     code, out, err, _ = cli_child.run("make-spectrum", "--p", "2", "--M", "1024", "--set", f"0,{2**1023}")
     assert code == 0 and out == "spectrum = {0, 1} (I = [1023])\n" and "Traceback" not in err
     assert spectrum_orthogonality_defect(2, 1024, [0, 2**1023], [0, 1]) < 1e-9
